@@ -269,14 +269,10 @@ def _emit_generating(args, result) -> None:
 def cmd_generating(args) -> int:
     config = load_config(args.config)
     s = parse_shape(args.shape)
-    try:
-        if args.line:
-            result = find_directional_generating_set(config, s, parse_line(args.line))
-        else:
-            result = find_generating_set(config, s)
-    except HypothesisNotMet as exc:
-        emit(args, f"no claim: {exc}", {"status": "no_claim", "reason": str(exc)})
-        return EXIT_OK
+    if args.line:
+        result = find_directional_generating_set(config, s, parse_line(args.line))
+    else:
+        result = find_generating_set(config, s)
     _emit_generating(args, result)
     return EXIT_OK
 
@@ -284,12 +280,7 @@ def cmd_generating(args) -> int:
 def cmd_mlc(args) -> int:
     config = load_config(args.config)
     s = parse_shape(args.shape)
-    try:
-        result = find_mlc_set(config, s)
-    except HypothesisNotMet as exc:
-        emit(args, f"no claim: {exc}", {"status": "no_claim", "reason": str(exc)})
-        return EXIT_OK
-    _emit_generating(args, result)
+    _emit_generating(args, find_mlc_set(config, s))
     return EXIT_OK
 
 
@@ -306,11 +297,7 @@ def cmd_balanced(args) -> int:
             "found": w.found,
             "set": sorted(w.witness.points) if w.witness else None,
         }
-    try:
-        cert = construct_balanced_set(config, s, line, witness_absent=witness_absent)
-    except HypothesisNotMet as exc:
-        emit(args, f"no claim: {exc}", {"status": "no_claim", "reason": str(exc)})
-        return EXIT_OK
+    cert = construct_balanced_set(config, s, line, witness_absent=witness_absent)
     emit(
         args,
         f"balanced set {sorted(cert.set.points)}, p = {cert.p}, "
@@ -527,7 +514,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         print(f"soundness failure: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except HypothesisNotMet as exc:
-        print(f"no claim: {exc}")
+        emit(args, f"no claim: {exc}", {"status": "no_claim", "reason": str(exc)})
         return EXIT_OK
     except NivatlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

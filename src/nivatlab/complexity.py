@@ -1,20 +1,25 @@
 """The pattern-counting engine: shape complexity, languages, extension counts.
 
 Counting enumerates a certified translate domain and deduplicates patterns by
-canonical hashing.  Exactness flags propagate: anything computed from a
-lower-bound domain is itself a lower bound.  Setting NIVATLAB_THREADS (0 =
-auto) chunks the translate scan across a thread pool; the observable result
-is identical to the sequential one.
+canonical hashing.  One kernel, `_letter_keys`, reads the letters of a shape
+at every translate; complexities, languages, directional languages and
+extension counts all scan through it.  Exactness flags propagate: anything
+computed from a lower-bound domain is itself a lower bound.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .configurations import Configuration, Exactness, Pattern, as_points
+from .configurations import (
+    Configuration,
+    EnumerationDomain,
+    Exactness,
+    Pattern,
+    _range_steps,
+    as_points,
+)
 from .errors import GeometryError, SoundnessError
 from .geometry import ConvexLatticeSet, Line, Point, line_section, psub, supporting_line
 
@@ -33,33 +38,24 @@ class ComplexityReport:
         return self.exactness is Exactness.EXACT
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("NIVATLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
-
-
 def _letter_keys(config: Configuration, cells: tuple[Point, ...], translates) -> set[tuple[str, ...]]:
+    """The distinct letter tuples of cells + u over the translates u."""
     letter_at = config.letter_at
-    threads = _thread_count()
-    if threads > 1 and len(translates) >= 4 * threads:
-        chunk = (len(translates) + threads - 1) // threads
-        parts = [translates[i : i + chunk] for i in range(0, len(translates), chunk)]
-
-        def scan(part):
-            return {tuple(letter_at((g[0] + u[0], g[1] + u[1])) for g in cells) for u in part}
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            keys: set[tuple[str, ...]] = set()
-            for piece in pool.map(scan, parts):
-                keys |= piece
-            return keys
     return {tuple(letter_at((g[0] + u[0], g[1] + u[1])) for g in cells) for u in translates}
+
+
+def _domain_keys(
+    config: Configuration, cells: tuple[Point, ...]
+) -> tuple[set[tuple[str, ...]], EnumerationDomain]:
+    """The letter tuples of the cells over their certified enumeration domain."""
+    domain = config.enumeration_domain(cells)
+    return _letter_keys(config, cells, domain.translates), domain
+
+
+def _patterns(cells: tuple[Point, ...], keys: Iterable[tuple[str, ...]]) -> list[Pattern]:
+    """Canonical patterns of letter tuples read over sorted cells, in key order."""
+    offsets = tuple(psub(g, cells[0]) for g in cells)
+    return [Pattern(tuple(zip(offsets, k))) for k in keys]
 
 
 def complexity(config: Configuration, shape: ConvexLatticeSet | Iterable[Point]) -> ComplexityReport:
@@ -67,8 +63,7 @@ def complexity(config: Configuration, shape: ConvexLatticeSet | Iterable[Point])
     cells = as_points(shape)
     if not cells:
         return ComplexityReport((), 1, Exactness.EXACT, 0)
-    domain = config.enumeration_domain(cells)
-    keys = _letter_keys(config, cells, domain.translates)
+    keys, domain = _domain_keys(config, cells)
     return ComplexityReport(cells, len(keys), domain.exactness, len(domain))
 
 
@@ -83,11 +78,8 @@ def language_report(
     cells = as_points(shape)
     if not cells:
         return frozenset([Pattern(())]), Exactness.EXACT
-    domain = config.enumeration_domain(cells)
-    keys = _letter_keys(config, cells, domain.translates)
-    offsets = tuple(psub(g, cells[0]) for g in cells)
-    patterns = frozenset(Pattern(tuple(zip(offsets, k))) for k in keys)
-    return patterns, domain.exactness
+    keys, domain = _domain_keys(config, cells)
+    return frozenset(_patterns(cells, keys)), domain.exactness
 
 
 def complexity_table(
@@ -142,19 +134,11 @@ def directional_language(
     if not cells:
         return DirectionalLanguage(frozenset([Pattern(())]), Exactness.EXACT)
     v = line.minimal_vector()
-    step = v if trange[0] != "backward" else (-v[0], -v[1])
     domain = config.directional_translates(cells, base, v, trange)
-    offsets = tuple(psub(g, cells[0]) for g in cells)
-    letter_at = config.letter_at
-    keys = {
-        tuple(
-            letter_at((g[0] + base[0] + t * step[0], g[1] + base[1] + t * step[1]))
-            for g in cells
-        )
-        for t in domain.translates
-    }
-    patterns = frozenset(Pattern(tuple(zip(offsets, k))) for k in keys)
-    return DirectionalLanguage(patterns, domain.exactness)
+    step, _ = _range_steps(trange, v)
+    translates = [(base[0] + t * step[0], base[1] + t * step[1]) for t in domain.translates]
+    keys = _letter_keys(config, cells, translates)
+    return DirectionalLanguage(frozenset(_patterns(cells, keys)), domain.exactness)
 
 
 # -- extension counts --------------------------------------------------------
@@ -193,16 +177,12 @@ def extension_counts(config: Configuration, shape: ConvexLatticeSet, line: Line)
         raise GeometryError("the shape is a single line section; its base is empty")
     cells = as_points(shape)
     base_index = [i for i, g in enumerate(cells) if g in set(base_cells)]
-    domain = config.enumeration_domain(cells)
-    keys = _letter_keys(config, cells, domain.translates)
-
-    offsets = tuple(psub(g, cells[0]) for g in cells)
-    base_offsets = tuple(psub(base_cells[i], base_cells[0]) for i in range(len(base_cells)))
+    keys, domain = _domain_keys(config, cells)
+    ordered = sorted(keys)
+    restricted = _patterns(base_cells, (tuple(k[i] for i in base_index) for k in ordered))
     grouped: dict[Pattern, list[Pattern]] = {}
-    for key in sorted(keys):
-        full = Pattern(tuple(zip(offsets, key)))
-        restricted = Pattern(tuple(zip(base_offsets, (key[i] for i in base_index))))
-        grouped.setdefault(restricted, []).append(full)
+    for full, base_pattern in zip(_patterns(cells, ordered), restricted):
+        grouped.setdefault(base_pattern, []).append(full)
     table = ExtensionTable(
         cells, base_cells, {g: tuple(v) for g, v in grouped.items()}, domain.exactness
     )

@@ -143,16 +143,10 @@ class Configuration:
         """
         raise NotImplementedError
 
-    # -- shared helpers ------------------------------------------------------
-
-    def extract(self, shape: Iterable[Point], u: Point) -> Pattern:
-        pts = as_points(shape)
-        return Pattern.from_cells({g: self.letter_at(padd(g, u)) for g in pts})
-
 
 def extract_pattern(config: Configuration, shape: ConvexLatticeSet | Iterable[Point], u: Point) -> Pattern:
     """The pattern of the configuration on shape translated by u."""
-    return config.extract(shape, u)
+    return Pattern.from_cells({g: config.letter_at(padd(g, u)) for g in as_points(shape)})
 
 
 def _range_steps(trange: tuple[str, int], v: Point) -> tuple[Point, int]:
@@ -164,10 +158,6 @@ def _range_steps(trange: tuple[str, int], v: Point) -> tuple[Point, int]:
     if kind == "backward":
         return (-v[0], -v[1]), a
     raise ValueError(f"bad range {trange!r}")
-
-
-def _floor_div(a: int, b: int) -> int:
-    return a // b
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -421,7 +411,7 @@ class DiagonalFamily(Configuration):
         period_c = 2 * abs(k) + 2
         m = _sigma(c0 + period_c) + width + 1
         if trange[0] == "all":
-            bounds = sorted((_ceil_div(-m - start, k), _floor_div(m - start, k)))
+            bounds = sorted((_ceil_div(-m - start, k), (m - start) // k))
             ts = list(range(bounds[0] - 1, bounds[1] + 2))
         else:
             start_a = start + a * k
@@ -527,9 +517,9 @@ class WindowSample(Configuration):
                     if not lo <= pos <= hi:
                         return None
                     continue
-                a_, b_ = _ceil_div(lo - pos, d), _floor_div(hi - pos, d)
+                a_, b_ = _ceil_div(lo - pos, d), (hi - pos) // d
                 if d < 0:
-                    a_, b_ = _ceil_div(hi - pos, d), _floor_div(lo - pos, d)
+                    a_, b_ = _ceil_div(hi - pos, d), (lo - pos) // d
                 t_lo = a_ if t_lo is None else max(t_lo, a_)
                 t_hi = b_ if t_hi is None else min(t_hi, b_)
         if t_lo is None or t_hi is None or t_lo > t_hi:
@@ -543,23 +533,22 @@ class WindowSample(Configuration):
 def config_from_dict(spec: Mapping) -> Configuration:
     """Build a configuration from its JSON description."""
     try:
-        alphabet = Alphabet(tuple(spec["alphabet"])) if "alphabet" in spec else None
         kind = spec["type"]
         if kind == "doubly_periodic":
-            assert alphabet is not None
+            alphabet = Alphabet(tuple(spec["alphabet"]))
             if "rows" in spec:
                 return DoublyPeriodic.from_rows(alphabet, list(spec["rows"]))
             basis = tuple(tuple(b) for b in spec["basis"])
             table = {tuple(k): v for k, v in spec["table"]}
             return DoublyPeriodic(alphabet, basis, table)  # type: ignore[arg-type]
         if kind == "finite_defect":
-            assert alphabet is not None
+            alphabet = Alphabet(tuple(spec["alphabet"]))
             defects = {(int(x), int(y)): a for x, y, a in spec["defects"]}
             return FiniteDefect(alphabet, spec["background"], defects)
         if kind == "diagonal_family":
             return DiagonalFamily(spec.get("black", "b"), spec.get("white", "w"))
         if kind == "window":
-            assert alphabet is not None
+            alphabet = Alphabet(tuple(spec["alphabet"]))
             origin = tuple(spec.get("origin", (0, 0)))
             return WindowSample(alphabet, origin, list(spec["rows"]))  # type: ignore[arg-type]
     except KeyError as exc:

@@ -195,12 +195,58 @@ def _minimal_qualifying(
 
 
 def _vertex_certificates(
-    counter: _Counter, points: frozenset[Point], only: Iterable[Point] | None = None
+    counter: _Counter,
+    points: frozenset[Point],
+    step: str,
+    message: str,
+    only: Iterable[Point] | None = None,
 ) -> tuple[VertexCertificate, ...]:
+    """Certificates for the vertices (or `only` these points); raises
+    ConstructionError(step, message.format(point)) on one that is not generated."""
     verts = _vertices_of(points) if only is None else tuple(sorted(only))
     total = counter.count(points)
-    return tuple(
+    certs = tuple(
         VertexCertificate(g, total, counter.count(points - {g})) for g in sorted(verts)
+    )
+    for c in certs:
+        if not c.generated:
+            raise ConstructionError(step, message.format(c.point))
+    return certs
+
+
+def _require_bound(
+    counter: _Counter, points: frozenset[Point], bound: Callable[[int], Fraction], label: str
+) -> None:
+    """Raise HypothesisNotMet when the count of `points` exceeds the bound."""
+    count = counter.count(points)
+    if count > bound(len(points)):
+        raise HypothesisNotMet(f"P = {count} exceeds {label} = {bound(len(points))}")
+
+
+def _minimal_generating_set(
+    config: Configuration,
+    shape: ConvexLatticeSet,
+    kind: GeneratingKind,
+    bound_of: Callable[[int], Callable[[int], Fraction]],
+    label: str,
+    step: str,
+    message: str,
+) -> GeneratingSetResult:
+    """The inclusion-minimal convex subset within the bound, its vertices certified."""
+    counter = _Counter(config)
+    bound = bound_of(len(config.alphabet))
+    start = frozenset(shape.points)
+    _require_bound(counter, start, bound, label)
+    minimal, examined = _minimal_qualifying(
+        start, lambda s: counter.count(s) <= bound(len(s))
+    )
+    certs = _vertex_certificates(counter, minimal, step, message)
+    return GeneratingSetResult(
+        ConvexLatticeSet(minimal, _validated=True),
+        kind,
+        certs,
+        BoundInstance(counter.count(minimal), len(minimal), bound(len(minimal))),
+        subsets_examined=examined,
     )
 
 
@@ -209,31 +255,9 @@ def find_generating_set(config: Configuration, shape: ConvexLatticeSet) -> Gener
 
     All its vertices are generated; that is asserted, not assumed.
     """
-    counter = _Counter(config)
-    a = len(config.alphabet)
-    bound = _generating_bound(a)
-    start = frozenset(shape.points)
-    if counter.count(start) > bound(len(start)):
-        raise HypothesisNotMet(
-            f"P = {counter.count(start)} exceeds |U|+|A|-2 = {bound(len(start))}"
-        )
-    minimal, examined = _minimal_qualifying(
-        start, lambda s: counter.count(s) <= bound(len(s))
-    )
-    certs = _vertex_certificates(counter, minimal)
-    for c in certs:
-        if not c.generated:
-            raise ConstructionError(
-                "generating-set-minimality",
-                f"vertex {c.point} of a minimal set is not generated",
-            )
-    result_set = ConvexLatticeSet(minimal, _validated=True)
-    return GeneratingSetResult(
-        result_set,
-        GeneratingKind.GENERATING,
-        certs,
-        BoundInstance(counter.count(minimal), len(minimal), bound(len(minimal))),
-        subsets_examined=examined,
+    return _minimal_generating_set(
+        config, shape, GeneratingKind.GENERATING, _generating_bound, "|U|+|A|-2",
+        "generating-set-minimality", "vertex {} of a minimal set is not generated",
     )
 
 
@@ -254,13 +278,9 @@ def find_directional_generating_set(
     S minus its supporting line is the shape cut by a half plane.
     """
     counter = _Counter(config)
-    a = len(config.alphabet)
-    bound = _generating_bound(a)
+    bound = _generating_bound(len(config.alphabet))
     start = frozenset(shape.points)
-    if counter.count(start) > bound(len(start)):
-        raise HypothesisNotMet(
-            f"P = {counter.count(start)} exceeds |U|+|A|-2 = {bound(len(start))}"
-        )
+    _require_bound(counter, start, bound, "|U|+|A|-2")
     stages = [start]
     while stages[-1]:
         stages.append(_peel(stages[-1], line))
@@ -293,14 +313,9 @@ def find_directional_generating_set(
     sup_s = supporting_line(result_set, line)
     section = line_section(chosen, sup_s)
     certs = _vertex_certificates(
-        counter, chosen, only=[g for g in result_set.vertices if g in section]
+        counter, chosen, "directional-minimality", "supporting-line vertex {} is not generated",
+        only=[g for g in result_set.vertices if g in section],
     )
-    for c in certs:
-        if not c.generated:
-            raise ConstructionError(
-                "directional-minimality",
-                f"supporting-line vertex {c.point} is not generated",
-            )
     remark_i = None
     half_plane_line = None
     rest = chosen - section
@@ -339,30 +354,9 @@ def find_mlc_set(config: Configuration, shape: ConvexLatticeSet) -> GeneratingSe
     The search is exhaustive over vertex-removal chains, so no proper convex
     subset of the result meets the bound; the result is a generating set.
     """
-    counter = _Counter(config)
-    a = len(config.alphabet)
-    bound = _mlc_bound(a)
-    start = frozenset(shape.points)
-    if counter.count(start) > bound(len(start)):
-        raise HypothesisNotMet(
-            f"P = {counter.count(start)} exceeds |U|/2+|A|-1 = {bound(len(start))}"
-        )
-    minimal, examined = _minimal_qualifying(
-        start, lambda s: counter.count(s) <= bound(len(s))
-    )
-    certs = _vertex_certificates(counter, minimal)
-    for c in certs:
-        if not c.generated:
-            raise ConstructionError(
-                "mlc-minimality", f"vertex {c.point} of an mlc set is not generated"
-            )
-    result_set = ConvexLatticeSet(minimal, _validated=True)
-    return GeneratingSetResult(
-        result_set,
-        GeneratingKind.MLC,
-        certs,
-        BoundInstance(counter.count(minimal), len(minimal), bound(len(minimal))),
-        subsets_examined=examined,
+    return _minimal_generating_set(
+        config, shape, GeneratingKind.MLC, _mlc_bound, "|U|/2+|A|-1",
+        "mlc-minimality", "vertex {} of an mlc set is not generated",
     )
 
 
@@ -684,10 +678,7 @@ def construct_balanced_set(
         )
     counter = _Counter(config)
     a = len(config.alphabet)
-    total = counter.count(frozenset(shape.points))
-    bound = _mlc_bound(a)(len(shape))
-    if total > bound:
-        raise HypothesisNotMet(f"P = {total} exceeds |U|/2+|A|-1 = {bound}")
+    _require_bound(counter, frozenset(shape.points), _mlc_bound(a), "|U|/2+|A|-1")
 
     axes = axes_of_symmetry(shape)
     z = None

@@ -13,7 +13,7 @@ from math import gcd
 from typing import Hashable, Iterable, Sequence
 
 from .complexity import complexity
-from .configurations import Configuration, Exactness, Pattern, as_points
+from .configurations import Configuration, Exactness, as_points, extract_pattern
 from .errors import GeometryError, SoundnessError
 from .geometry import ConvexLatticeSet, Line, Point, padd, pscale, psub
 
@@ -204,11 +204,8 @@ def strip_word(
     ts = sorted(t_range)
     if not ts:
         raise ValueError("t range must be nonempty")
-    letters = []
-    for t in ts:
-        u = padd(base, pscale(t, v))
-        letters.append(Pattern.from_cells({g: config.letter_at(padd(g, u)) for g in pts}))
-    return Word(tuple(letters), start_index=ts[0])
+    letters = tuple(extract_pattern(config, pts, padd(base, pscale(t, v))) for t in ts)
+    return Word(letters, start_index=ts[0])
 
 
 # -- null-area periodicity -----------------------------------------------------

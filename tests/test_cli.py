@@ -20,6 +20,11 @@ def configs(tmp_path_factory):
         '{"type": "finite_defect", "alphabet": ["w", "b"], "background": "w",'
         ' "defects": [[0, 0, "b"]]}'
     )
+    paths["defect_pair"] = root / "defect_pair.json"
+    paths["defect_pair"].write_text(
+        '{"type": "finite_defect", "alphabet": ["w", "b"], "background": "w",'
+        ' "defects": [[0, 0, "b"], [1, 0, "b"]]}'
+    )
     paths["window"] = root / "window.json"
     paths["window"].write_text(
         '{"type": "window", "alphabet": ["a", "b"], "rows": ["abab", "baba", "abab", "baba"]}'
@@ -125,6 +130,17 @@ class TestStructureCommands:
         )
         assert code == 0 and out.startswith("no claim")
 
+    @pytest.mark.parametrize("command", ["phi", "striplemma"])
+    def test_json_no_claim(self, configs, capsys, command):
+        code, out, _ = run(
+            capsys, "--json", command, "--config", configs["defect_pair"],
+            "--shape", "rect:2,2", "--line", "0,1", "--p", "1",
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["schema"] == 1 and payload["status"] == "no_claim"
+        assert payload["reason"]
+
     def test_balanced_and_phi_and_striplemma(self, configs, capsys):
         code, out, _ = run(
             capsys, "--json", "balanced", "--config", configs["diag"],
@@ -187,6 +203,18 @@ class TestShapesAndErrors:
     def test_malformed_config_diagnostic(self, configs, capsys):
         code, _, err = run(capsys, "nivat", "--config", configs["bad"], "--shape", "rect:2,2")
         assert code == 1 and "line" in err
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "doubly_periodic", "rows": ["ab"]},
+        {"type": "finite_defect", "background": "w", "defects": [[0, 0, "b"]]},
+        {"type": "window", "rows": ["ab", "ba"]},
+    ])
+    def test_missing_alphabet_diagnostic(self, capsys, tmp_path, spec):
+        path = tmp_path / "no_alphabet.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run(capsys, "complexity", "--config", str(path), "--shape", "rect:1,1")
+        assert code == 1
+        assert err == "error: missing field 'alphabet' in configuration spec\n"
 
     def test_plain_grid_window(self, configs, capsys):
         code, out, _ = run(

@@ -74,15 +74,6 @@ class TestComplexity:
         t2 = table_to_csv(complexity_table(diagonal, 3, 3))
         assert t1 == t2
 
-    def test_thread_pool_matches_sequential(self, diagonal, monkeypatch):
-        seq = complexity(diagonal, block(4, 4))
-        monkeypatch.setenv("NIVATLAB_THREADS", "3")
-        par = complexity(diagonal, block(4, 4))
-        assert par == seq
-        monkeypatch.setenv("NIVATLAB_THREADS", "0")
-        auto = complexity(diagonal, block(4, 4))
-        assert auto == seq
-
 
 class TestOracleEquivalence:
     def test_small_oracle_run(self):
