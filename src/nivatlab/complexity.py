@@ -1,10 +1,24 @@
 """The pattern-counting engine: shape complexity, languages, extension counts.
 
 Counting enumerates a certified translate domain and deduplicates patterns by
-canonical hashing.  One kernel, `_letter_keys`, reads the letters of a shape
-at every translate; complexities, languages, directional languages and
-extension counts all scan through it.  Exactness flags propagate: anything
-computed from a lower-bound domain is itself a lower bound.
+their letters.  One kernel, `_letter_keys`, reads the letters of a shape at
+every translate; complexities, languages, directional languages and extension
+counts all scan through it.  Exactness flags propagate: anything computed from
+a lower-bound domain is itself a lower bound.
+
+The kernel counts modulo the certified periods.  Cells with equal
+`Configuration.period_class` differ by a period, so at every translate they
+carry the same letter: the kernel reads only the first cell of each class and
+keys a translate by the string of those letters (letters are single
+characters).  Distinct class keys are in bijection with distinct patterns, so
+`complexity` counts them as they are; `_expanded` spreads a key back over all
+cells where patterns are needed.  Bodies without certified periods label each
+cell by itself, and the kernel is then one plain scan.
+
+`complexity_table` extends blocks row by row instead of re-reading them: the
+key of block(n, k) at u is the key of block(n, k-1) at u followed by the n x 1
+row at u + (0, k-1).  Rows and block keys are memoised by the period class of
+their translate, so a class met again is not read again.
 """
 
 from __future__ import annotations
@@ -38,22 +52,46 @@ class ComplexityReport:
         return self.exactness is Exactness.EXACT
 
 
-def _letter_keys(config: Configuration, cells: tuple[Point, ...], translates) -> set[tuple[str, ...]]:
-    """The distinct letter tuples of cells + u over the translates u."""
+def _letter_keys(
+    config: Configuration, cells: tuple[Point, ...], translates
+) -> tuple[set[str], tuple[int, ...] | None]:
+    """The distinct class keys of cells + u over the translates u.
+
+    A class key holds the letters of the first cell of each period class, in
+    cell order.  The index gives, for each cell, the position of its class in
+    the key; it is None when no two cells share a class, and the keys are
+    then the full letter strings.
+    """
+    first: dict = {}  # period class -> its first cell
+    for g in cells:
+        first.setdefault(config.period_class(g), g)
+    index = None
+    if len(first) < len(cells):
+        position = {c: i for i, c in enumerate(first)}
+        index = tuple(position[config.period_class(g)] for g in cells)
+        cells = tuple(first.values())
     letter_at = config.letter_at
-    return {tuple(letter_at((g[0] + u[0], g[1] + u[1])) for g in cells) for u in translates}
+    keys = {"".join([letter_at((g[0] + u[0], g[1] + u[1])) for g in cells]) for u in translates}
+    return keys, index
 
 
 def _domain_keys(
     config: Configuration, cells: tuple[Point, ...]
-) -> tuple[set[tuple[str, ...]], EnumerationDomain]:
-    """The letter tuples of the cells over their certified enumeration domain."""
+) -> tuple[set[str], tuple[int, ...] | None, EnumerationDomain]:
+    """The class keys of the cells over their certified enumeration domain."""
     domain = config.enumeration_domain(cells)
-    return _letter_keys(config, cells, domain.translates), domain
+    return (*_letter_keys(config, cells, domain.translates), domain)
 
 
-def _patterns(cells: tuple[Point, ...], keys: Iterable[tuple[str, ...]]) -> list[Pattern]:
-    """Canonical patterns of letter tuples read over sorted cells, in key order."""
+def _expanded(keys: Iterable[str], index: tuple[int, ...] | None) -> Iterable[str]:
+    """Class keys spread back over every cell."""
+    if index is None:
+        return keys
+    return ("".join([k[i] for i in index]) for k in keys)
+
+
+def _patterns(cells: tuple[Point, ...], keys: Iterable[str]) -> list[Pattern]:
+    """Canonical patterns of full letter strings read over sorted cells, in key order."""
     offsets = tuple(psub(g, cells[0]) for g in cells)
     return [Pattern(tuple(zip(offsets, k))) for k in keys]
 
@@ -63,7 +101,7 @@ def complexity(config: Configuration, shape: ConvexLatticeSet | Iterable[Point])
     cells = as_points(shape)
     if not cells:
         return ComplexityReport((), 1, Exactness.EXACT, 0)
-    keys, domain = _domain_keys(config, cells)
+    keys, _, domain = _domain_keys(config, cells)
     return ComplexityReport(cells, len(keys), domain.exactness, len(domain))
 
 
@@ -78,8 +116,8 @@ def language_report(
     cells = as_points(shape)
     if not cells:
         return frozenset([Pattern(())]), Exactness.EXACT
-    keys, domain = _domain_keys(config, cells)
-    return frozenset(_patterns(cells, keys)), domain.exactness
+    keys, index, domain = _domain_keys(config, cells)
+    return frozenset(_patterns(cells, _expanded(keys, index))), domain.exactness
 
 
 def complexity_table(
@@ -88,11 +126,33 @@ def complexity_table(
     """Complexity of every n-by-k block with 1 <= n <= n_max, 1 <= k <= k_max."""
     if n_max < 1 or k_max < 1:
         raise ValueError("table dimensions must be positive")
+    period_class, letter_at = config.period_class, config.letter_at
     out = {}
     for n in range(1, n_max + 1):
+        rows: dict = {}  # period class of t -> letters of the n x 1 row at t
+
+        def row(t: Point) -> str:
+            c = period_class(t)
+            r = rows.get(c)
+            if r is None:
+                r = rows[c] = "".join([letter_at((t[0] + x, t[1])) for x in range(n)])
+            return r
+
+        shorter: dict = {}  # period class of u -> key of block(n, k-1) at u
         for k in range(1, k_max + 1):
             cells = tuple((x, y) for x in range(n) for y in range(k))
-            out[(n, k)] = complexity(config, cells)
+            domain = config.enumeration_domain(cells)
+            keys = {}
+            for u in domain.translates:
+                c = period_class(u)
+                key = shorter.get(c)
+                if key is None:
+                    key = "".join([row((u[0], u[1] + y)) for y in range(k - 1)])
+                keys[c] = key + row((u[0], u[1] + k - 1))
+            out[(n, k)] = ComplexityReport(
+                cells, len(set(keys.values())), domain.exactness, len(domain)
+            )
+            shorter = keys
     return out
 
 
@@ -137,8 +197,8 @@ def directional_language(
     domain = config.directional_translates(cells, base, v, trange)
     step, _ = _range_steps(trange, v)
     translates = [(base[0] + t * step[0], base[1] + t * step[1]) for t in domain.translates]
-    keys = _letter_keys(config, cells, translates)
-    return DirectionalLanguage(frozenset(_patterns(cells, keys)), domain.exactness)
+    keys, index = _letter_keys(config, cells, translates)
+    return DirectionalLanguage(frozenset(_patterns(cells, _expanded(keys, index))), domain.exactness)
 
 
 # -- extension counts --------------------------------------------------------
@@ -176,10 +236,11 @@ def extension_counts(config: Configuration, shape: ConvexLatticeSet, line: Line)
     if not base_cells:
         raise GeometryError("the shape is a single line section; its base is empty")
     cells = as_points(shape)
-    base_index = [i for i, g in enumerate(cells) if g in set(base_cells)]
-    keys, domain = _domain_keys(config, cells)
-    ordered = sorted(keys)
-    restricted = _patterns(base_cells, (tuple(k[i] for i in base_index) for k in ordered))
+    base_set = set(base_cells)
+    base_index = [i for i, g in enumerate(cells) if g in base_set]
+    keys, index, domain = _domain_keys(config, cells)
+    ordered = sorted(_expanded(keys, index))
+    restricted = _patterns(base_cells, ("".join([k[i] for i in base_index]) for k in ordered))
     grouped: dict[Pattern, list[Pattern]] = {}
     for full, base_pattern in zip(_patterns(cells, ordered), restricted):
         grouped.setdefault(base_pattern, []).append(full)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, UnknownLetterError
 from .geometry import ConvexLatticeSet, Point, padd, pscale, psub
@@ -125,6 +125,17 @@ class Configuration:
         """Whether h is a global period; only meaningful when periods_certified()."""
         raise NotImplementedError
 
+    def period_class(self, g: Point) -> Hashable:
+        """A label for g modulo the certified periods.
+
+        Contract: period_class(g) == period_class(g2) implies g == g2 or
+        is_period(g - g2) is certified, so g + u and g2 + u carry the same
+        letter for every u.  Counting reads one cell per class.  The base
+        class labels each point by itself, which never merges two cells;
+        bodies whose periods are not certified must keep it.
+        """
+        return g
+
     def periods_certified(self) -> bool:
         """True when is_period decides global periodicity from the representation."""
         return True
@@ -203,6 +214,10 @@ class DoublyPeriodic(Configuration):
         if set(reduced.values()) != set(alphabet.letters):
             raise ConfigurationError("every alphabet letter must occur in the fundamental domain")
         self._table = reduced
+        # Set here rather than added on first use: an attribute added to the
+        # instance later materialises its __dict__ and slows every attribute
+        # read in reduce() and letter_at().
+        self._period_set: frozenset[Point] | None = None
 
     @classmethod
     def from_rows(cls, alphabet: Alphabet, rows: Sequence[str]) -> "DoublyPeriodic":
@@ -233,10 +248,23 @@ class DoublyPeriodic(Configuration):
     def enumeration_domain(self, shape: Iterable[Point]) -> EnumerationDomain:
         return EnumerationDomain(self.fundamental_domain(), Exactness.EXACT)
 
+    def period_class(self, g: Point) -> Point:
+        """g reduced into the fundamental domain: equal classes differ by a lattice vector."""
+        return self.reduce(g)
+
+    def _periods(self) -> frozenset[Point]:
+        """The fundamental-domain points r that are periods (r = (0, 0) included), found once."""
+        if self._period_set is None:
+            table, reduce = self._table, self.reduce
+            self._period_set = frozenset(
+                h for h in table
+                if all(a == table[reduce((r[0] + h[0], r[1] + h[1]))] for r, a in table.items())
+            )
+        return self._period_set
+
     def is_period(self, h: Point) -> bool:
-        if h == (0, 0):
-            return False
-        return all(self._table[r] == self.letter_at(padd(r, h)) for r in self._table)
+        # Whether h is a period depends only on h modulo the lattice.
+        return h != (0, 0) and self.reduce(h) in self._periods()
 
     def directional_period(self, v: Point) -> int:
         """Smallest s >= 1 with s*v in the basis lattice (divides the domain size)."""
@@ -363,6 +391,10 @@ class DiagonalFamily(Configuration):
 
     def is_period(self, h: Point) -> bool:
         return h != (0, 0) and h[0] == h[1]
+
+    def period_class(self, g: Point) -> int:
+        """x - y: points of one class differ by a multiple of the period (1, 1)."""
+        return g[0] - g[1]
 
     def certified_aperiodic(self) -> bool:
         return False
@@ -530,27 +562,63 @@ class WindowSample(Configuration):
 # ---------------------------------------------------------------------------
 
 
-def config_from_dict(spec: Mapping) -> Configuration:
-    """Build a configuration from its JSON description."""
+_REQUIRED = object()
+
+
+def _field(spec: Mapping, name: str, read: Callable = lambda v: v, default=_REQUIRED):
+    """read(spec[name]), or the default when the field is absent; raw errors name the field."""
+    if name in spec:
+        value = spec[name]
+    elif default is _REQUIRED:
+        raise ConfigurationError(f"missing field {name!r} in configuration spec")
+    else:
+        value = default
     try:
-        kind = spec["type"]
-        if kind == "doubly_periodic":
-            alphabet = Alphabet(tuple(spec["alphabet"]))
-            if "rows" in spec:
-                return DoublyPeriodic.from_rows(alphabet, list(spec["rows"]))
-            basis = tuple(tuple(b) for b in spec["basis"])
-            table = {tuple(k): v for k, v in spec["table"]}
-            return DoublyPeriodic(alphabet, basis, table)  # type: ignore[arg-type]
-        if kind == "finite_defect":
-            alphabet = Alphabet(tuple(spec["alphabet"]))
-            defects = {(int(x), int(y)): a for x, y, a in spec["defects"]}
-            return FiniteDefect(alphabet, spec["background"], defects)
-        if kind == "diagonal_family":
-            return DiagonalFamily(spec.get("black", "b"), spec.get("white", "w"))
-        if kind == "window":
-            alphabet = Alphabet(tuple(spec["alphabet"]))
-            origin = tuple(spec.get("origin", (0, 0)))
-            return WindowSample(alphabet, origin, list(spec["rows"]))  # type: ignore[arg-type]
-    except KeyError as exc:
-        raise ConfigurationError(f"missing field {exc} in configuration spec") from None
-    raise ConfigurationError(f"unknown configuration type {spec.get('type')!r}")
+        return read(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed field {name!r} in configuration spec: {exc}") from None
+
+
+def _pair(value, read: Callable = int) -> tuple:
+    """Exactly two values, each passed through read (by default an integer coordinate)."""
+    x, y = value
+    return (read(x), read(y))
+
+
+def _letter(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _strings(value) -> list[str]:
+    return [_letter(v) for v in value]
+
+
+def config_from_dict(spec: Mapping) -> Configuration:
+    """Build a configuration from its JSON description.
+
+    A spec that is not a mapping, or a field that is missing or of the wrong
+    shape, raises ConfigurationError naming the field.
+    """
+    if not isinstance(spec, Mapping):
+        raise ConfigurationError("configuration spec must be a JSON object")
+    kind = _field(spec, "type")
+    if kind == "doubly_periodic":
+        alphabet = Alphabet(tuple(_field(spec, "alphabet", _strings)))
+        if "rows" in spec:
+            return DoublyPeriodic.from_rows(alphabet, _field(spec, "rows", _strings))
+        basis = _field(spec, "basis", lambda v: _pair(v, _pair))
+        table = _field(spec, "table", lambda v: {_pair(g): _letter(a) for g, a in v})
+        return DoublyPeriodic(alphabet, basis, table)
+    if kind == "finite_defect":
+        alphabet = Alphabet(tuple(_field(spec, "alphabet", _strings)))
+        defects = _field(spec, "defects", lambda v: {_pair((x, y)): _letter(a) for x, y, a in v})
+        return FiniteDefect(alphabet, _field(spec, "background", _letter), defects)
+    if kind == "diagonal_family":
+        return DiagonalFamily(_field(spec, "black", _letter, "b"), _field(spec, "white", _letter, "w"))
+    if kind == "window":
+        alphabet = Alphabet(tuple(_field(spec, "alphabet", _strings)))
+        origin = _field(spec, "origin", _pair, (0, 0))
+        return WindowSample(alphabet, origin, _field(spec, "rows", _strings))
+    raise ConfigurationError(f"unknown configuration type {kind!r}")

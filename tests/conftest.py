@@ -105,13 +105,12 @@ def coset_representatives(b1, b2, det) -> list:
 
 
 def naive_complexity(config, cells, box: int) -> int:
-    """Quadratic-dedup brute force over the covering box [0, box)^2."""
-    seen: list[tuple] = []
+    """Brute force over the covering box [0, box)^2, reading every cell with letter_at."""
+    letter_at = config.letter_at
+    seen: set[tuple] = set()
     for ux in range(box):
         for uy in range(box):
-            pat = tuple(config.letter_at((x + ux, y + uy)) for (x, y) in cells)
-            if pat not in seen:
-                seen.append(pat)
+            seen.add(tuple([letter_at((x + ux, y + uy)) for (x, y) in cells]))
     return len(seen)
 
 

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nivatlab
 from nivatlab.cli import cli_main
 
 
@@ -215,6 +219,26 @@ class TestShapesAndErrors:
         code, _, err = run(capsys, "complexity", "--config", str(path), "--shape", "rect:1,1")
         assert code == 1
         assert err == "error: missing field 'alphabet' in configuration spec\n"
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"type": "doubly_periodic", "alphabet": ["a", "b"], "rows": [1, 2]}, "'rows'"),
+        ([1, 2], "JSON object"),
+        ({"type": "finite_defect", "alphabet": ["w", "b"], "background": "w",
+          "defects": [[0, 0]]}, "'defects'"),
+    ])
+    def test_malformed_field_diagnostic(self, tmp_path, spec, field):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(spec))
+        src = os.path.dirname(os.path.dirname(nivatlab.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nivatlab.cli", "complexity", "--config", str(path),
+             "--shape", "rect:1,1"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0]
+        assert "Traceback" not in proc.stderr
 
     def test_plain_grid_window(self, configs, capsys):
         code, out, _ = run(

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nivatlab.complexity import (
+    _letter_keys,
     complexity,
     complexity_table,
     directional_language,
@@ -11,9 +14,17 @@ from nivatlab.complexity import (
     language_report,
     table_to_csv,
 )
-from nivatlab.configurations import Exactness, WindowSample, extract_pattern
+from nivatlab.configurations import (
+    Alphabet,
+    DiagonalFamily,
+    DoublyPeriodic,
+    Exactness,
+    FiniteDefect,
+    WindowSample,
+    extract_pattern,
+)
 from nivatlab.errors import GeometryError
-from nivatlab.geometry import ConvexLatticeSet, block, convex_hull
+from nivatlab.geometry import ConvexLatticeSet, Line, block, convex_hull
 
 from conftest import (
     DIAGONAL,
@@ -22,6 +33,7 @@ from conftest import (
     enumerate_convex_subsets,
     naive_complexity,
     random_doubly_periodic,
+    random_finite_defect,
 )
 
 
@@ -245,3 +257,132 @@ class TestFrozenHighRange:
     def test_frozen_values(self, diagonal, n, k, expected):
         assert complexity(diagonal, block(n, k)).count == expected
         assert self.brute(n, k) == expected
+
+
+# -- the period quotient against brute force ------------------------------------
+
+AB = Alphabet(("a", "b"))
+HEXAGON = convex_hull([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)])
+# Convex shapes inside the 4x4 box, most with cells that share a period class
+# (two cells on one diagonal, or more cells than a small fundamental domain).
+CONVEX = [block(1, 1), block(2, 2), block(3, 4), block(4, 3), block(4, 4), block(2, 4), HEXAGON,
+          convex_hull([(0, 0), (3, 1), (1, 3)])]
+LINES = [HORIZONTAL, VERTICAL, DIAGONAL, Line(2, 1, 0), Line(1, -1, 0)]
+SWEEP = 400  # brute-force reach along x - y and along a line, far past every certified domain
+
+
+def _body(kind: str, seed: int):
+    rng = random.Random(seed)
+    if kind == "diagonal":
+        return DiagonalFamily(*rng.sample("bw", 2))
+    if kind == "periodic":
+        return random_doubly_periodic(rng)
+    if kind == "defect":
+        return random_finite_defect(rng, AB)
+    while True:
+        rows = ["".join(rng.choice("ab") for _ in range(rng.randint(5, 7))) for _ in range(6)]
+        if len(set(map(len, rows))) == 1 and set("".join(rows)) == {"a", "b"}:
+            return WindowSample(AB, (rng.randint(-3, 3), rng.randint(-3, 3)), rows)
+
+
+def _fits(cfg, cells, u) -> bool:
+    return not isinstance(cfg, WindowSample) or all(
+        cfg._inside((g[0] + u[0], g[1] + u[1])) for g in cells
+    )
+
+
+def _brute_translates(cfg, cells):
+    """Every translate a brute-force sweep needs, independent of the engine's domains."""
+    if isinstance(cfg, DiagonalFamily):
+        us = [(d, 0) for d in range(-SWEEP, SWEEP + 1)]
+    elif isinstance(cfg, DoublyPeriodic):
+        m = abs(cfg._det)
+        us = [(x, y) for x in range(m) for y in range(m)]
+    else:  # defects lie in [-4, 4]^2 and windows in [-3, 10]^2; cells lie in [0, 4)^2
+        us = [(x, y) for x in range(-14, 15) for y in range(-14, 15)]
+    return [u for u in us if _fits(cfg, cells, u)]
+
+
+def _brute_language(cfg, cells):
+    return {extract_pattern(cfg, cells, u) for u in _brute_translates(cfg, cells)}
+
+
+bodies = st.tuples(st.sampled_from(["diagonal", "periodic", "defect", "window"]),
+                   st.integers(0, 10**6))
+point_sets = st.one_of(
+    st.sampled_from([tuple(sorted(s.points)) for s in CONVEX]),
+    st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=16).map(
+        lambda pts: tuple(sorted(pts))),
+)
+
+
+class TestPeriodQuotient:
+    """Counting modulo period classes must agree with sweeps that read every cell."""
+
+    def test_cells_do_collapse(self, diagonal):
+        cells = tuple(sorted(block(3, 4).points))
+        assert _letter_keys(diagonal, cells, [(0, 0)])[1] is not None
+        periodic = random_doubly_periodic(random.Random(5))
+        four = tuple(sorted(block(4, 4).points))
+        assert _letter_keys(periodic, four, [(0, 0)])[1] is not None
+        assert _letter_keys(diagonal, tuple(sorted(HEXAGON.points)), [(0, 0)])[1] is not None
+        defect = random_finite_defect(random.Random(5), AB)
+        assert _letter_keys(defect, four, [(0, 0)])[1] is None
+
+    @settings(max_examples=120, deadline=None)
+    @given(bodies, point_sets)
+    def test_complexity_and_language(self, body, cells):
+        cfg = _body(*body)
+        brute = _brute_language(cfg, cells)
+        rep = complexity(cfg, cells)
+        assert rep.count == len(brute)
+        assert rep.exact == (not isinstance(cfg, WindowSample))
+        assert language(cfg, cells) == brute
+        if isinstance(cfg, DoublyPeriodic):
+            assert rep.count == naive_complexity(cfg, cells, abs(cfg._det))
+
+    @settings(max_examples=80, deadline=None)
+    @given(bodies, point_sets, st.sampled_from(LINES),
+           st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+           st.sampled_from([("all", 0), ("forward", 2), ("backward", -1)]))
+    def test_directional_language(self, body, cells, line, base, trange):
+        cfg = _body(*body)
+        v = line.minimal_vector()
+        kind, a = trange
+        if kind == "backward":
+            v = (-v[0], -v[1])
+        ts = range(-SWEEP, SWEEP + 1) if kind == "all" else range(a, a + 2 * SWEEP + 1)
+        us = [(base[0] + t * v[0], base[1] + t * v[1]) for t in ts]
+        brute = {extract_pattern(cfg, cells, u) for u in us if _fits(cfg, cells, u)}
+        assert directional_language(cfg, cells, line, base, trange).patterns == frozenset(brute)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bodies, st.sampled_from(CONVEX[1:]), st.sampled_from(LINES))
+    def test_extension_counts(self, body, shape, line):
+        cfg = _body(*body)
+        try:
+            table = extension_counts(cfg, shape, line)
+        except GeometryError:
+            return
+        grouped: dict = {}
+        for u in _brute_translates(cfg, table.shape):
+            base = extract_pattern(cfg, table.base, u)
+            grouped.setdefault(base, set()).add(extract_pattern(cfg, table.shape, u))
+        assert {g: set(v) for g, v in table.extensions.items()} == grouped
+        # Extensions come in letter order; base patterns in the order of their first extension.
+        for v in table.extensions.values():
+            assert [p.letters for p in v] == sorted(p.letters for p in v)
+        firsts = [v[0].letters for v in table.extensions.values()]
+        assert firsts == sorted(firsts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(bodies, st.integers(1, 4), st.integers(1, 4))
+    def test_complexity_table(self, body, n_max, k_max):
+        cfg = _body(*body)
+        table = complexity_table(cfg, n_max, k_max)
+        assert sorted(table) == [(n, k) for n in range(1, n_max + 1) for k in range(1, k_max + 1)]
+        for (n, k), rep in table.items():
+            cells = tuple((x, y) for x in range(n) for y in range(k))
+            assert rep == complexity(cfg, cells)
+            assert rep.count == len(_brute_language(cfg, cells))
+

@@ -17,7 +17,13 @@ from nivatlab.configurations import (
 from nivatlab.errors import ConfigurationError, UnknownLetterError
 from nivatlab.geometry import Line, block
 
-from conftest import DIAGONAL, HORIZONTAL, VERTICAL, coset_representatives
+from conftest import (
+    DIAGONAL,
+    HORIZONTAL,
+    VERTICAL,
+    coset_representatives,
+    random_doubly_periodic,
+)
 
 
 class TestAlphabet:
@@ -258,3 +264,56 @@ class TestConfigFromDict:
     def test_unknown_type(self):
         with pytest.raises(ConfigurationError, match="unknown configuration type"):
             config_from_dict({"type": "mystery"})
+
+    @pytest.mark.parametrize("spec, field", [
+        ([1, 2], "JSON object"),
+        ({"type": "doubly_periodic", "alphabet": ["a", "b"], "rows": [1, 2]}, "'rows'"),
+        ({"type": "doubly_periodic", "alphabet": [1, 2], "rows": ["ab"]}, "'alphabet'"),
+        ({"type": "doubly_periodic", "alphabet": ["a", "b"], "basis": [[2, 0], [0]],
+          "table": []}, "'basis'"),
+        ({"type": "doubly_periodic", "alphabet": ["a", "b"], "basis": [[2, 0], [0, 1]],
+          "table": [[[0, 0], 1]]}, "'table'"),
+        ({"type": "finite_defect", "alphabet": ["w", "b"], "background": "w",
+          "defects": [[0, 0]]}, "'defects'"),
+        ({"type": "finite_defect", "alphabet": ["w", "b"], "background": ["w"],
+          "defects": [[0, 0, "b"]]}, "'background'"),
+        ({"type": "diagonal_family", "white": None}, "'white'"),
+        ({"type": "window", "alphabet": ["a", "b"], "origin": 3, "rows": ["ab"]}, "'origin'"),
+    ])
+    def test_malformed_field_is_named(self, spec, field):
+        with pytest.raises(ConfigurationError, match=field):
+            config_from_dict(spec)
+
+
+class TestPeriods:
+    def test_cached_is_period_matches_brute_force(self):
+        rng = random.Random(41)
+        for _ in range(12):
+            cfg = random_doubly_periodic(rng)
+            domain = cfg.fundamental_domain()
+            r = 2 * abs(cfg._det)
+            for h in ((x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)):
+                brute = h != (0, 0) and all(
+                    cfg.letter_at(g) == cfg.letter_at((g[0] + h[0], g[1] + h[1])) for g in domain
+                )
+                assert cfg.is_period(h) == brute, (cfg.basis, h)
+
+    def test_period_class_contract(self, diagonal):
+        """Equal period classes imply that the difference is a certified period."""
+        rng = random.Random(43)
+        bodies = [diagonal] + [random_doubly_periodic(rng) for _ in range(8)]
+        points = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
+        for cfg in bodies:
+            merged = 0
+            for g in points:
+                for g2 in points:
+                    if g != g2 and cfg.period_class(g) == cfg.period_class(g2):
+                        merged += 1
+                        assert cfg.is_period((g[0] - g2[0], g[1] - g2[1])), (g, g2)
+            assert merged > 0
+
+    def test_uncertified_bodies_never_merge(self, ab, one_defect):
+        window = WindowSample(ab, (0, 0), ["ab" * 4] * 8)
+        for cfg in (window, one_defect):
+            assert all(cfg.period_class(g) == g for g in [(0, 0), (2, 0), (-3, 5)])
+
