@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, UnknownLetterError
@@ -136,6 +136,19 @@ class Configuration:
         """
         return g
 
+    def orbit_class(self, u: Point, v: Point) -> Hashable:
+        """A label for the orbit u + Zv modulo the certified periods; v is primitive.
+
+        Contract: orbit_class(u, v) == orbit_class(u2, v) implies u2 - u is
+        s*v plus a certified period (or zero) for some integer s, so the
+        'all'-range directional language along v at base u equals the one at
+        base u2: sliding by s*v only reindexes the steps, and the period does
+        not change a letter.  The base class labels each translate by itself,
+        which never merges two; bodies whose periods are not certified, or
+        whose directional domains are not exact, must keep it.
+        """
+        return u
+
     def periods_certified(self) -> bool:
         """True when is_period decides global periodicity from the representation."""
         return True
@@ -217,7 +230,8 @@ class DoublyPeriodic(Configuration):
         # Set here rather than added on first use: an attribute added to the
         # instance later materialises its __dict__ and slows every attribute
         # read in reduce() and letter_at().
-        self._period_set: frozenset[Point] | None = None
+        self._period_memo: dict[Point, bool] = {}  # reduce(h) -> is h a period
+        self._orbit_bases: dict[Point, tuple[int, int, int]] = {}  # v -> _orbit_basis(v)
 
     @classmethod
     def from_rows(cls, alphabet: Alphabet, rows: Sequence[str]) -> "DoublyPeriodic":
@@ -252,19 +266,39 @@ class DoublyPeriodic(Configuration):
         """g reduced into the fundamental domain: equal classes differ by a lattice vector."""
         return self.reduce(g)
 
-    def _periods(self) -> frozenset[Point]:
-        """The fundamental-domain points r that are periods (r = (0, 0) included), found once."""
-        if self._period_set is None:
-            table, reduce = self._table, self.reduce
-            self._period_set = frozenset(
-                h for h in table
-                if all(a == table[reduce((r[0] + h[0], r[1] + h[1]))] for r, a in table.items())
-            )
-        return self._period_set
-
     def is_period(self, h: Point) -> bool:
         # Whether h is a period depends only on h modulo the lattice.
-        return h != (0, 0) and self.reduce(h) in self._periods()
+        if h == (0, 0):
+            return False
+        r = self.reduce(h)
+        known = self._period_memo.get(r)
+        if known is None:
+            table, reduce = self._table, self.reduce
+            known = self._period_memo[r] = all(
+                a == table[reduce((g[0] + r[0], g[1] + r[1]))] for g, a in table.items()
+            )
+        return known
+
+    def _orbit_basis(self, v: Point) -> tuple[int, int, int]:
+        """(a, b, d) with (a, 0) and (b, d) spanning L + Zv, a, d > 0 and 0 <= b < a.
+
+        This is the Hermite normal form of the basis and v, found once per v.
+        """
+        basis = self._orbit_bases.get(v)
+        if basis is None:
+            pivot, flat1 = _clear_y(*self.basis)
+            pivot, flat2 = _clear_y(pivot, v)
+            if pivot[1] < 0:
+                pivot = (-pivot[0], -pivot[1])
+            a = gcd(flat1[0], flat2[0])  # flat1[0] != 0: the basis spans a rank-2 lattice
+            basis = self._orbit_bases[v] = (a, pivot[0] % a, pivot[1])
+        return basis
+
+    def orbit_class(self, u: Point, v: Point) -> Point:
+        """u reduced modulo the lattice L + Zv: the canonical (x mod a, y mod d)."""
+        a, b, d = self._orbit_basis(v)
+        q = u[1] // d
+        return ((u[0] - q * b) % a, u[1] - q * d)
 
     def directional_period(self, v: Point) -> int:
         """Smallest s >= 1 with s*v in the basis lattice (divides the domain size)."""
@@ -324,6 +358,10 @@ class FiniteDefect(Configuration):
     def certified_aperiodic(self) -> bool:
         return True
 
+    def orbit_class(self, u: Point, v: Point) -> int:
+        """The cross product of v and u: with v primitive it is equal exactly on u + Zv."""
+        return v[0] * u[1] - v[1] * u[0]
+
     def directional_translates(self, shape, base, v, trange) -> EnumerationDomain:
         step, a = _range_steps(trange, v)
         pts = as_points(shape)
@@ -343,6 +381,14 @@ class FiniteDefect(Configuration):
         return FiniteDefect(
             self.alphabet, self.background, {psub(d, v): a for d, a in self.defects.items()}
         )
+
+
+def _clear_y(p: Point, g: Point) -> tuple[Point, Point]:
+    """Euclid on the y coordinates: (p', g') spanning the lattice of p and g, with g'[1] == 0."""
+    while g[1]:
+        q = p[1] // g[1]
+        p, g = g, (p[0] - q * g[0], p[1] - q * g[1])
+    return p, g
 
 
 def _solve_step(delta: Point, step: Point) -> int | None:
@@ -395,6 +441,11 @@ class DiagonalFamily(Configuration):
     def period_class(self, g: Point) -> int:
         """x - y: points of one class differ by a multiple of the period (1, 1)."""
         return g[0] - g[1]
+
+    def orbit_class(self, u: Point, v: Point) -> int:
+        """x - y modulo |v0 - v1|, the change of x - y per step along v; x - y when v is (1, 1)."""
+        k = abs(v[0] - v[1])
+        return (u[0] - u[1]) % k if k else u[0] - u[1]
 
     def certified_aperiodic(self) -> bool:
         return False

@@ -5,6 +5,14 @@ strip periodicity harness, and one-sided expansiveness witnesses.
 Orbit-closure quantifiers are approximated by translate classes from the
 certified enumeration domain; every report produced that way is tagged with
 scope "empirical".
+
+Those classes are taken per orbit, not per translate.  The "all"-range
+directional language of a shape at base u depends only on u + Zv modulo the
+certified periods: sliding the base by s*v reindexes the steps, and a period
+changes no letter.  `Configuration.orbit_class(u, v)` labels that orbit, so
+`m_classes` builds the base language and the induced alphabet once per label
+and skips a translate whose label it has met.  Bodies without certified
+periods label each translate by itself and keep one language per translate.
 """
 
 from __future__ import annotations
@@ -97,7 +105,10 @@ def is_generated(config: Configuration, shape: ConvexLatticeSet | Iterable[Point
     pts = frozenset(as_points(shape))
     if g not in pts:
         raise ValueError(f"{g} is not a point of the shape")
-    counter = _Counter(config)
+    return _generated(_Counter(config), pts, g)
+
+
+def _generated(counter: _Counter, pts: frozenset[Point], g: Point) -> bool:
     return counter.count(pts) == counter.count(pts - {g})
 
 
@@ -536,6 +547,11 @@ def m_classes(
     multiple extensions, together with the complexity increment of the shape.
 
     Scope is empirical: translates stand in for orbit-closure configurations.
+    Both languages of a class are "all"-range directional languages, which
+    are equal at translates with equal `config.orbit_class(u, v)`, so each
+    orbit is read once; a skipped translate would give the key of a class
+    already kept or filtered out.  Each class is represented by its first
+    translate in domain order.
     """
     support = supporting_line(shape, line)
     section = line_section(shape, support)
@@ -548,9 +564,15 @@ def m_classes(
     else:
         n_of = {Pattern(()): counter.count(frozenset(shape.points))}
     isets = directional_point_sets(shape, line, p)
+    v = line.minimal_vector()
+    orbits: set = set()
     out: list[MClass] = []
     seen: set[tuple[frozenset[Pattern], frozenset[Pattern]]] = set()
     for u in config.enumeration_domain(shape.points).translates:
+        orbit = config.orbit_class(u, v)
+        if orbit in orbits:
+            continue
+        orbits.add(orbit)
         if base_cells:
             base_lang = directional_language(config, base_cells, line, base=u)
             langs = base_lang.patterns
@@ -573,15 +595,19 @@ def m_classes(
 
 
 def _smallest_px(
-    config: Configuration, shape: ConvexLatticeSet, line: Line, p: int, u: Point, diff: int
+    config: Configuration, shape: ConvexLatticeSet, line: Line, p: int, x: MClass, diff: int
 ) -> tuple[int, int] | None:
-    """Smallest p_x <= p with diff <= p_x + |A^{l,p_x}| - 2, with its alphabet size."""
+    """Smallest p_x <= p with diff <= p_x + |A^{l,p_x}| - 2, with its alphabet size.
+
+    x is a class of m_classes(config, shape, line, p): its induced alphabet is
+    the one at p_x = p, and each smaller p_x reads the class's orbit once.
+    """
     for px in range(1, p + 1):
-        iset = directional_point_sets(shape, line, px).initials
-        if iset:
-            size = len(directional_language(config, iset, line, base=u).patterns)
+        if px == p:
+            size = x.alphabet_size
         else:
-            size = 1
+            iset = directional_point_sets(shape, line, px).initials
+            size = len(directional_language(config, iset, line, base=x.translate)) if iset else 1
         if diff <= px + size - 2:
             return px, size
     return None
@@ -619,7 +645,7 @@ def phi(config: Configuration, shape: ConvexLatticeSet, line: Line, p: int) -> P
         return PhiReport(diff, "complexity_difference", diff, classes)
     best = None
     for x in rich:
-        found = _smallest_px(config, shape, line, p, x.translate, diff)
+        found = _smallest_px(config, shape, line, p, x, diff)
         if found is None:
             raise HypothesisNotMet(
                 f"shape is not balanced for this line at p = {p}: the class at "
@@ -769,7 +795,7 @@ def construct_balanced_set(
         for x in classes:
             if x.alphabet_size <= 1:
                 continue
-            found = _smallest_px(config, s, line, p, x.translate, diff)
+            found = _smallest_px(config, s, line, p, x, diff)
             if found is None:
                 step_failed(
                     "balance-alphabet-bound",
@@ -839,8 +865,9 @@ def verify_strip_lemma(
         raise ValueError("p must be nonnegative")
     try:
         gen_section = line_section(shape, supporting_line(shape, line))
+        counter, pts = _Counter(config), frozenset(shape.points)
         for g in sorted(gen_section):
-            if g in shape.vertices and not is_generated(config, shape, g):
+            if g in shape.vertices and not _generated(counter, pts, g):
                 raise HypothesisNotMet(
                     f"supporting-line vertex {g} is not generated; the shape is "
                     "not directional-generating for this line"

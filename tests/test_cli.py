@@ -186,6 +186,19 @@ class TestStructureCommands:
         )
         assert code == 0 and "phi = 2 (max_alphabet_form" in out
 
+    def test_phi_large_block_matches_library(self, configs, capsys):
+        # One directional language per orbit puts this block within tier-1's reach.
+        code, out, _ = run(
+            capsys, "--json", "phi", "--config", configs["diag"],
+            "--shape", "rect:9,10", "--line", "1,0", "--p", "2",
+        )
+        rep = nivatlab.phi(nivatlab.DiagonalFamily(), nivatlab.block(9, 10), nivatlab.Line(1, 0, 0), 2)
+        assert code == 0
+        assert json.loads(out) == {
+            "schema": 1, "phi": rep.value, "case": rep.case, "diff": rep.diff,
+            "classes": len(rep.classes), "scope": rep.scope,
+        }
+
     def test_witness(self, configs, capsys):
         code, out, _ = run(
             capsys, "witness", "--config", configs["diag"], "--line", "1,1", "--radius", "1"

@@ -1,11 +1,31 @@
-import pytest
+import random
 
-from nivatlab.complexity import complexity
-from nivatlab.configurations import Alphabet, DoublyPeriodic, WindowSample
-from nivatlab.errors import GeometryError, HypothesisNotMet, InexactDataError
-from nivatlab.geometry import Line, block, convex_hull
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nivatlab.structure as structure
+from nivatlab.complexity import complexity, directional_language, extension_counts
+from nivatlab.configurations import (
+    Alphabet,
+    Configuration,
+    DiagonalFamily,
+    DoublyPeriodic,
+    Pattern,
+    WindowSample,
+)
+from nivatlab.errors import (
+    ConstructionError,
+    GeometryError,
+    HypothesisNotMet,
+    InexactDataError,
+)
+from nivatlab.geometry import Line, block, convex_hull, line_section, supporting_line
 from nivatlab.structure import (
+    BalancedSetCertificate,
     GeneratingKind,
+    MClass,
+    PhiReport,
     StripLemmaStatus,
     audit_mlc_inequality,
     construct_balanced_set,
@@ -23,7 +43,13 @@ from nivatlab.structure import (
     verify_strip_lemma,
 )
 
-from conftest import DIAGONAL, HORIZONTAL, VERTICAL
+from conftest import (
+    DIAGONAL,
+    HORIZONTAL,
+    VERTICAL,
+    random_doubly_periodic,
+    random_finite_defect,
+)
 
 
 @pytest.fixture(scope="module")
@@ -256,14 +282,18 @@ class TestStripLemma:
             phi(w, block(2, 2), HORIZONTAL, 1)
 
 
-@pytest.fixture(scope="module")
-def ambiguous_rows():
+def _ambiguous_body() -> DoublyPeriodic:
     """An 8-coset configuration whose 2x2 language has a translate class where
     every directional base pattern extends two ways (found by random search,
     then frozen)."""
     table = {(-3, 5): "b", (-3, 6): "a", (-2, 3): "a", (-2, 4): "b",
              (-2, 5): "a", (-1, 2): "b", (-1, 3): "b", (0, 0): "a"}
     return DoublyPeriodic(Alphabet(("a", "b")), ((-3, 4), (-1, 4)), table)
+
+
+@pytest.fixture(scope="module")
+def ambiguous_rows():
+    return _ambiguous_body()
 
 
 class TestAmbiguousExtensionFixture:
@@ -323,3 +353,188 @@ class TestMClasses:
         classes, diff = m_classes(checkerboard, row, HORIZONTAL, 1)
         assert diff == complexity(checkerboard, row).count - 1
         assert len(classes) == 1  # empty base extends ambiguously, one class
+
+
+# -- one directional language per orbit ----------------------------------------------
+
+AB = Alphabet(("a", "b"))
+ORBIT_LINES = [HORIZONTAL, VERTICAL, DIAGONAL, Line(1, -1, 0), Line(2, 1, 0)]
+ORBIT_SHAPES = [block(1, 2), block(2, 2), block(2, 3), block(3, 3), block(3, 4), block(4, 3),
+                convex_hull([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)]),
+                convex_hull([(0, 2), (0, 3), (1, 3), (2, 3)])]
+
+
+def _orbit_body(kind: str, seed: int) -> Configuration:
+    rng = random.Random(seed)
+    if kind == "diagonal":
+        return DiagonalFamily(*rng.sample("bw", 2))
+    if kind == "periodic":
+        return random_doubly_periodic(rng)
+    if kind == "ambiguous":  # it has a class with a rich induced alphabet
+        return _ambiguous_body()
+    return random_finite_defect(rng, AB)
+
+
+def _reference_m_classes(cfg, shape, line, p):
+    """m_classes with both directional languages built afresh at every translate."""
+    section = line_section(shape, supporting_line(shape, line))
+    base_cells = tuple(sorted(shape.points - section))
+    total = complexity(cfg, shape).count
+    diff = total - complexity(cfg, base_cells).count
+    n_of = extension_counts(cfg, shape, line).counts() if base_cells else {Pattern(()): total}
+    initials = directional_point_sets(shape, line, p).initials
+    out, seen = [], set()
+    for u in cfg.enumeration_domain(shape.points).translates:
+        base_lang = directional_language(cfg, base_cells, line, base=u)
+        if not all(n_of.get(g, 0) > 1 for g in base_lang.patterns):
+            continue
+        alpha = directional_language(cfg, initials, line, base=u)
+        key = (base_lang.patterns, alpha.patterns)
+        if key not in seen:
+            seen.add(key)
+            out.append(MClass(u, *key, base_lang.exactness & alpha.exactness))
+    return tuple(out), diff
+
+
+def _reference_px(cfg, shape, line, p, u, diff):
+    for px in range(1, p + 1):
+        initials = directional_point_sets(shape, line, px).initials
+        size = len(directional_language(cfg, initials, line, base=u))
+        if diff <= px + size - 2:
+            return px, size
+    return None
+
+
+def _reference_phi(cfg, shape, line, p):
+    classes, diff = _reference_m_classes(cfg, shape, line, p)
+    rich = [x for x in classes if x.alphabet_size > 1]
+    if not rich:
+        return PhiReport(diff, "complexity_difference", diff, classes)
+    found = [_reference_px(cfg, shape, line, p, x.translate, diff) for x in rich]
+    if None in found:
+        return HypothesisNotMet
+    return PhiReport(max(px + size - 2 for px, size in found), "max_alphabet_form", diff, classes)
+
+
+def _outcome(fn):
+    """The result of fn, or the type and message of the error it raised."""
+    try:
+        return fn()
+    except (ConstructionError, GeometryError, HypothesisNotMet) as exc:
+        return type(exc), str(exc)
+
+
+def _merged_translate(cfg, u, v, s, i, j):
+    """u moved by s steps along v and by one of the body's certified periods."""
+    if isinstance(cfg, DoublyPeriodic):
+        (ax, ay), (bx, by) = cfg.basis
+        h = (i * ax + j * bx, i * ay + j * by)
+    elif isinstance(cfg, DiagonalFamily):
+        h = (i, i)
+    else:
+        h = (0, 0)
+    return (u[0] + s * v[0] + h[0], u[1] + s * v[1] + h[1])
+
+
+orbit_bodies = st.tuples(st.sampled_from(["diagonal", "periodic", "ambiguous", "defect"]),
+                         st.integers(0, 10**6))
+offsets = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+class TestOrbitSharing:
+    """Classes taken once per orbit must equal classes taken at every translate."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(orbit_bodies, st.sampled_from(ORBIT_SHAPES), st.sampled_from(ORBIT_LINES),
+           st.integers(1, 3))
+    def test_m_classes_and_phi(self, body, shape, line, p):
+        cfg = _orbit_body(*body)
+        assert m_classes(cfg, shape, line, p) == _reference_m_classes(cfg, shape, line, p)
+        got = _outcome(lambda: phi(cfg, shape, line, p))
+        ref = _reference_phi(cfg, shape, line, p)
+        if ref is HypothesisNotMet:
+            assert isinstance(got, tuple) and got[0] is HypothesisNotMet
+        else:
+            assert got == ref
+
+    @settings(max_examples=40, deadline=None)
+    @given(orbit_bodies, st.sampled_from(ORBIT_SHAPES), st.sampled_from(ORBIT_LINES),
+           st.booleans())
+    def test_balanced_set(self, body, shape, line, witness_absent):
+        cfg = _orbit_body(*body)
+        got = _outcome(lambda: construct_balanced_set(cfg, shape, line, witness_absent))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(type(cfg), "orbit_class", Configuration.orbit_class)
+            ref = _outcome(lambda: construct_balanced_set(cfg, shape, line, witness_absent))
+        assert got == ref
+        if isinstance(got, BalancedSetCertificate) and got.p >= 1:
+            classes, diff = _reference_m_classes(cfg, got.set, line, got.p)
+            expected = [(x.translate, *_reference_px(cfg, got.set, line, got.p, x.translate, diff))
+                        for x in classes if x.alphabet_size > 1]
+            assert list(got.condition_ii) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(orbit_bodies, st.sampled_from(ORBIT_SHAPES), st.sampled_from(ORBIT_LINES),
+           offsets, st.integers(-5, 5), st.integers(-2, 2), st.integers(-2, 2), offsets)
+    def test_equal_labels_give_equal_languages(self, body, shape, line, u, s, i, j, w):
+        cfg = _orbit_body(*body)
+        v = line.minimal_vector()
+        u2 = _merged_translate(cfg, u, v, s, i, j)
+        assert cfg.orbit_class(u, v) == cfg.orbit_class(u2, v)
+        for other in (u2, w):
+            if cfg.orbit_class(u, v) == cfg.orbit_class(other, v):
+                assert (directional_language(cfg, shape, line, base=u).patterns
+                        == directional_language(cfg, shape, line, base=other).patterns)
+
+    def test_periodic_labels_are_exactly_the_orbits(self):
+        # u and u2 share a label exactly when u2 - u lies in the lattice plus Zv.
+        rng = random.Random(11)
+        box = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+        for _ in range(8):
+            cfg = random_doubly_periodic(rng)
+            for line in ORBIT_LINES:
+                v = line.minimal_vector()
+                order = cfg.directional_period(v)
+                zero = cfg.reduce((0, 0))
+                for u in box[::7]:
+                    for u2 in box:
+                        d = (u2[0] - u[0], u2[1] - u[1])
+                        same = any(cfg.reduce((d[0] - t * v[0], d[1] - t * v[1])) == zero
+                                   for t in range(order))
+                        assert (cfg.orbit_class(u, v) == cfg.orbit_class(u2, v)) == same
+
+    def test_window_labels_never_merge(self):
+        w = WindowSample(AB, (0, 0), ["abba", "baab", "abab"])
+        box = [(x, y) for x in range(-5, 6) for y in range(-5, 6)]
+        for line in ORBIT_LINES:
+            v = line.minimal_vector()
+            assert len({w.orbit_class(u, v) for u in box}) == len(box)
+
+    def test_one_language_per_orbit(self, diagonal, monkeypatch):
+        # Every x - y is one orbit along (0, 1): the base and the induced
+        # alphabet are each built once, not once per translate (149 calls).
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return directional_language(*args, **kwargs)
+
+        monkeypatch.setattr(structure, "directional_language", counted)
+        m_classes(diagonal, block(6, 6), VERTICAL, 1)
+        assert len(calls) <= 2
+
+    def test_strip_lemma_counts_the_shape_once(self, diagonal, monkeypatch):
+        # The two supporting vertices share one counter: the shape and the
+        # shape minus each vertex are three counts, not four.  (7, 0) is not
+        # generated, so the harness stops there.
+        shapes = []
+        real = structure.complexity
+
+        def counted(config, shape):
+            shapes.append(frozenset(shape))
+            return real(config, shape)
+
+        monkeypatch.setattr(structure, "complexity", counted)
+        with pytest.raises(HypothesisNotMet, match=r"vertex \(7, 0\) is not generated"):
+            verify_strip_lemma(diagonal, block(8, 8), HORIZONTAL, 1, window=12)
+        assert len(shapes) == 3 == len(set(shapes))
