@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .complexity import complexity, complexity_table, table_to_csv
+from .complexity import complexity, complexity_table, language, table_to_csv
 from .configurations import (
     Alphabet,
     Configuration,
@@ -45,33 +45,38 @@ EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
 
+def _ints(text: str, count: int, malformed: str, sep: str | None = ",") -> tuple[int, ...]:
+    """Exactly count integers separated by sep; NivatlabError(malformed) otherwise."""
+    try:
+        values = tuple(int(v) for v in text.split(sep))
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise NivatlabError(malformed)
+    return values
+
+
 def parse_shape(text: str) -> ConvexLatticeSet:
     if text.startswith("rect:"):
-        n, k = (int(v) for v in text[5:].split(","))
-        return block(n, k)
+        return block(*_ints(text[5:], 2, f"shape literal {text!r} is not of the form rect:N,K"))
     if text.startswith("points:"):
-        pts = []
-        for chunk in text[7:].split(";"):
-            x, y = (int(v) for v in chunk.split(","))
-            pts.append((x, y))
-        return convex_hull(pts)
+        malformed = f"shape literal {text!r} is not of the form points:X,Y;X,Y;..."
+        return convex_hull(_ints(chunk, 2, malformed) for chunk in text[7:].split(";"))
     if text.startswith("file:"):
         pts = []
         with open(text[5:], encoding="utf-8") as fh:
             for line_no, raw in enumerate(fh, 1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                parts = raw.split()
-                if len(parts) != 2:
-                    raise NivatlabError(f"shape file line {line_no}: expected 'x y'")
-                pts.append((int(parts[0]), int(parts[1])))
+                if raw.strip():
+                    pts.append(_ints(raw, 2, f"shape file line {line_no}: expected 'x y'", None))
         return convex_hull(pts)
     raise NivatlabError(f"unrecognized shape literal {text!r} (rect:N,K | points:... | file:...)")
 
 
 def parse_line(text: str) -> Line:
-    parts = [int(v) for v in text.split(",")]
+    try:
+        parts = [int(v) for v in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) == 2:
         return Line.make(parts[0], parts[1], 0)
     if len(parts) == 3:
@@ -161,8 +166,6 @@ def cmd_complexity(args) -> int:
     tag = "exact" if rep.exact else "lower bound"
     payload = {"count": rep.count, "exact": rep.exact, "translates": rep.translates_examined}
     if args.dump:
-        from .complexity import language
-
         pats = sorted(language(config, s), key=lambda p: p.cells)
         payload["patterns"] = [p.render() for p in pats]
         if not args.json:
@@ -181,7 +184,7 @@ def cmd_complexity(args) -> int:
 
 def cmd_table(args) -> int:
     config = load_config(args.config)
-    n_max, k_max = (int(v) for v in args.max.split(","))
+    n_max, k_max = _ints(args.max, 2, f"--max literal {args.max!r} is not of the form N,K")
     table = complexity_table(config, n_max, k_max)
     csv_text = table_to_csv(table)
     if args.csv:
@@ -426,82 +429,63 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit 2 on inconclusive outcomes instead of 0")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    def add(name, fn, help, *required):
+        """A subcommand with its handler, followed by its required --flags in order."""
+        p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
+        for flag in required:
+            p.add_argument(f"--{flag}", required=True)
         return p
 
-    p = add("hull", cmd_hull, help="convex lattice hull of a shape literal")
-    p.add_argument("--shape", required=True)
+    add("hull", cmd_hull, "convex lattice hull of a shape literal", "shape")
+    add("quasiregular", cmd_quasiregular, "antiparallel edge pairing check", "shape")
 
-    p = add("quasiregular", cmd_quasiregular, help="antiparallel edge pairing check")
-    p.add_argument("--shape", required=True)
-
-    p = add("complexity", cmd_complexity, help="pattern count of a shape")
-    p.add_argument("--config", required=True)
-    p.add_argument("--shape", required=True)
+    p = add("complexity", cmd_complexity, "pattern count of a shape", "config", "shape")
     p.add_argument("--dump", action="store_true", help="also print every pattern as a text grid")
 
-    p = add("table", cmd_table, help="block complexity table")
-    p.add_argument("--config", required=True)
+    p = add("table", cmd_table, "block complexity table", "config")
     p.add_argument("--max", required=True, metavar="N,K")
     p.add_argument("--csv", help="write CSV to this path")
 
-    p = add("mh", cmd_mh, help="complexity-to-periodicity bound on a word")
+    p = add("mh", cmd_mh, "complexity-to-periodicity bound on a word")
     p.add_argument("--word")
     p.add_argument("--word-file")
     p.add_argument("--n0", type=int, required=True)
     p.add_argument("--mode", choices=["one_sided", "two_sided"], default="one_sided")
 
-    p = add("finewilf", cmd_finewilf, help="combine two verified periods")
+    p = add("finewilf", cmd_finewilf, "combine two verified periods")
     p.add_argument("--word")
     p.add_argument("--word-file")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
 
-    p = add("periods", cmd_periods, help="periods within a sup-norm bound")
-    p.add_argument("--config", required=True)
+    p = add("periods", cmd_periods, "periods within a sup-norm bound", "config")
     p.add_argument("--bound", type=int, default=8)
 
-    p = add("generating", cmd_generating, help="minimal generating set (optionally directional)")
-    p.add_argument("--config", required=True)
-    p.add_argument("--shape", required=True)
+    p = add("generating", cmd_generating, "minimal generating set (optionally directional)",
+            "config", "shape")
     p.add_argument("--line", help="direction DX,DY[,C] for the directional variant")
 
-    p = add("mlc", cmd_mlc, help="minimal half-bound generating set")
-    p.add_argument("--config", required=True)
-    p.add_argument("--shape", required=True)
+    add("mlc", cmd_mlc, "minimal half-bound generating set", "config", "shape")
 
-    p = add("balanced", cmd_balanced, help="constructive balanced-set certificate")
-    p.add_argument("--config", required=True)
-    p.add_argument("--shape", required=True)
-    p.add_argument("--line", required=True)
+    p = add("balanced", cmd_balanced, "constructive balanced-set certificate",
+            "config", "shape", "line")
     p.add_argument("--witness-radius", type=int, default=1)
 
-    p = add("phi", cmd_phi, help="strip-extension budget")
-    p.add_argument("--config", required=True)
-    p.add_argument("--shape", required=True)
-    p.add_argument("--line", required=True)
+    p = add("phi", cmd_phi, "strip-extension budget", "config", "shape", "line")
     p.add_argument("--p", type=int, required=True)
 
-    p = add("striplemma", cmd_striplemma, help="strip periodicity harness")
-    p.add_argument("--config", required=True)
-    p.add_argument("--shape", required=True)
-    p.add_argument("--line", required=True)
+    p = add("striplemma", cmd_striplemma, "strip periodicity harness", "config", "shape", "line")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--window", type=int, default=12)
 
-    p = add("witness", cmd_witness, help="one-sided expansiveness witness search")
-    p.add_argument("--config", required=True)
-    p.add_argument("--line", required=True)
+    p = add("witness", cmd_witness, "one-sided expansiveness witness search", "config", "line")
     p.add_argument("--radius", type=int, default=1)
 
-    p = add("nivat", cmd_nivat, help="hypothesis/conclusion check on a configuration")
-    p.add_argument("--config", required=True)
-    p.add_argument("--shape", required=True)
+    p = add("nivat", cmd_nivat, "hypothesis/conclusion check on a configuration", "config", "shape")
     p.add_argument("--period-bound", type=int)
 
-    add("example-suite", cmd_example_suite, help="reference-family value checks")
+    add("example-suite", cmd_example_suite, "reference-family value checks")
     return parser
 
 

@@ -1,41 +1,46 @@
 """The pattern-counting engine: shape complexity, languages, extension counts.
 
 Counting enumerates a certified translate domain and deduplicates patterns by
-their letters.  One kernel, `_letter_keys`, reads the letters of a shape at
-every translate; complexities, languages, directional languages and extension
-counts all scan through it.  Exactness flags propagate: anything computed from
-a lower-bound domain is itself a lower bound.
+their letters.  One kernel reads the letters of a shape at every translate:
+`_domain_keys` over a certified domain and `_letter_keys` over any list of
+translates.  Complexities, languages, directional languages, extension counts
+and tables all scan through it.  Exactness flags propagate: anything computed
+from a lower-bound domain is itself a lower bound.
 
-The kernel counts modulo the certified periods.  Cells with equal
-`Configuration.period_class` differ by a period, so at every translate they
-carry the same letter: the kernel reads only the first cell of each class and
-keys a translate by the string of those letters (letters are single
-characters).  Distinct class keys are in bijection with distinct patterns, so
-`complexity` counts them as they are; `_expanded` spreads a key back over all
-cells where patterns are needed.  Bodies without certified periods label each
-cell by itself, and the kernel is then one plain scan.
+The kernel keys each translate by a string that determines its pattern and
+back, read in slices rather than cell by cell:
 
-`complexity_table` extends blocks row by row instead of re-reading them: the
-key of block(n, k) at u is the key of block(n, k-1) at u followed by the n x 1
-row at u + (0, k-1).  Rows and block keys are memoised by the period class of
-their translate, so a class met again is not read again.
+- Row slices (`DoublyPeriodic`, `WindowSample`): the cells split into maximal
+  runs along each row.  Per row of translates, each run gives a list of
+  slices of a body row, and `zip` joins the lists into keys.  A doubly
+  periodic body counts over its torus (`DoublyPeriodic.translate_box`).
+- Band words (`DiagonalFamily`): a letter depends only on x - y, so a key is
+  one factor of the band word per maximal run of the cells' x - y values.
+- Finite-defect domains, and directional translates (a line, not a box) on
+  bodies other than the diagonal family, are read cell by cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import groupby
+from typing import Callable, Iterable, Mapping
 
 from .configurations import (
     Configuration,
+    DiagonalFamily,
+    DoublyPeriodic,
     EnumerationDomain,
     Exactness,
     Pattern,
+    WindowSample,
     _range_steps,
     as_points,
 )
 from .errors import GeometryError, SoundnessError
 from .geometry import ConvexLatticeSet, Line, Point, line_section, psub, supporting_line
+
+_Keys = tuple[set[str], tuple[int, ...]]  # distinct keys, and each cell's position in a key
 
 
 @dataclass(frozen=True)
@@ -52,41 +57,78 @@ class ComplexityReport:
         return self.exactness is Exactness.EXACT
 
 
-def _letter_keys(
-    config: Configuration, cells: tuple[Point, ...], translates
-) -> tuple[set[str], tuple[int, ...] | None]:
-    """The distinct class keys of cells + u over the translates u.
+def _joined(columns: list[list[str]]) -> Iterable[str]:
+    """Equal-length columns of slices joined across, one string per position."""
+    return columns[0] if len(columns) == 1 else map("".join, zip(*columns))
 
-    A class key holds the letters of the first cell of each period class, in
-    cell order.  The index gives, for each cell, the position of its class in
-    the key; it is None when no two cells share a class, and the keys are
-    then the full letter strings.
+
+def _runs(values: list[int]) -> list[tuple[int, int]]:
+    """The maximal runs (first, length) of consecutive integers in sorted distinct values."""
+    groups = groupby(enumerate(values), lambda iv: iv[1] - iv[0])
+    return [(run[0][1], len(run)) for run in (list(g) for _, g in groups)]
+
+
+def _row_keys(row: Callable[[int, int, int], str], cells: tuple[Point, ...], uxs, uys) -> _Keys:
+    """The keys over the box uxs x uys of translates (two ranges), read as row slices.
+
+    A key holds the letters of the cells in (y, x) order.
     """
-    first: dict = {}  # period class -> its first cell
-    for g in cells:
-        first.setdefault(config.period_class(g), g)
-    index = None
-    if len(first) < len(cells):
-        position = {c: i for i, c in enumerate(first)}
-        index = tuple(position[config.period_class(g)] for g in cells)
-        cells = tuple(first.values())
+    in_rows = sorted(cells, key=lambda g: (g[1], g[0]))
+    x_lo = min(x for x, _ in cells)
+    width = max(x for x, _ in cells) + 1 - x_lo
+    runs = [(y, x0 - x_lo, n) for y, row_cells in groupby(in_rows, lambda g: g[1])
+            for x0, n in _runs([x for x, _ in row_cells])]
+    keys: set[str] = set()
+    lo, span = uxs[0], len(uxs) - 1 + width
+    columns: dict = {}  # (y, o, n) -> the slices of row y at o + ux - lo of length n
+    for uy in uys:
+        for y, o, n in runs:
+            if (y + uy, o, n) not in columns:
+                word = row(y + uy, x_lo + lo, x_lo + lo + span)
+                columns[y + uy, o, n] = [word[i + o:i + o + n] for i in range(len(uxs))]
+        keys.update(_joined([columns[y + uy, o, n] for y, o, n in runs]))
+    position = {g: i for i, g in enumerate(in_rows)}
+    return keys, tuple(position[g] for g in cells)
+
+
+def _band_keys(config: DiagonalFamily, cells: tuple[Point, ...], translates) -> _Keys:
+    """The keys over the translates: one letter per distinct x - y of the cells, in order."""
+    deltas = sorted({x - y for x, y in cells})
+    shifts = [ux - uy for ux, uy in translates]
+    low = min(shifts)
+    word = config.band(deltas[0] + low, deltas[-1] + max(shifts) + 1)
+    starts = [e - low - deltas[0] for e in shifts]
+    columns = [[word[i + d:i + d + n] for i in starts] for d, n in _runs(deltas)]
+    position = {d: i for i, d in enumerate(deltas)}
+    return set(_joined(columns)), tuple(position[x - y] for x, y in cells)
+
+
+def _letter_keys(config: Configuration, cells: tuple[Point, ...], translates) -> _Keys:
+    """The distinct keys of cells + u over the translates u, and the index of the keys.
+
+    Equal keys mean equal patterns and back.  The index gives, in cell
+    order, the position of each cell's letter within a key.  Diagonal
+    bodies read their band word; others read each translate cell by cell.
+    """
+    if isinstance(config, DiagonalFamily) and translates:
+        return _band_keys(config, cells, translates)
     letter_at = config.letter_at
     keys = {"".join([letter_at((g[0] + u[0], g[1] + u[1])) for g in cells]) for u in translates}
-    return keys, index
+    return keys, tuple(range(len(cells)))
 
 
 def _domain_keys(
     config: Configuration, cells: tuple[Point, ...]
-) -> tuple[set[str], tuple[int, ...] | None, EnumerationDomain]:
-    """The class keys of the cells over their certified enumeration domain."""
+) -> tuple[set[str], tuple[int, ...], EnumerationDomain]:
+    """The keys of the cells over their domain, or its `translate_box` for row-slice bodies."""
     domain = config.enumeration_domain(cells)
+    if isinstance(config, (DoublyPeriodic, WindowSample)):
+        return (*_row_keys(config.row, cells, *config.translate_box(cells)), domain)
     return (*_letter_keys(config, cells, domain.translates), domain)
 
 
-def _expanded(keys: Iterable[str], index: tuple[int, ...] | None) -> Iterable[str]:
-    """Class keys spread back over every cell."""
-    if index is None:
-        return keys
+def _in_cell_order(keys: Iterable[str], index: tuple[int, ...]) -> Iterable[str]:
+    """Keys respelled as the letters of every cell, in cell order."""
     return ("".join([k[i] for i in index]) for k in keys)
 
 
@@ -117,7 +159,7 @@ def language_report(
     if not cells:
         return frozenset([Pattern(())]), Exactness.EXACT
     keys, index, domain = _domain_keys(config, cells)
-    return frozenset(_patterns(cells, _expanded(keys, index))), domain.exactness
+    return frozenset(_patterns(cells, _in_cell_order(keys, index))), domain.exactness
 
 
 def complexity_table(
@@ -126,34 +168,11 @@ def complexity_table(
     """Complexity of every n-by-k block with 1 <= n <= n_max, 1 <= k <= k_max."""
     if n_max < 1 or k_max < 1:
         raise ValueError("table dimensions must be positive")
-    period_class, letter_at = config.period_class, config.letter_at
-    out = {}
-    for n in range(1, n_max + 1):
-        rows: dict = {}  # period class of t -> letters of the n x 1 row at t
-
-        def row(t: Point) -> str:
-            c = period_class(t)
-            r = rows.get(c)
-            if r is None:
-                r = rows[c] = "".join([letter_at((t[0] + x, t[1])) for x in range(n)])
-            return r
-
-        shorter: dict = {}  # period class of u -> key of block(n, k-1) at u
-        for k in range(1, k_max + 1):
-            cells = tuple((x, y) for x in range(n) for y in range(k))
-            domain = config.enumeration_domain(cells)
-            keys = {}
-            for u in domain.translates:
-                c = period_class(u)
-                key = shorter.get(c)
-                if key is None:
-                    key = "".join([row((u[0], u[1] + y)) for y in range(k - 1)])
-                keys[c] = key + row((u[0], u[1] + k - 1))
-            out[(n, k)] = ComplexityReport(
-                cells, len(set(keys.values())), domain.exactness, len(domain)
-            )
-            shorter = keys
-    return out
+    return {
+        (n, k): complexity(config, [(x, y) for x in range(n) for y in range(k)])
+        for n in range(1, n_max + 1)
+        for k in range(1, k_max + 1)
+    }
 
 
 def table_to_csv(table: Mapping[tuple[int, int], ComplexityReport]) -> str:
@@ -198,7 +217,8 @@ def directional_language(
     step, _ = _range_steps(trange, v)
     translates = [(base[0] + t * step[0], base[1] + t * step[1]) for t in domain.translates]
     keys, index = _letter_keys(config, cells, translates)
-    return DirectionalLanguage(frozenset(_patterns(cells, _expanded(keys, index))), domain.exactness)
+    patterns = frozenset(_patterns(cells, _in_cell_order(keys, index)))
+    return DirectionalLanguage(patterns, domain.exactness)
 
 
 # -- extension counts --------------------------------------------------------
@@ -239,7 +259,7 @@ def extension_counts(config: Configuration, shape: ConvexLatticeSet, line: Line)
     base_set = set(base_cells)
     base_index = [i for i, g in enumerate(cells) if g in base_set]
     keys, index, domain = _domain_keys(config, cells)
-    ordered = sorted(_expanded(keys, index))
+    ordered = sorted(_in_cell_order(keys, index))
     restricted = _patterns(base_cells, ("".join([k[i] for i in base_index]) for k in ordered))
     grouped: dict[Pattern, list[Pattern]] = {}
     for full, base_pattern in zip(_patterns(cells, ordered), restricted):

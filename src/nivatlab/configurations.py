@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import product
 from math import gcd, isqrt
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, UnknownLetterError
-from .geometry import ConvexLatticeSet, Point, padd, pscale, psub
+from .geometry import ConvexLatticeSet, Point, padd, psub
 
 
 class Exactness(enum.Enum):
@@ -125,17 +126,6 @@ class Configuration:
         """Whether h is a global period; only meaningful when periods_certified()."""
         raise NotImplementedError
 
-    def period_class(self, g: Point) -> Hashable:
-        """A label for g modulo the certified periods.
-
-        Contract: period_class(g) == period_class(g2) implies g == g2 or
-        is_period(g - g2) is certified, so g + u and g2 + u carry the same
-        letter for every u.  Counting reads one cell per class.  The base
-        class labels each point by itself, which never merges two cells;
-        bodies whose periods are not certified must keep it.
-        """
-        return g
-
     def orbit_class(self, u: Point, v: Point) -> Hashable:
         """A label for the orbit u + Zv modulo the certified periods; v is primitive.
 
@@ -152,6 +142,11 @@ class Configuration:
     def periods_certified(self) -> bool:
         """True when is_period decides global periodicity from the representation."""
         return True
+
+    def periods_within(self, bound: int) -> tuple[Point, ...]:
+        """The h != (0, 0) with sup-norm at most bound that pass is_period, sorted."""
+        box = range(-bound, bound + 1)
+        return tuple((x, y) for x in box for y in box if (x or y) and self.is_period((x, y)))
 
     def certified_aperiodic(self) -> bool:
         """True when the representation proves there is no period at all."""
@@ -211,6 +206,7 @@ class DoublyPeriodic(Configuration):
         self.alphabet = alphabet
         self.basis = (b1, b2)
         self._det = det
+        self._hnf = _hnf(b1, b2)
         reduced: dict[Point, str] = {}
         for g, a in table.items():
             g = (int(g[0]), int(g[1]))
@@ -230,7 +226,8 @@ class DoublyPeriodic(Configuration):
         # Set here rather than added on first use: an attribute added to the
         # instance later materialises its __dict__ and slows every attribute
         # read in reduce() and letter_at().
-        self._period_memo: dict[Point, bool] = {}  # reduce(h) -> is h a period
+        self._domain: tuple[Point, ...] = ()  # sorted(self._table), filled on first use
+        self._rows: dict[int, str] = {}  # r -> letters at (x, r) for 0 <= x < a
         self._orbit_bases: dict[Point, tuple[int, int, int]] = {}  # v -> _orbit_basis(v)
 
     @classmethod
@@ -257,27 +254,69 @@ class DoublyPeriodic(Configuration):
         return self._table[self.reduce(g)]
 
     def fundamental_domain(self) -> tuple[Point, ...]:
-        return tuple(sorted(self._table))
+        if not self._domain:
+            self._domain = tuple(sorted(self._table))
+        return self._domain
 
     def enumeration_domain(self, shape: Iterable[Point]) -> EnumerationDomain:
         return EnumerationDomain(self.fundamental_domain(), Exactness.EXACT)
 
-    def period_class(self, g: Point) -> Point:
-        """g reduced into the fundamental domain: equal classes differ by a lattice vector."""
-        return self.reduce(g)
+    def row(self, y: int, lo: int, hi: int) -> str:
+        """The letters at (x, y) for lo <= x < hi.
+
+        Row y is torus row y mod d rotated by (y // d) * b: (x, y) minus the
+        lattice vector (y // d) * (b, d) is (x - (y // d) * b, y mod d).
+        """
+        a, b, d = self._hnf
+        q, r = divmod(y, d)
+        word = self._rows.get(r)
+        if word is None:
+            table, reduce = self._table, self.reduce
+            word = self._rows[r] = "".join([table[reduce((x, r))] for x in range(a)])
+        s, n = (lo - q * b) % a, hi - lo
+        return (word * _ceil_div(s + n, a))[s:s + n]
+
+    def translate_box(self, shape: Iterable[Point]) -> tuple[range, range]:
+        """The torus [0, a) x [0, d), where (a, 0), (b, d) is the HNF of the basis.
+
+        Contract: the torus, like the fundamental domain, holds one point of
+        each class modulo the basis lattice, whose vectors are certified
+        periods.  So every translate of enumeration_domain is congruent to a
+        torus point modulo the certified periods, and every torus point to a
+        domain translate: the kernel may count over the torus instead.
+        """
+        a, _, d = self._hnf
+        return range(a), range(d)
 
     def is_period(self, h: Point) -> bool:
-        # Whether h is a period depends only on h modulo the lattice.
-        if h == (0, 0):
-            return False
-        r = self.reduce(h)
-        known = self._period_memo.get(r)
-        if known is None:
-            table, reduce = self._table, self.reduce
-            known = self._period_memo[r] = all(
-                a == table[reduce((g[0] + r[0], g[1] + r[1]))] for g, a in table.items()
-            )
-        return known
+        # Compare each torus row with the row h[1] above it, shifted by h[0].
+        a, _, d = self._hnf
+        return h != (0, 0) and all(
+            self.row(y + h[1], h[0], h[0] + a) == self.row(y, 0, a) for y in range(d)
+        )
+
+    def periods_within(self, bound: int) -> tuple[Point, ...]:
+        """The periods h != 0 with sup-norm at most bound, listed from the period lattice.
+
+        A period h carries torus row 0 onto row h[1] shifted by h[0], so only
+        the occurrences of row 0 in the doubled torus rows take the full
+        test; the survivors and the basis span the lattice of all periods.
+        """
+        a, _, d = self._hnf
+        first, survivors = self.row(0, 0, a), []
+        for y in range(d):
+            doubled = self.row(y, 0, 2 * a - 1)
+            x = doubled.find(first)
+            while x >= 0:
+                if self.is_period((x, y)):
+                    survivors.append((x, y))
+                x = doubled.find(first, x + 1)
+        a, b, d = _hnf(*self.basis, *survivors)
+        found = []
+        for j in range(-(bound // d), bound // d + 1):
+            first = -bound + (j * b + bound) % a  # the least x >= -bound with x = j*b mod a
+            found.extend((x, j * d) for x in range(first, bound + 1, a) if x or j)
+        return tuple(sorted(found))
 
     def _orbit_basis(self, v: Point) -> tuple[int, int, int]:
         """(a, b, d) with (a, 0) and (b, d) spanning L + Zv, a, d > 0 and 0 <= b < a.
@@ -286,12 +325,7 @@ class DoublyPeriodic(Configuration):
         """
         basis = self._orbit_bases.get(v)
         if basis is None:
-            pivot, flat1 = _clear_y(*self.basis)
-            pivot, flat2 = _clear_y(pivot, v)
-            if pivot[1] < 0:
-                pivot = (-pivot[0], -pivot[1])
-            a = gcd(flat1[0], flat2[0])  # flat1[0] != 0: the basis spans a rank-2 lattice
-            basis = self._orbit_bases[v] = (a, pivot[0] % a, pivot[1])
+            basis = self._orbit_bases[v] = _hnf(*self.basis, v)
         return basis
 
     def orbit_class(self, u: Point, v: Point) -> Point:
@@ -301,12 +335,9 @@ class DoublyPeriodic(Configuration):
         return ((u[0] - q * b) % a, u[1] - q * d)
 
     def directional_period(self, v: Point) -> int:
-        """Smallest s >= 1 with s*v in the basis lattice (divides the domain size)."""
-        zero = self.reduce((0, 0))
-        for s in range(1, abs(self._det) + 1):
-            if self.reduce(pscale(s, v)) == zero:
-                return s
-        raise AssertionError("order of a coset exceeded the group size")
+        """Smallest s >= 1 with s*v in the basis lattice: the index of L in L + Zv."""
+        a, _, d = self._orbit_basis(v)
+        return abs(self._det) // (a * d)
 
     def directional_translates(self, shape, base, v, trange) -> EnumerationDomain:
         step, a = _range_steps(trange, v)
@@ -365,13 +396,13 @@ class FiniteDefect(Configuration):
     def directional_translates(self, shape, base, v, trange) -> EnumerationDomain:
         step, a = _range_steps(trange, v)
         pts = as_points(shape)
+        norm = step[0] * step[0] + step[1] * step[1]
         hits: set[int] = set()
         for d in self.defects:
             for s in pts:
                 delta = psub(d, padd(s, base))
-                t = _solve_step(delta, step)
-                if t is not None:
-                    hits.add(t)
+                if delta[0] * step[1] == delta[1] * step[0]:  # delta = t*step: step is primitive
+                    hits.add((delta[0] * step[0] + delta[1] * step[1]) // norm)
         if trange[0] != "all":
             hits = {t for t in hits if t >= a}
         far = max(hits, default=a) + 1
@@ -391,15 +422,19 @@ def _clear_y(p: Point, g: Point) -> tuple[Point, Point]:
     return p, g
 
 
-def _solve_step(delta: Point, step: Point) -> int | None:
-    if step[0] != 0:
-        if delta[0] % step[0]:
-            return None
-        t = delta[0] // step[0]
-        return t if t * step[1] == delta[1] else None
-    if delta[0] != 0 or delta[1] % step[1]:
-        return None
-    return delta[1] // step[1]
+def _hnf(p: Point, g: Point, *more: Point) -> tuple[int, int, int]:
+    """The Hermite normal form (a, 0), (b, d) of the lattice of p, g (independent) and more.
+
+    Returned as (a, b, d), with a, d > 0 and 0 <= b < a.
+    """
+    pivot, flat = _clear_y(p, g)
+    a = abs(flat[0])
+    for v in more:
+        pivot, flat = _clear_y(pivot, v)
+        a = gcd(a, flat[0])
+    if pivot[1] < 0:
+        pivot = (-pivot[0], -pivot[1])
+    return a, pivot[0] % a, pivot[1]
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +458,23 @@ class DiagonalFamily(Configuration):
         self.alphabet = Alphabet((white, black))
         self.black = black
         self.white = white
+        self._band_reach = -1  # the band word holds x - y in [-reach, reach]
+        self._band_word = ""
+
+    def band(self, lo: int, hi: int) -> str:
+        """The letters of the points with x - y = c for lo <= c < hi.
+
+        They are slices of one band word, built from the black offsets and
+        doubled in reach whenever a slice falls outside it.
+        """
+        reach = self._band_reach
+        if lo < -reach or hi > reach + 1:
+            reach = max(2 * reach, -lo, hi - 1, 64)
+            letters = [self.white] * (2 * reach + 1)
+            for c in self.offsets_within(reach):
+                letters[reach + c] = self.black
+            self._band_reach, self._band_word = reach, "".join(letters)
+        return self._band_word[lo + reach:hi + reach]
 
     def is_black(self, g: Point) -> bool:
         d = abs(g[0] - g[1])
@@ -437,10 +489,6 @@ class DiagonalFamily(Configuration):
 
     def is_period(self, h: Point) -> bool:
         return h != (0, 0) and h[0] == h[1]
-
-    def period_class(self, g: Point) -> int:
-        """x - y: points of one class differ by a multiple of the period (1, 1)."""
-        return g[0] - g[1]
 
     def orbit_class(self, u: Point, v: Point) -> int:
         """x - y modulo |v0 - v1|, the change of x - y per step along v; x - y when v is (1, 1)."""
@@ -523,37 +571,37 @@ class WindowSample(Configuration):
         self.origin = (int(origin[0]), int(origin[1]))
         self.width = len(rows[0])
         self.height = len(rows)
-        grid: dict[Point, str] = {}
-        for yy, row in enumerate(rows):  # first row is the visual top
-            for xx, a in enumerate(row):
-                if a not in alphabet:
-                    raise ConfigurationError(f"letter {a!r} not in alphabet")
-                grid[(self.origin[0] + xx, self.origin[1] + self.height - 1 - yy)] = a
-        if set(grid.values()) != set(alphabet.letters):
+        self._rows = tuple(rows)  # first row is the visual top
+        for a in "".join(rows):
+            if a not in alphabet:
+                raise ConfigurationError(f"letter {a!r} not in alphabet")
+        if set("".join(rows)) != set(alphabet.letters):
             raise ConfigurationError("every alphabet letter must occur in the window")
-        self._grid = grid
 
     def letter_at(self, g: Point) -> str:
-        try:
-            return self._grid[g]
-        except KeyError:
-            raise UnknownLetterError(f"point {g} lies outside the sampled window") from None
+        xx, yy = g[0] - self.origin[0], self.origin[1] + self.height - 1 - g[1]
+        if 0 <= xx < self.width and 0 <= yy < self.height:
+            return self._rows[yy][xx]
+        raise UnknownLetterError(f"point {g} lies outside the sampled window")
+
+    def row(self, y: int, lo: int, hi: int) -> str:
+        """The letters at (x, y) for lo <= x < hi, all inside the window."""
+        if not (self._inside((lo, y)) and self._inside((hi - 1, y))):
+            raise UnknownLetterError(f"row {y} from {lo} to {hi} leaves the sampled window")
+        x0 = self.origin[0]
+        return self._rows[self.origin[1] + self.height - 1 - y][lo - x0:hi - x0]
 
     def periods_certified(self) -> bool:
         return False
 
     def is_period(self, h: Point) -> bool:
         """Period of the window restriction only; never a global certificate."""
-        if h == (0, 0):
-            return False
-        ok = False
-        for g, a in self._grid.items():
-            gh = padd(g, h)
-            if gh in self._grid:
-                ok = True
-                if self._grid[gh] != a:
-                    return False
-        return ok
+        w, height, rows = self.width, self.height, self._rows
+        if h == (0, 0) or abs(h[0]) >= w or abs(h[1]) >= height:
+            return False  # no point of the window stays inside it
+        x0, x1 = max(0, -h[0]), min(w, w - h[0])
+        return all(rows[yy][x0:x1] == rows[yy - h[1]][x0 + h[0]:x1 + h[0]]
+                   for yy in range(max(0, h[1]), min(height, height + h[1])))
 
     def _inside(self, g: Point) -> bool:
         return (
@@ -561,15 +609,17 @@ class WindowSample(Configuration):
             and self.origin[1] <= g[1] < self.origin[1] + self.height
         )
 
-    def enumeration_domain(self, shape: Iterable[Point]) -> EnumerationDomain:
+    def translate_box(self, shape: Iterable[Point]) -> tuple[range, range]:
+        """The x and y ranges of the translates that keep the shape inside the window."""
         pts = as_points(shape)
         xs = [g[0] for g in pts]
         ys = [g[1] for g in pts]
         x_lo, x_hi = self.origin[0] - min(xs), self.origin[0] + self.width - 1 - max(xs)
         y_lo, y_hi = self.origin[1] - min(ys), self.origin[1] + self.height - 1 - max(ys)
-        us = [
-            (x, y) for x in range(x_lo, x_hi + 1) for y in range(y_lo, y_hi + 1)
-        ]
+        return range(x_lo, x_hi + 1), range(y_lo, y_hi + 1)
+
+    def enumeration_domain(self, shape: Iterable[Point]) -> EnumerationDomain:
+        us = tuple(product(*self.translate_box(shape)))
         if not us:
             raise UnknownLetterError(
                 f"the {self.width}x{self.height} window cannot fit the shape anywhere"
@@ -577,37 +627,17 @@ class WindowSample(Configuration):
         return EnumerationDomain(us, Exactness.LOWER_BOUND)
 
     def directional_translates(self, shape, base, v, trange) -> EnumerationDomain:
+        """The steps t in the range that keep shape + base + t*step inside the window."""
         step, a = _range_steps(trange, v)
-        pts = as_points(shape)
-        interval = self._fit_interval(pts, base, step)
-        if interval is None:
-            return EnumerationDomain([], Exactness.LOWER_BOUND)
-        t_lo, t_hi = interval
-        if trange[0] != "all":
-            t_lo = max(t_lo, a)
-        return EnumerationDomain(list(range(t_lo, t_hi + 1)), Exactness.LOWER_BOUND)
-
-    def _fit_interval(self, pts, base: Point, step: Point) -> tuple[int, int] | None:
-        """The t-interval keeping shape+base+t*step inside the window, or None."""
-        lo_x, hi_x = self.origin[0], self.origin[0] + self.width - 1
-        lo_y, hi_y = self.origin[1], self.origin[1] + self.height - 1
-        t_lo, t_hi = None, None
-        for g in pts:
-            for coord, (lo, hi) in (((g[0] + base[0], step[0]), (lo_x, hi_x)),
-                                    ((g[1] + base[1], step[1]), (lo_y, hi_y))):
-                pos, d = coord
-                if d == 0:
-                    if not lo <= pos <= hi:
-                        return None
-                    continue
-                a_, b_ = _ceil_div(lo - pos, d), (hi - pos) // d
-                if d < 0:
-                    a_, b_ = _ceil_div(hi - pos, d), (lo - pos) // d
-                t_lo = a_ if t_lo is None else max(t_lo, a_)
-                t_hi = b_ if t_hi is None else min(t_hi, b_)
-        if t_lo is None or t_hi is None or t_lo > t_hi:
-            return None
-        return t_lo, t_hi
+        lows, highs = ([] if trange[0] == "all" else [a]), []
+        for r, b, s in zip(self.translate_box(shape), base, step):
+            if not r or not (s or b in r):
+                return EnumerationDomain([], Exactness.LOWER_BOUND)
+            if s:
+                first, last = (r[0], r[-1]) if s > 0 else (r[-1], r[0])
+                lows.append(_ceil_div(first - b, s))
+                highs.append((last - b) // s)
+        return EnumerationDomain(list(range(max(lows), min(highs) + 1)), Exactness.LOWER_BOUND)
 
 
 # ---------------------------------------------------------------------------

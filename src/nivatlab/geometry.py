@@ -109,12 +109,6 @@ class Line:
         """The shortest nonzero lattice vector parallel to the line, oriented with it."""
         return (self.dx, self.dy)
 
-    def is_parallel_to(self, other: "Line") -> bool:
-        return (self.dx, self.dy) == (other.dx, other.dy)
-
-    def is_antiparallel_to(self, other: "Line") -> bool:
-        return (self.dx, self.dy) == (-other.dx, -other.dy)
-
     def lattice_point(self) -> Point:
         """Some lattice point on the line, via the extended Euclidean algorithm."""
         # dx*y - dy*x = c with gcd(dx, dy) = 1: Bezout gives u*dx + v*dy = 1.

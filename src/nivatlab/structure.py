@@ -36,7 +36,6 @@ from .geometry import (
     Point,
     axes_of_symmetry,
     axis_intersection,
-    diameter_along,
     is_quasi_regular,
     line_section,
     padd,
@@ -44,33 +43,6 @@ from .geometry import (
     supporting_line,
 )
 from .words import smallest_window_period, strip_word
-
-__all__ = [
-    "GeneratingKind",
-    "GeneratingSetResult",
-    "VertexCertificate",
-    "BoundInstance",
-    "is_generated",
-    "find_generating_set",
-    "find_directional_generating_set",
-    "find_mlc_set",
-    "audit_mlc_inequality",
-    "lemma_thickness_audit",
-    "DirectionalPointSets",
-    "directional_point_sets",
-    "thickness_ok",
-    "BalancedSetCertificate",
-    "construct_balanced_set",
-    "MClass",
-    "m_classes",
-    "PhiReport",
-    "phi",
-    "StripLemmaReport",
-    "verify_strip_lemma",
-    "WitnessReport",
-    "expansive_witness",
-    "diameter_along",
-]
 
 
 class _Counter:
@@ -707,14 +679,8 @@ def construct_balanced_set(
     _require_bound(counter, frozenset(shape.points), _mlc_bound(a), "|U|/2+|A|-1")
 
     axes = axes_of_symmetry(shape)
-    z = None
-    for i in range(len(axes)):
-        for j in range(i + 1, len(axes)):
-            z = axis_intersection(axes[i], axes[j])
-            if z is not None:
-                break
-        if z is not None:
-            break
+    meets = (axis_intersection(p, q) for i, p in enumerate(axes) for q in axes[i + 1:])
+    z = next((m for m in meets if m is not None), None)
     if z is None:
         raise ConstructionError("axis-intersection", "no two axes meet in a point")
 

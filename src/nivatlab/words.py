@@ -175,12 +175,7 @@ def detect_periods_2d(config: Configuration, bound: int) -> PeriodReport:
     """
     if bound < 1:
         raise ValueError("search bound must be positive")
-    found = []
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
-            if (x, y) != (0, 0) and config.is_period((x, y)):
-                found.append((x, y))
-    return PeriodReport(tuple(sorted(found)), config.periods_certified(), bound)
+    return PeriodReport(config.periods_within(bound), config.periods_certified(), bound)
 
 
 # -- strip words --------------------------------------------------------------

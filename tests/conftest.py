@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -104,13 +105,34 @@ def coset_representatives(b1, b2, det) -> list:
     return reps
 
 
+_GRIDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # body -> (lo, hi, grid)
+
+
+def letter_grid(config, lo: int, hi: int) -> tuple[int, int, list[list[str]]]:
+    """(lo', hi', grid) with grid[x - lo'][y - lo'] the letter_at of (x, y) on [lo', hi')^2.
+
+    The square covers [lo, hi)^2 and is read once per body, one letter_at call per point.
+    """
+    cached = _GRIDS.get(config)
+    if cached is None or cached[0] > lo or cached[1] < hi:
+        letter_at = config.letter_at
+        grid = [[letter_at((x, y)) for y in range(lo, hi)] for x in range(lo, hi)]
+        cached = _GRIDS[config] = (lo, hi, grid)
+    return cached
+
+
 def naive_complexity(config, cells, box: int) -> int:
-    """Brute force over the covering box [0, box)^2, reading every cell with letter_at."""
-    letter_at = config.letter_at
+    """Brute force over the covering box [0, box)^2, on letters read with letter_at.
+
+    Each translate's pattern is the tuple of its cells' letters, looked up in
+    the body's letter grid; nothing here calls the counting engine.
+    """
+    coords = [c for g in cells for c in g]
+    lo, _, grid = letter_grid(config, min(0, *coords), box + max(0, *coords))
     seen: set[tuple] = set()
     for ux in range(box):
-        for uy in range(box):
-            seen.add(tuple([letter_at((x + ux, y + uy)) for (x, y) in cells]))
+        # One list per cell over uy in [0, box); zip yields each translate's letters.
+        seen.update(zip(*[grid[x + ux - lo][y - lo:y - lo + box] for x, y in cells]))
     return len(seen)
 
 

@@ -253,6 +253,29 @@ class TestShapesAndErrors:
         assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0]
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv,literal,form", [
+        (["hull", "--shape", "rect:1"], "'rect:1'", "rect:N,K"),
+        (["hull", "--shape", "rect:a,b"], "'rect:a,b'", "rect:N,K"),
+        (["hull", "--shape", "rect:2,3,4"], "'rect:2,3,4'", "rect:N,K"),
+        (["hull", "--shape", "points:0,0;1"], "'points:0,0;1'", "points:X,Y;X,Y;..."),
+        (["table", "--config", "DIAG", "--max", "3"], "'3'", "N,K"),
+        (["table", "--config", "DIAG", "--max", "3,x"], "'3,x'", "N,K"),
+        (["phi", "--config", "DIAG", "--shape", "rect:2,2", "--line", "1,a", "--p", "1"],
+         "'1,a'", "DX,DY or DX,DY,C"),
+    ])
+    def test_malformed_literal_is_quoted(self, configs, argv, literal, form):
+        argv = [configs["diag"] if a == "DIAG" else a for a in argv]
+        src = os.path.dirname(os.path.dirname(nivatlab.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nivatlab.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert literal in lines[0] and form in lines[0]
+        assert "Traceback" not in proc.stderr
+
     def test_plain_grid_window(self, configs, capsys):
         code, out, _ = run(
             capsys, "complexity", "--config", configs["grid"], "--shape", "rect:2,2"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nivatlab.complexity import (
+    _in_cell_order,
     _letter_keys,
     complexity,
     complexity_table,
@@ -259,14 +260,18 @@ class TestFrozenHighRange:
         assert self.brute(n, k) == expected
 
 
-# -- the period quotient against brute force ------------------------------------
+# -- row slices, band words and the torus against brute force -------------------
 
 AB = Alphabet(("a", "b"))
 HEXAGON = convex_hull([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)])
-# Convex shapes inside the 4x4 box, most with cells that share a period class
-# (two cells on one diagonal, or more cells than a small fundamental domain).
+# Convex shapes inside the 4x4 box, some moved to negative coordinates; the
+# segment (0, 0)-(3, 1) has a gap in its x - y values.
 CONVEX = [block(1, 1), block(2, 2), block(3, 4), block(4, 3), block(4, 4), block(2, 4), HEXAGON,
-          convex_hull([(0, 0), (3, 1), (1, 3)])]
+          convex_hull([(0, 0), (3, 1), (1, 3)]), convex_hull([(0, 0), (3, 1)]),
+          block(3, 2).translate((-4, -1)), HEXAGON.translate((-2, -3))]
+# Point sets whose rows, or whose x - y values, have gaps.
+GAPPED = [((0, 0), (2, 0)), ((0, 0), (3, 1)), ((0, 0), (1, 0), (3, 0), (0, 1), (3, 1), (1, 2)),
+          ((-2, -1), (0, -1), (1, -1), (-2, 1), (1, 1))]
 LINES = [HORIZONTAL, VERTICAL, DIAGONAL, Line(2, 1, 0), Line(1, -1, 0)]
 SWEEP = 400  # brute-force reach along x - y and along a line, far past every certified domain
 
@@ -277,12 +282,22 @@ def _body(kind: str, seed: int):
         return DiagonalFamily(*rng.sample("bw", 2))
     if kind == "periodic":
         return random_doubly_periodic(rng)
+    if kind == "sheared":  # basis (p, 0), (s, q): the box [0, p) x [0, q) is a residue system
+        p, q, shear = rng.randint(2, 12), rng.randint(1, 6), rng.randint(-15, 15)
+        return _sheared(rng, p, q, shear)
     if kind == "defect":
         return random_finite_defect(rng, AB)
     while True:
         rows = ["".join(rng.choice("ab") for _ in range(rng.randint(5, 7))) for _ in range(6)]
         if len(set(map(len, rows))) == 1 and set("".join(rows)) == {"a", "b"}:
             return WindowSample(AB, (rng.randint(-3, 3), rng.randint(-3, 3)), rows)
+
+
+def _sheared(rng, p: int, q: int, shear: int) -> DoublyPeriodic:
+    letters = [rng.choice("ab") for _ in range(p * q - 2)] + ["a", "b"]
+    rng.shuffle(letters)
+    table = {(x, y): letters[x * q + y] for x in range(p) for y in range(q)}
+    return DoublyPeriodic(AB, ((p, 0), (shear, q)), table)
 
 
 def _fits(cfg, cells, u) -> bool:
@@ -296,9 +311,11 @@ def _brute_translates(cfg, cells):
     if isinstance(cfg, DiagonalFamily):
         us = [(d, 0) for d in range(-SWEEP, SWEEP + 1)]
     elif isinstance(cfg, DoublyPeriodic):
-        m = abs(cfg._det)
-        us = [(x, y) for x in range(m) for y in range(m)]
-    else:  # defects lie in [-4, 4]^2 and windows in [-3, 10]^2; cells lie in [0, 4)^2
+        (p, zero), (_, q) = cfg.basis
+        if zero != 0 or p < 0 or q < 0:
+            p = q = abs(cfg._det)
+        us = [(x, y) for x in range(p) for y in range(q)]
+    else:  # defects lie in [-4, 4]^2 and windows in [-3, 10]^2; cells lie in [-5, 5)^2
         us = [(x, y) for x in range(-14, 15) for y in range(-14, 15)]
     return [u for u in us if _fits(cfg, cells, u)]
 
@@ -307,27 +324,52 @@ def _brute_language(cfg, cells):
     return {extract_pattern(cfg, cells, u) for u in _brute_translates(cfg, cells)}
 
 
-bodies = st.tuples(st.sampled_from(["diagonal", "periodic", "defect", "window"]),
+bodies = st.tuples(st.sampled_from(["diagonal", "periodic", "sheared", "defect", "window"]),
                    st.integers(0, 10**6))
-point_sets = st.one_of(
-    st.sampled_from([tuple(sorted(s.points)) for s in CONVEX]),
-    st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=16).map(
-        lambda pts: tuple(sorted(pts))),
-)
+point_sets = st.tuples(
+    st.one_of(
+        st.sampled_from([tuple(sorted(s.points)) for s in CONVEX] + GAPPED),
+        st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=16),
+    ),
+    st.tuples(st.integers(-5, 1), st.integers(-5, 1)),
+).map(lambda cells_at: tuple(sorted({(x + cells_at[1][0], y + cells_at[1][1])
+                                     for x, y in cells_at[0]})))
 
 
 class TestPeriodQuotient:
-    """Counting modulo period classes must agree with sweeps that read every cell."""
+    """Counting over row slices, band words and the torus must agree with sweeps
+    that read every cell."""
 
-    def test_cells_do_collapse(self, diagonal):
-        cells = tuple(sorted(block(3, 4).points))
-        assert _letter_keys(diagonal, cells, [(0, 0)])[1] is not None
-        periodic = random_doubly_periodic(random.Random(5))
-        four = tuple(sorted(block(4, 4).points))
-        assert _letter_keys(periodic, four, [(0, 0)])[1] is not None
-        assert _letter_keys(diagonal, tuple(sorted(HEXAGON.points)), [(0, 0)])[1] is not None
-        defect = random_finite_defect(random.Random(5), AB)
-        assert _letter_keys(defect, four, [(0, 0)])[1] is None
+    @settings(max_examples=80, deadline=None)
+    @given(bodies, point_sets, st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+                                        min_size=1, max_size=30))
+    def test_keys_on_any_translates(self, body, cells, us):
+        """Keys are in bijection with patterns, and the index respells them cell by cell."""
+        cfg = _body(*body)
+        us = [u for u in us if _fits(cfg, cells, u)]
+        keys, index = _letter_keys(cfg, cells, us)
+        brute = {extract_pattern(cfg, cells, u) for u in us}
+        assert len(keys) == len(brute)
+        assert {"".join(p.letters) for p in brute} == set(_in_cell_order(keys, index))
+
+    def test_band_runs_skip_gaps(self, diagonal):
+        """A gap in the x - y values of the cells is not read into the key."""
+        for cells in GAPPED + [((0, 0), (2, 0), (5, 0)), ((0, 0), (6, 0), (7, 0))]:
+            assert complexity(diagonal, cells).count == len(_brute_language(diagonal, cells))
+
+    def test_sheared_torus_and_rows(self):
+        """The basis (30, 0), (7, 20) rotates each row by 7 per 20 rows; rows with gaps split."""
+        cfg = _sheared(random.Random(3), 30, 20, 7)
+        assert cfg.translate_box(()) == (range(30), range(20))
+        for y in (-41, -20, -1, 0, 13, 20, 27, 45):
+            assert cfg.row(y, -35, 40) == "".join(cfg.letter_at((x, y)) for x in range(-35, 40))
+            assert cfg.row(y + 20, 7, 37) == cfg.row(y, 0, 30)
+        shapes = [block(6, 6), block(2, 3).translate((-5, -7)), HEXAGON]
+        for cells in [tuple(sorted(shape.points)) for shape in shapes] + GAPPED:
+            brute = {extract_pattern(cfg, cells, (x, y)) for x in range(30) for y in range(20)}
+            rep = complexity(cfg, cells)
+            assert rep.count == len(brute) and rep.translates_examined == 600
+            assert language(cfg, cells) == brute
 
     @settings(max_examples=120, deadline=None)
     @given(bodies, point_sets)

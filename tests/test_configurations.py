@@ -5,6 +5,7 @@ import pytest
 from nivatlab.complexity import complexity, directional_language
 from nivatlab.configurations import (
     Alphabet,
+    Configuration,
     DiagonalFamily,
     DoublyPeriodic,
     Exactness,
@@ -298,22 +299,75 @@ class TestPeriods:
                 )
                 assert cfg.is_period(h) == brute, (cfg.basis, h)
 
-    def test_period_class_contract(self, diagonal):
-        """Equal period classes imply that the difference is a certified period."""
+    def test_torus_contract(self):
+        """The torus holds exactly one point of each class modulo the basis lattice."""
         rng = random.Random(43)
-        bodies = [diagonal] + [random_doubly_periodic(rng) for _ in range(8)]
-        points = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
+        bodies = [random_doubly_periodic(rng) for _ in range(12)]
+        bodies.append(DoublyPeriodic(Alphabet(("a", "b")), ((30, 0), (7, 20)),
+                                     {(x, y): "ab"[(x * y + x) % 3 == 0]
+                                      for x in range(30) for y in range(20)}))
         for cfg in bodies:
-            merged = 0
-            for g in points:
-                for g2 in points:
-                    if g != g2 and cfg.period_class(g) == cfg.period_class(g2):
-                        merged += 1
-                        assert cfg.is_period((g[0] - g2[0], g[1] - g2[1])), (g, g2)
-            assert merged > 0
+            xs, ys = cfg.translate_box(block(2, 2))
+            assert xs.start == ys.start == 0 and xs.step == ys.step == 1
+            reduced = [cfg.reduce((x, y)) for x in xs for y in ys]
+            assert sorted(reduced) == list(cfg.fundamental_domain()), cfg.basis
+            assert cfg.reduce((len(xs), 0)) == (0, 0)  # (a, 0) is a lattice vector
+
+    def test_rows_match_letter_at(self, diagonal):
+        """row(y, lo, hi) and band(lo, hi) read the same letters as letter_at."""
+        rng = random.Random(47)
+        bodies = [random_doubly_periodic(rng) for _ in range(10)]
+        bodies.append(WindowSample(Alphabet(("a", "b")), (-4, 3), ["abbab", "bbaab", "aabab"]))
+        for cfg in bodies:
+            if isinstance(cfg, WindowSample):
+                spans = [(y, lo, hi) for y in range(3, 6) for lo in range(-4, 1)
+                         for hi in range(lo + 1, 2)]
+            else:
+                spans = [(rng.randint(-40, 40), lo, lo + rng.randint(0, 50))
+                         for lo in range(-30, 30, 7)]
+            for y, lo, hi in spans:
+                assert cfg.row(y, lo, hi) == "".join(cfg.letter_at((x, y)) for x in range(lo, hi))
+        for lo, hi in [(-5, 5), (-300, -200), (990, 1010), (-3000, 3000)]:
+            assert diagonal.band(lo, hi) == "".join(diagonal.letter_at((c, 0)) for c in range(lo, hi))
+
+    def test_periods_from_lattice_match_scan(self):
+        """periods_within lists the period lattice; it must equal testing every h in the box."""
+        rng = random.Random(53)
+        bodies = [random_doubly_periodic(rng) for _ in range(30)]
+        for p, q, shear, tile in [(60, 60, 0, 1), (40, 40, 0, 1), (20, 50, 0, 2), (30, 20, 7, 1),
+                                  (24, 36, 0, 6), (12, 8, 5, 3), (18, 4, 3, 6)]:
+            rows = ["a" * p]
+            while len(set("".join(rows))) < 2:  # each row repeats a random tile
+                rows = [("".join(rng.choice("ab") for _ in range(tile)) * p)[:p] for _ in range(q)]
+            bodies.append(DoublyPeriodic(Alphabet(("a", "b")), ((p, 0), (shear, q)),
+                                         {(x, y): rows[y][x] for x in range(p) for y in range(q)}))
+        found = 0
+        for cfg in bodies:
+            for bound in (5, 10, 60) if abs(cfg._det) >= 100 else (5, 10):
+                scan = Configuration.periods_within(cfg, bound)
+                assert cfg.periods_within(bound) == scan, (cfg.basis, bound)
+                found += len(scan)
+        assert found > 0
+
+    def test_window_period_matches_brute_force(self, ab):
+        rng = random.Random(59)
+        for _ in range(20):
+            rows = ["".join(rng.choice("ab") for _ in range(6)) for _ in range(5)]
+            rows[0] = "ab" + rows[0][2:]
+            cfg = WindowSample(ab, (rng.randint(-3, 3), rng.randint(-3, 3)), rows)
+            cells = [(x, y) for x in range(-10, 10) for y in range(-10, 10) if cfg._inside((x, y))]
+            for h in [(x, y) for x in range(-7, 8) for y in range(-6, 7)]:
+                pairs = [(g, (g[0] + h[0], g[1] + h[1])) for g in cells]
+                pairs = [(g, gh) for g, gh in pairs if cfg._inside(gh)]
+                brute = h != (0, 0) and bool(pairs) and all(
+                    cfg.letter_at(g) == cfg.letter_at(gh) for g, gh in pairs)
+                assert cfg.is_period(h) == brute, (rows, h)
 
     def test_uncertified_bodies_never_merge(self, ab, one_defect):
-        window = WindowSample(ab, (0, 0), ["ab" * 4] * 8)
-        for cfg in (window, one_defect):
-            assert all(cfg.period_class(g) == g for g in [(0, 0), (2, 0), (-3, 5)])
-
+        """Without certified periods no two translates are merged: a window's
+        box of translates is its whole domain, and a defect body has no box."""
+        window = WindowSample(ab, (-2, 1), ["ab" * 4] * 8)
+        for cells in [((0, 0),), ((0, 0), (2, 1)), tuple(sorted(block(3, 2).points))]:
+            xs, ys = window.translate_box(cells)
+            assert [(x, y) for x in xs for y in ys] == list(window.enumeration_domain(cells))
+        assert not hasattr(one_defect, "translate_box")
