@@ -18,12 +18,20 @@ back, read in slices rather than cell by cell:
   one factor of the band word per maximal run of the cells' x - y values.
 - Finite-defect domains, and directional translates (a line, not a box) on
   bodies other than the diagonal family, are read cell by cell.
+
+Languages are closed under restriction: for T inside a root shape S, the
+T-pattern at u is the restriction of the S-pattern at u.  So on an exact
+domain, S's keys determine T's language, and `_Projection` counts T as the
+number of distinct projections of S's keys onto T's positions in a key.  The
+structure searches count their subsets that way, and so does the table of a
+finite-defect body, which is read cell by cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from .configurations import (
@@ -32,6 +40,7 @@ from .configurations import (
     DoublyPeriodic,
     EnumerationDomain,
     Exactness,
+    FiniteDefect,
     Pattern,
     WindowSample,
     _range_steps,
@@ -127,6 +136,29 @@ def _domain_keys(
     return (*_letter_keys(config, cells, domain.translates), domain)
 
 
+class _Projection:
+    """The keys of a root point set over its domain, and the counts of its subsets.
+
+    A subset's count is the number of distinct projections of the root's keys
+    onto the subset's positions in a key.  It is the subset's complexity when
+    the root's domain is EXACT.  A lower-bound domain would miss the subset's
+    patterns at translates where the subset fits and the root does not.
+    """
+
+    def __init__(self, config: Configuration, cells: tuple[Point, ...]) -> None:
+        self.keys, index, domain = _domain_keys(config, cells)
+        self.exactness = domain.exactness
+        self._position = dict(zip(cells, index))
+        self._width = len(set(index))
+
+    def count(self, points: Iterable[Point]) -> int:
+        """The number of distinct patterns of the nonempty subset `points` of the root."""
+        positions = sorted({self._position[g] for g in points})
+        if len(positions) == self._width:
+            return len(self.keys)
+        return len(set(map(itemgetter(*positions), self.keys)))
+
+
 def _in_cell_order(keys: Iterable[str], index: tuple[int, ...]) -> Iterable[str]:
     """Keys respelled as the letters of every cell, in cell order."""
     return ("".join([k[i] for i in index]) for k in keys)
@@ -165,13 +197,26 @@ def language_report(
 def complexity_table(
     config: Configuration, n_max: int, k_max: int
 ) -> dict[tuple[int, int], ComplexityReport]:
-    """Complexity of every n-by-k block with 1 <= n <= n_max, 1 <= k <= k_max."""
+    """Complexity of every n-by-k block with 1 <= n <= n_max, 1 <= k <= k_max.
+
+    A finite-defect body reads each translate cell by cell, so its largest
+    block is read once and every block counts by projection from it.  Other
+    bodies read row slices or band words, where counting each block is faster.
+    """
     if n_max < 1 or k_max < 1:
         raise ValueError("table dimensions must be positive")
-    return {
-        (n, k): complexity(config, [(x, y) for x in range(n) for y in range(k)])
+    blocks = {
+        (n, k): tuple((x, y) for x in range(n) for y in range(k))
         for n in range(1, n_max + 1)
         for k in range(1, k_max + 1)
+    }
+    if not isinstance(config, FiniteDefect):
+        return {nk: complexity(config, cells) for nk, cells in blocks.items()}
+    root = _Projection(config, blocks[n_max, k_max])
+    return {
+        nk: ComplexityReport(cells, root.count(cells), root.exactness,
+                             len(config.enumeration_domain(cells)))
+        for nk, cells in blocks.items()
     }
 
 

@@ -13,6 +13,16 @@ changes no letter.  `Configuration.orbit_class(u, v)` labels that orbit, so
 `m_classes` builds the base language and the induced alphabet once per label
 and skips a translate whose label it has met.  Bodies without certified
 periods label each translate by itself and keep one language per translate.
+
+Each search counts convex subsets of one root shape: the start shape of the
+generating-set, mlc and balanced-set searches, or the radius box of the
+witness search.  Its `_Counter` reads the root's keys over the root's exact
+domain once and counts every subset as the number of distinct projections of
+those keys (`complexity._Projection`); languages are closed under
+restriction, so that is the subset's complexity.  The witness search keeps
+each candidate's hull vertices and tests the convexity of a grown candidate
+on them with Pick's theorem, building a `ConvexLatticeSet` only for the
+witness it returns.
 """
 
 from __future__ import annotations
@@ -22,8 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .complexity import complexity, directional_language, extension_counts
-from .configurations import Configuration, Exactness, Pattern, as_points
+from .complexity import _Projection, complexity, directional_language, extension_counts
+from .configurations import Configuration, Exactness, Pattern, WindowSample, as_points
 from .errors import (
     ConstructionError,
     GeometryError,
@@ -34,6 +44,8 @@ from .geometry import (
     ConvexLatticeSet,
     Line,
     Point,
+    _hull_lattice_count,
+    _hull_vertices,
     axes_of_symmetry,
     axis_intersection,
     is_quasi_regular,
@@ -45,11 +57,27 @@ from .geometry import (
 from .words import smallest_window_period, strip_word
 
 
-class _Counter:
-    """Complexity cache over frozen point sets; refuses inexact counts."""
+def _require_exact(exactness: Exactness) -> None:
+    if exactness is not Exactness.EXACT:
+        raise InexactDataError(
+            "this operation needs exact complexity; the representation "
+            "only certifies lower bounds"
+        )
 
-    def __init__(self, config: Configuration) -> None:
+
+class _Counter:
+    """Complexity cache over frozen point sets; refuses inexact counts.
+
+    Subsets of the root are counted by projection from the root's keys, read
+    on the first such count.  Other sets, and every set of a window sample,
+    are counted with `complexity`: a window's domain is a lower bound, so the
+    first count raises InexactDataError either way.
+    """
+
+    def __init__(self, config: Configuration, root: Iterable[Point]) -> None:
         self.config = config
+        self._root = frozenset() if isinstance(config, WindowSample) else frozenset(root)
+        self._projection: _Projection | None = None
         self._cache: dict[frozenset[Point], int] = {}
 
     def count(self, points: frozenset[Point]) -> int:
@@ -58,18 +86,27 @@ class _Counter:
         cached = self._cache.get(points)
         if cached is not None:
             return cached
-        rep = complexity(self.config, points)
-        if rep.exactness is not Exactness.EXACT:
-            raise InexactDataError(
-                "this operation needs exact complexity; the representation "
-                "only certifies lower bounds"
-            )
-        self._cache[points] = rep.count
-        return rep.count
+        if points <= self._root:
+            if self._projection is None:
+                self._projection = _Projection(self.config, as_points(self._root))
+            _require_exact(self._projection.exactness)
+            count = self._projection.count(points)
+        else:
+            rep = complexity(self.config, points)
+            _require_exact(rep.exactness)
+            count = rep.count
+        self._cache[points] = count
+        return count
 
 
 def _vertices_of(points: frozenset[Point]) -> tuple[Point, ...]:
-    return ConvexLatticeSet(points, _validated=True).vertices
+    return tuple(_hull_vertices(sorted(points)))
+
+
+def _is_convex(points: Iterable[Point]) -> bool:
+    """Whether the distinct points are all the lattice points of their hull (Pick's theorem)."""
+    pts = sorted(points)
+    return _hull_lattice_count(_hull_vertices(pts)) == len(pts)
 
 
 def is_generated(config: Configuration, shape: ConvexLatticeSet | Iterable[Point], g: Point) -> bool:
@@ -77,7 +114,7 @@ def is_generated(config: Configuration, shape: ConvexLatticeSet | Iterable[Point
     pts = frozenset(as_points(shape))
     if g not in pts:
         raise ValueError(f"{g} is not a point of the shape")
-    return _generated(_Counter(config), pts, g)
+    return _generated(_Counter(config, pts), pts, g)
 
 
 def _generated(counter: _Counter, pts: frozenset[Point], g: Point) -> bool:
@@ -216,9 +253,9 @@ def _minimal_generating_set(
     message: str,
 ) -> GeneratingSetResult:
     """The inclusion-minimal convex subset within the bound, its vertices certified."""
-    counter = _Counter(config)
-    bound = bound_of(len(config.alphabet))
     start = frozenset(shape.points)
+    counter = _Counter(config, start)
+    bound = bound_of(len(config.alphabet))
     _require_bound(counter, start, bound, label)
     minimal, examined = _minimal_qualifying(
         start, lambda s: counter.count(s) <= bound(len(s))
@@ -260,9 +297,9 @@ def find_directional_generating_set(
     line are generated, the complexity drop obeys the section-size bound, and
     S minus its supporting line is the shape cut by a half plane.
     """
-    counter = _Counter(config)
-    bound = _generating_bound(len(config.alphabet))
     start = frozenset(shape.points)
+    counter = _Counter(config, start)
+    bound = _generating_bound(len(config.alphabet))
     _require_bound(counter, start, bound, "|U|+|A|-2")
     stages = [start]
     while stages[-1]:
@@ -281,9 +318,7 @@ def find_directional_generating_set(
     for length in range(1, len(top) + 1):
         for start_idx in range(0, len(top) - length + 1):
             cand = s_next | set(top[start_idx : start_idx + length])
-            try:
-                ConvexLatticeSet(cand)
-            except GeometryError:
+            if not _is_convex(cand):
                 continue
             examined += 1
             if counter.count(frozenset(cand)) <= bound(len(cand)):
@@ -364,8 +399,8 @@ def audit_mlc_inequality(config: Configuration, result: GeneratingSetResult) -> 
     For a subset obtained by removing R, the complexity drop must be at most
     ceil(|R|/2) - 1; maximal proper convex subsets are single vertex removals.
     """
-    counter = _Counter(config)
     pts = frozenset(result.set.points)
+    counter = _Counter(config, pts)
     total = counter.count(pts)
     audits = []
     for g in sorted(result.set.vertices):
@@ -385,8 +420,8 @@ def remark_i_instance(
     None when the whole set lies on its supporting line; the inequality is
     only stated for a nonempty remainder.
     """
-    counter = _Counter(config)
     pts = frozenset(result.set.points)
+    counter = _Counter(config, pts)
     section = line_section(pts, supporting_line(result.set, line))
     rest = pts - section
     if not rest:
@@ -528,13 +563,15 @@ def m_classes(
     support = supporting_line(shape, line)
     section = line_section(shape, support)
     base_cells = tuple(sorted(shape.points - section))
-    counter = _Counter(config)
-    diff = counter.count(frozenset(shape.points)) - counter.count(frozenset(base_cells))
+    # The increment P(shape) - P(base) is the table's excess, which
+    # extension_counts has checked against its own count of the base.
     if base_cells:
         table = extension_counts(config, shape, line)
-        n_of = {g: len(v) for g, v in table.extensions.items()}
+        exactness, diff, n_of = table.exactness, table.excess(), table.counts()
     else:
-        n_of = {Pattern(()): counter.count(frozenset(shape.points))}
+        rep = complexity(config, shape)
+        exactness, diff, n_of = rep.exactness, rep.count - 1, {Pattern(()): rep.count}
+    _require_exact(exactness)
     isets = directional_point_sets(shape, line, p)
     v = line.minimal_vector()
     orbits: set = set()
@@ -674,7 +711,7 @@ def construct_balanced_set(
             f"balanced-set construction needs a quasi-regular shape; edge "
             f"{report.violating_edge} has no matching antiparallel edge"
         )
-    counter = _Counter(config)
+    counter = _Counter(config, shape.points)
     a = len(config.alphabet)
     _require_bound(counter, frozenset(shape.points), _mlc_bound(a), "|U|/2+|A|-1")
 
@@ -831,7 +868,8 @@ def verify_strip_lemma(
         raise ValueError("p must be nonnegative")
     try:
         gen_section = line_section(shape, supporting_line(shape, line))
-        counter, pts = _Counter(config), frozenset(shape.points)
+        pts = frozenset(shape.points)
+        counter = _Counter(config, pts)
         for g in sorted(gen_section):
             if g in shape.vertices and not _generated(counter, pts, g):
                 raise HypothesisNotMet(
@@ -908,14 +946,17 @@ def expansive_witness(config: Configuration, line: Line, radius: int) -> Witness
     if radius == 0:
         return WitnessReport(False, None, None, 0, 0)
     box = sorted((x, y) for x in range(-radius, radius + 1) for y in range(-radius, radius + 1))
-    counter = _Counter(config)
+    above = {g: box[i + 1:] for i, g in enumerate(box)}
+    counter = _Counter(config, box)
     examined = 0
     # The lexicographic maximum of a convex lattice set is a hull vertex, so
     # growing sets only by points above their maximum enumerates every convex
-    # subset exactly once, in size order.
-    level: list[tuple[Point, ...]] = [(g,) for g in box]
+    # subset exactly once, in size order.  A level holds (cells, hull
+    # vertices) pairs: C + g is convex exactly when the hull of C's vertices
+    # and g holds |C| + 1 lattice points.
+    level: list[tuple[tuple[Point, ...], tuple[Point, ...]]] = [((g,), (g,)) for g in box]
     while level:
-        for cells in level:
+        for cells, _ in level:
             if len(cells) < 2:
                 continue
             examined += 1
@@ -929,15 +970,10 @@ def expansive_witness(config: Configuration, line: Line, radius: int) -> Witness
                         True, ConvexLatticeSet(s, _validated=True), g0, examined, radius
                     )
         next_level = []
-        for cells in level:
-            top = cells[-1]
-            for g in box:
-                if g <= top:
-                    continue
-                try:
-                    ConvexLatticeSet(cells + (g,))
-                except GeometryError:
-                    continue
-                next_level.append(cells + (g,))
+        for cells, verts in level:
+            for g in above[cells[-1]]:
+                hull = _hull_vertices(sorted((*verts, g)))
+                if _hull_lattice_count(hull) == len(cells) + 1:
+                    next_level.append((cells + (g,), tuple(hull)))
         level = sorted(next_level)
     return WitnessReport(False, None, None, examined, radius)

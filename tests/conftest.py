@@ -136,9 +136,53 @@ def naive_complexity(config, cells, box: int) -> int:
     return len(seen)
 
 
+def sheared_doubly_periodic(rng: random.Random, p: int, q: int, shear: int) -> DoublyPeriodic:
+    """A random body with basis (p, 0), (shear, q); the box [0, p) x [0, q) is a residue system."""
+    letters = [rng.choice("ab") for _ in range(p * q - 2)] + ["a", "b"]
+    rng.shuffle(letters)
+    table = {(x, y): letters[x * q + y] for x in range(p) for y in range(q)}
+    return DoublyPeriodic(Alphabet(("a", "b")), ((p, 0), (shear, q)), table)
+
+
 def random_finite_defect(rng: random.Random, ab: Alphabet) -> FiniteDefect:
     count = rng.randint(1, 5)
     defects = {}
     while len(defects) < count:
         defects[(rng.randint(-4, 4), rng.randint(-4, 4))] = "b"
     return FiniteDefect(ab, "a", defects)
+
+
+def _turn(o, a, b) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _on_segment(q, a, b) -> bool:
+    return (_turn(a, b, q) == 0 and min(a[0], b[0]) <= q[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= q[1] <= max(a[1], b[1]))
+
+
+def _in_triangle(q, a, b, c) -> bool:
+    turns = (_turn(a, b, q), _turn(b, c, q), _turn(c, a, q))
+    return _turn(a, b, c) != 0 and (min(turns) >= 0 or max(turns) <= 0)
+
+
+def convex_subsets_of_box(radius: int) -> list[frozenset]:
+    """Every nonempty convex subset of the box [-radius, radius]^2, from all of its subsets.
+
+    C is convex when no other point of the box lies in conv(C); no point
+    outside the box can, since the box is convex.  By Caratheodory a point
+    lies in conv(C) exactly when it lies in a triangle or a segment of points
+    of C.  Integer cross products decide that; no library geometry is used.
+    """
+    box = [(x, y) for x in range(-radius, radius + 1) for y in range(-radius, radius + 1)]
+    out = []
+    for mask in range(1, 1 << len(box)):
+        cells = [g for i, g in enumerate(box) if mask >> i & 1]
+        inside = set(cells)
+        if not any(
+            any(_on_segment(q, a, b) for a, b in itertools.combinations(cells, 2))
+            or any(_in_triangle(q, *t) for t in itertools.combinations(cells, 3))
+            for q in box if q not in inside
+        ):
+            out.append(frozenset(cells))
+    return out

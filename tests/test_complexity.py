@@ -35,6 +35,7 @@ from conftest import (
     naive_complexity,
     random_doubly_periodic,
     random_finite_defect,
+    sheared_doubly_periodic,
 )
 
 
@@ -120,6 +121,21 @@ class TestTable:
         for (n, k), rep in table.items():
             if n + k <= 7:
                 assert rep.count == n + k
+
+    @pytest.mark.parametrize("count, letters", [(1, "ab"), (10, "ab"), (30, "abc")])
+    def test_defect_table_projects_from_the_largest_block(self, count, letters):
+        # Defects in [6, 14]^2: the brute-force box [0, 24)^2 holds every
+        # translate that meets one and translates that meet none.
+        rng = random.Random(count)
+        defects = {}
+        while len(defects) < count:
+            defects[rng.randint(6, 14), rng.randint(6, 14)] = rng.choice(letters[1:])
+        cfg = FiniteDefect(Alphabet(tuple(letters)), "a", defects)
+        table = complexity_table(cfg, 4, 5)
+        for (n, k), rep in table.items():
+            cells = tuple((x, y) for x in range(n) for y in range(k))
+            assert rep == complexity(cfg, cells)
+            assert rep.count == naive_complexity(cfg, cells, 24)
 
     def test_csv_shape(self, checkerboard):
         text = table_to_csv(complexity_table(checkerboard, 2, 2))
@@ -284,20 +300,13 @@ def _body(kind: str, seed: int):
         return random_doubly_periodic(rng)
     if kind == "sheared":  # basis (p, 0), (s, q): the box [0, p) x [0, q) is a residue system
         p, q, shear = rng.randint(2, 12), rng.randint(1, 6), rng.randint(-15, 15)
-        return _sheared(rng, p, q, shear)
+        return sheared_doubly_periodic(rng, p, q, shear)
     if kind == "defect":
         return random_finite_defect(rng, AB)
     while True:
         rows = ["".join(rng.choice("ab") for _ in range(rng.randint(5, 7))) for _ in range(6)]
         if len(set(map(len, rows))) == 1 and set("".join(rows)) == {"a", "b"}:
             return WindowSample(AB, (rng.randint(-3, 3), rng.randint(-3, 3)), rows)
-
-
-def _sheared(rng, p: int, q: int, shear: int) -> DoublyPeriodic:
-    letters = [rng.choice("ab") for _ in range(p * q - 2)] + ["a", "b"]
-    rng.shuffle(letters)
-    table = {(x, y): letters[x * q + y] for x in range(p) for y in range(q)}
-    return DoublyPeriodic(AB, ((p, 0), (shear, q)), table)
 
 
 def _fits(cfg, cells, u) -> bool:
@@ -359,7 +368,7 @@ class TestPeriodQuotient:
 
     def test_sheared_torus_and_rows(self):
         """The basis (30, 0), (7, 20) rotates each row by 7 per 20 rows; rows with gaps split."""
-        cfg = _sheared(random.Random(3), 30, 20, 7)
+        cfg = sheared_doubly_periodic(random.Random(3), 30, 20, 7)
         assert cfg.translate_box(()) == (range(30), range(20))
         for y in (-41, -20, -1, 0, 13, 20, 27, 45):
             assert cfg.row(y, -35, 40) == "".join(cfg.letter_at((x, y)) for x in range(-35, 40))

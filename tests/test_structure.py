@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from nivatlab.configurations import (
     Configuration,
     DiagonalFamily,
     DoublyPeriodic,
+    FiniteDefect,
     Pattern,
     WindowSample,
 )
@@ -47,9 +49,13 @@ from conftest import (
     DIAGONAL,
     HORIZONTAL,
     VERTICAL,
+    convex_subsets_of_box,
     random_doubly_periodic,
     random_finite_defect,
+    sheared_doubly_periodic,
 )
+
+complexity_module = importlib.import_module("nivatlab.complexity")  # the package binds the function
 
 
 @pytest.fixture(scope="module")
@@ -524,17 +530,110 @@ class TestOrbitSharing:
         assert len(calls) <= 2
 
     def test_strip_lemma_counts_the_shape_once(self, diagonal, monkeypatch):
-        # The two supporting vertices share one counter: the shape and the
-        # shape minus each vertex are three counts, not four.  (7, 0) is not
-        # generated, so the harness stops there.
-        shapes = []
-        real = structure.complexity
+        # The two supporting vertices share one counter: the shape is read
+        # once, and the shape and the shape minus each vertex are three
+        # counts, not four.  (7, 0) is not generated, so the harness stops there.
+        scans, counted = [], []
+        real_keys, real_count = complexity_module._domain_keys, complexity_module._Projection.count
 
-        def counted(config, shape):
-            shapes.append(frozenset(shape))
-            return real(config, shape)
+        def scanned(config, cells):
+            scans.append(cells)
+            return real_keys(config, cells)
 
-        monkeypatch.setattr(structure, "complexity", counted)
+        def projected(self, points):
+            counted.append(frozenset(points))
+            return real_count(self, points)
+
+        monkeypatch.setattr(complexity_module, "_domain_keys", scanned)
+        monkeypatch.setattr(complexity_module._Projection, "count", projected)
         with pytest.raises(HypothesisNotMet, match=r"vertex \(7, 0\) is not generated"):
             verify_strip_lemma(diagonal, block(8, 8), HORIZONTAL, 1, window=12)
-        assert len(shapes) == 3 == len(set(shapes))
+        assert scans == [tuple(sorted(block(8, 8).points))]
+        assert len(counted) == 3 == len(set(counted))
+
+
+# -- counts projected from a root shape's language -------------------------------------
+
+# Roots inside [-5, 4]^2, several at negative coordinates.
+PROJECTION_ROOTS = [block(4, 4), block(3, 5).translate((-4, -2)), block(1, 4),
+                    convex_hull([(0, 0), (4, 1), (1, 4)]).translate((-3, -3)),
+                    convex_hull([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)]).translate((-2, -3)),
+                    convex_hull([(-5, -5), (-2, -4)])]
+
+
+def _projection_body(kind: str, seed: int) -> Configuration:
+    rng = random.Random(seed)
+    if kind == "diagonal":
+        return DiagonalFamily(*rng.sample("bw", 2))
+    if kind == "periodic":
+        return random_doubly_periodic(rng)
+    if kind == "sheared":
+        return sheared_doubly_periodic(rng, rng.randint(2, 12), rng.randint(1, 6), rng.randint(-15, 15))
+    return random_finite_defect(rng, AB)
+
+
+class TestProjectedCounts:
+    """A subset of the root counted from the root's keys must equal its complexity."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.tuples(st.sampled_from(["diagonal", "periodic", "sheared", "defect"]),
+                     st.integers(0, 10**6)),
+           st.sampled_from(PROJECTION_ROOTS), st.data())
+    def test_subset_counts_match_complexity(self, body, root, data):
+        cfg = _projection_body(*body)
+        cells = sorted(root.points)
+        # Random subsets: most are gapped, and the root itself is drawn too.
+        subsets = data.draw(st.lists(st.sets(st.sampled_from(cells), min_size=1), min_size=1, max_size=6))
+        counter = structure._Counter(cfg, root.points)
+        for subset in subsets + [cells]:
+            assert counter.count(frozenset(subset)) == complexity(cfg, subset).count
+        assert counter._projection is not None  # every count above was projected
+
+    def test_window_root_raises_on_its_first_count(self):
+        w = WindowSample(AB, (-2, -1), ["abbab", "babba", "abaab", "bbaba", "aabab"])
+        counter = structure._Counter(w, block(3, 3).points)
+        with pytest.raises(InexactDataError):
+            counter.count(frozenset([(0, 0), (1, 0)]))
+        assert counter._projection is None  # a window sample is never projected
+
+
+# -- the witness enumeration against brute force -------------------------------------------
+
+THREE_DEFECTS = FiniteDefect(AB, "a", {(0, 0): "b", (3, 1): "b", (-2, 4): "b"})
+
+
+class TestWitnessEnumeration:
+    # Line(1, 3) and Line(3, 1) take distinct values on the radius-1 box, so
+    # every examined set has a single lowest point and is counted.
+    @pytest.mark.parametrize("body, line", [
+        (DiagonalFamily(), DIAGONAL),
+        (THREE_DEFECTS, Line(1, 3, 0)),
+        (FiniteDefect(AB, "a", {(0, 0): "b"}), Line(3, 1, 0)),
+    ])
+    def test_examines_every_convex_subset_once(self, body, line, monkeypatch):
+        calls = []
+        real = structure._Counter.count
+
+        def recording(self, points):
+            calls.append(points)
+            return real(self, points)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a ConvexLatticeSet was built for a rejected candidate")
+
+        monkeypatch.setattr(structure._Counter, "count", recording)
+        monkeypatch.setattr(structure, "ConvexLatticeSet", refused)
+        rep = expansive_witness(body, line, 1)
+        convex = [c for c in convex_subsets_of_box(1) if len(c) >= 2]
+        assert not rep.found and rep.sets_examined == len(convex) == 204
+        # Each test counts the examined set, then the set minus its lowest point.
+        examined = calls[0::2]
+        assert len(examined) == len(set(examined))
+        single_low = [c for c in convex
+                      if [line.value(g) for g in c].count(min(line.value(g) for g in c)) == 1]
+        assert set(examined) == set(single_low)
+
+    def test_radius_two_on_three_defects(self):
+        rep = expansive_witness(THREE_DEFECTS, HORIZONTAL, 2)
+        assert not rep.found and rep.witness is None and rep.point is None
+        assert rep.sets_examined == 33341
