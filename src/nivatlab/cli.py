@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .complexity import complexity, complexity_table, language, table_to_csv
@@ -418,7 +419,9 @@ def cmd_example_suite(args) -> int:
     return EXIT_OK if result.passed else EXIT_ERROR
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: it keeps no state between parses."""
     parser = argparse.ArgumentParser(
         prog="nivatlab",
         description="Exact pattern complexity and periodicity analysis on Z^2.",
@@ -490,8 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ConstructionError, SoundnessError) as exc:
@@ -500,10 +502,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except HypothesisNotMet as exc:
         emit(args, f"no claim: {exc}", {"status": "no_claim", "reason": str(exc)})
         return EXIT_OK
-    except NivatlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError) as exc:
+    except (NivatlabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -43,7 +43,6 @@ from .configurations import (
     FiniteDefect,
     Pattern,
     WindowSample,
-    _range_steps,
     as_points,
 )
 from .errors import GeometryError, SoundnessError
@@ -247,20 +246,14 @@ def directional_language(
     shape: ConvexLatticeSet | Iterable[Point],
     line: Line,
     base: Point = (0, 0),
-    trange: tuple[str, int] = ("all", 0),
 ) -> DirectionalLanguage:
-    """The patterns of shape+base+t*v for t in the requested range.
-
-    trange is ('all', 0), ('forward', a) meaning t >= a along +v, or
-    ('backward', a) meaning t >= a along -v.
-    """
+    """The patterns of shape+base+t*v over every integer t, where v is the line's minimal vector."""
     cells = as_points(shape)
     if not cells:
         return DirectionalLanguage(frozenset([Pattern(())]), Exactness.EXACT)
     v = line.minimal_vector()
-    domain = config.directional_translates(cells, base, v, trange)
-    step, _ = _range_steps(trange, v)
-    translates = [(base[0] + t * step[0], base[1] + t * step[1]) for t in domain.translates]
+    domain = config.directional_translates(cells, base, v)
+    translates = [(base[0] + t * v[0], base[1] + t * v[1]) for t in domain.translates]
     keys, index = _letter_keys(config, cells, translates)
     patterns = frozenset(_patterns(cells, _in_cell_order(keys, index)))
     return DirectionalLanguage(patterns, domain.exactness)
@@ -277,9 +270,6 @@ class ExtensionTable:
     base: tuple[Point, ...]
     extensions: dict[Pattern, tuple[Pattern, ...]]
     exactness: Exactness
-
-    def count(self, base_pattern: Pattern) -> int:
-        return len(self.extensions[base_pattern])
 
     def counts(self) -> dict[Pattern, int]:
         return {g: len(v) for g, v in self.extensions.items()}

@@ -131,9 +131,9 @@ class Configuration:
 
         Contract: orbit_class(u, v) == orbit_class(u2, v) implies u2 - u is
         s*v plus a certified period (or zero) for some integer s, so the
-        'all'-range directional language along v at base u equals the one at
-        base u2: sliding by s*v only reindexes the steps, and the period does
-        not change a letter.  The base class labels each translate by itself,
+        directional language along v at base u equals the one at base u2:
+        sliding by s*v only reindexes the steps, and the period does not
+        change a letter.  The base class labels each translate by itself,
         which never merges two; bodies whose periods are not certified, or
         whose directional domains are not exact, must keep it.
         """
@@ -152,31 +152,14 @@ class Configuration:
         """True when the representation proves there is no period at all."""
         return False
 
-    def directional_translates(
-        self, shape: Iterable[Point], base: Point, v: Point, trange: tuple[str, int]
-    ) -> EnumerationDomain:
-        """Translate steps t such that patterns of shape+base+t*v realize the directional language.
-
-        trange is ('all', 0), ('forward', a) for t >= a along +v, or
-        ('backward', a) for t >= a along -v.
-        """
+    def directional_translates(self, shape: Iterable[Point], base: Point, v: Point) -> EnumerationDomain:
+        """Steps t such that the patterns of shape+base+t*v realize those over every integer t."""
         raise NotImplementedError
 
 
 def extract_pattern(config: Configuration, shape: ConvexLatticeSet | Iterable[Point], u: Point) -> Pattern:
     """The pattern of the configuration on shape translated by u."""
     return Pattern.from_cells({g: config.letter_at(padd(g, u)) for g in as_points(shape)})
-
-
-def _range_steps(trange: tuple[str, int], v: Point) -> tuple[Point, int]:
-    kind, a = trange
-    if kind == "all":
-        return v, 0
-    if kind == "forward":
-        return v, a
-    if kind == "backward":
-        return (-v[0], -v[1]), a
-    raise ValueError(f"bad range {trange!r}")
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -339,14 +322,8 @@ class DoublyPeriodic(Configuration):
         a, _, d = self._orbit_basis(v)
         return abs(self._det) // (a * d)
 
-    def directional_translates(self, shape, base, v, trange) -> EnumerationDomain:
-        step, a = _range_steps(trange, v)
-        s = self.directional_period(step)
-        return EnumerationDomain([a + i for i in range(s)], Exactness.EXACT)
-
-    def shifted(self, v: Point) -> "DoublyPeriodic":
-        table = {r: self.letter_at(padd(r, v)) for r in self._table}
-        return DoublyPeriodic(self.alphabet, self.basis, table)
+    def directional_translates(self, shape, base, v) -> EnumerationDomain:
+        return EnumerationDomain(range(self.directional_period(v)), Exactness.EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -393,25 +370,17 @@ class FiniteDefect(Configuration):
         """The cross product of v and u: with v primitive it is equal exactly on u + Zv."""
         return v[0] * u[1] - v[1] * u[0]
 
-    def directional_translates(self, shape, base, v, trange) -> EnumerationDomain:
-        step, a = _range_steps(trange, v)
+    def directional_translates(self, shape, base, v) -> EnumerationDomain:
         pts = as_points(shape)
-        norm = step[0] * step[0] + step[1] * step[1]
+        norm = v[0] * v[0] + v[1] * v[1]
         hits: set[int] = set()
         for d in self.defects:
             for s in pts:
                 delta = psub(d, padd(s, base))
-                if delta[0] * step[1] == delta[1] * step[0]:  # delta = t*step: step is primitive
-                    hits.add((delta[0] * step[0] + delta[1] * step[1]) // norm)
-        if trange[0] != "all":
-            hits = {t for t in hits if t >= a}
-        far = max(hits, default=a) + 1
+                if delta[0] * v[1] == delta[1] * v[0]:  # delta = t*v: v is primitive
+                    hits.add((delta[0] * v[0] + delta[1] * v[1]) // norm)
+        far = max(hits, default=0) + 1
         return EnumerationDomain(sorted(hits) + [far], Exactness.EXACT)
-
-    def shifted(self, v: Point) -> "FiniteDefect":
-        return FiniteDefect(
-            self.alphabet, self.background, {psub(d, v): a for d, a in self.defects.items()}
-        )
 
 
 def _clear_y(p: Point, g: Point) -> tuple[Point, Point]:
@@ -525,12 +494,11 @@ class DiagonalFamily(Configuration):
             [(d, 0) for d in range(-m - lo, m - lo + 1)], Exactness.EXACT
         )
 
-    def directional_translates(self, shape, base, v, trange) -> EnumerationDomain:
-        step, a = _range_steps(trange, v)
-        k = step[0] - step[1]
+    def directional_translates(self, shape, base, v) -> EnumerationDomain:
+        k = v[0] - v[1]
         if k == 0:
             # Sliding along the period direction never changes the pattern.
-            return EnumerationDomain([a], Exactness.EXACT)
+            return EnumerationDomain([0], Exactness.EXACT)
         pts = as_points(shape)
         lo, hi = self._delta_span(pts)
         width = hi - lo
@@ -541,21 +509,8 @@ class DiagonalFamily(Configuration):
         c0 = max(6, width)
         period_c = 2 * abs(k) + 2
         m = _sigma(c0 + period_c) + width + 1
-        if trange[0] == "all":
-            bounds = sorted((_ceil_div(-m - start, k), (m - start) // k))
-            ts = list(range(bounds[0] - 1, bounds[1] + 2))
-        else:
-            start_a = start + a * k
-            c1 = 6
-            while _sigma(c1) <= abs(start_a) + width + 1:
-                c1 += 1
-            reach = max(m, _sigma(c1 + period_c) + width + 1)
-            if k > 0:
-                steps = _ceil_div(reach - start_a, k)
-            else:
-                steps = _ceil_div(reach + start_a, -k)
-            ts = list(range(a, a + max(steps, 0) + 2))
-        return EnumerationDomain(ts, Exactness.EXACT)
+        bounds = sorted((_ceil_div(-m - start, k), (m - start) // k))
+        return EnumerationDomain(range(bounds[0] - 1, bounds[1] + 2), Exactness.EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -626,11 +581,10 @@ class WindowSample(Configuration):
             )
         return EnumerationDomain(us, Exactness.LOWER_BOUND)
 
-    def directional_translates(self, shape, base, v, trange) -> EnumerationDomain:
-        """The steps t in the range that keep shape + base + t*step inside the window."""
-        step, a = _range_steps(trange, v)
-        lows, highs = ([] if trange[0] == "all" else [a]), []
-        for r, b, s in zip(self.translate_box(shape), base, step):
+    def directional_translates(self, shape, base, v) -> EnumerationDomain:
+        """The steps t that keep shape + base + t*v inside the window."""
+        lows, highs = [], []
+        for r, b, s in zip(self.translate_box(shape), base, v):
             if not r or not (s or b in r):
                 return EnumerationDomain([], Exactness.LOWER_BOUND)
             if s:

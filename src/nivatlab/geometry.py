@@ -93,42 +93,9 @@ class Line:
     def reverse(self) -> "Line":
         return Line(-self.dx, -self.dy, -self.c)
 
-    def adjacent(self, sense: str) -> "Line":
-        """The parallel lattice line one step away.
-
-        ``outward`` gives the line whose half plane is minimal strictly
-        containing this one's; ``inward`` the maximal strictly contained one.
-        """
-        if sense == "outward":
-            return Line(self.dx, self.dy, self.c - 1)
-        if sense == "inward":
-            return Line(self.dx, self.dy, self.c + 1)
-        raise ValueError(f"sense must be 'outward' or 'inward', got {sense!r}")
-
     def minimal_vector(self) -> Point:
         """The shortest nonzero lattice vector parallel to the line, oriented with it."""
         return (self.dx, self.dy)
-
-    def lattice_point(self) -> Point:
-        """Some lattice point on the line, via the extended Euclidean algorithm."""
-        # dx*y - dy*x = c with gcd(dx, dy) = 1: Bezout gives u*dx + v*dy = 1.
-        u, v = _bezout(self.dx, self.dy)
-        return (-v * self.c, u * self.c)
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    assert old_r in (1, -1)
-    if old_r == -1:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
 
 
 class Edge(NamedTuple):
@@ -160,7 +127,7 @@ class ConvexLatticeSet:
             raise GeometryError("a convex lattice set must be nonempty")
         verts = _hull_vertices(sorted(pts))
         if not _validated and _hull_lattice_count(verts) != len(pts):
-            missing = sorted(_hull_lattice_points(verts) - pts)[:4]
+            missing = sorted(_hull_points(verts) - pts)[:4]
             raise GeometryError(
                 f"point set is not convex: hull contains extra lattice points {missing}"
             )
@@ -217,7 +184,7 @@ def convex_hull(points: Iterable[Point]) -> ConvexLatticeSet:
     if not pts:
         raise GeometryError("convex_hull of an empty point set")
     verts = _hull_vertices(sorted(set(pts)))
-    return ConvexLatticeSet(_hull_lattice_points(verts), _validated=True)
+    return ConvexLatticeSet(_hull_points(verts), _validated=True)
 
 
 def block(n: int, k: int) -> ConvexLatticeSet:
@@ -267,7 +234,8 @@ def _hull_lattice_count(verts: Sequence[Point]) -> int:
     return (_twice_area(verts) + boundary) // 2 + 1
 
 
-def _hull_lattice_points(verts: Sequence[Point]) -> frozenset[Point]:
+def _hull_points(verts: Sequence[Point]) -> frozenset[Point]:
+    """Every lattice point of the hull of the vertices."""
     if len(verts) == 1:
         return frozenset(verts)
     if len(verts) == 2:
@@ -292,14 +260,17 @@ def _hull_lattice_points(verts: Sequence[Point]) -> frozenset[Point]:
 
 
 def is_vertex(s: ConvexLatticeSet, g: Point) -> bool:
-    """Whether removing g leaves a convex set (the defining property of a vertex)."""
+    """Whether removing g leaves a convex set (the defining property of a vertex).
+
+    The rest is convex when its hull holds no other lattice point: Pick's
+    count of the hull equals the size of the rest.
+    """
     if g not in s.points:
         raise GeometryError(f"{g} is not a point of the set")
     rest = s.points - {g}
     if not rest:
         return True
-    verts = _hull_vertices(sorted(rest))
-    return _hull_lattice_points(verts) == rest
+    return _hull_lattice_count(_hull_vertices(sorted(rest))) == len(rest)
 
 
 # -- quasi-regularity -------------------------------------------------------

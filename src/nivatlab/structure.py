@@ -50,8 +50,6 @@ from .geometry import (
     axis_intersection,
     is_quasi_regular,
     line_section,
-    padd,
-    pscale,
     supporting_line,
 )
 from .words import smallest_window_period, strip_word
@@ -66,35 +64,33 @@ def _require_exact(exactness: Exactness) -> None:
 
 
 class _Counter:
-    """Complexity cache over frozen point sets; refuses inexact counts.
+    """Complexity cache over subsets of one root point set; refuses inexact counts.
 
-    Subsets of the root are counted by projection from the root's keys, read
-    on the first such count.  Other sets, and every set of a window sample,
-    are counted with `complexity`: a window's domain is a lower bound, so the
-    first count raises InexactDataError either way.
+    Every subset is counted by projection from the root's keys, read on the
+    first count.  A window sample's domain is a lower bound, so its first
+    count raises InexactDataError from the subset's domain alone, before any
+    key is read (or UnknownLetterError when the subset fits nowhere).
     """
 
     def __init__(self, config: Configuration, root: Iterable[Point]) -> None:
         self.config = config
-        self._root = frozenset() if isinstance(config, WindowSample) else frozenset(root)
+        self._root = as_points(root)
         self._projection: _Projection | None = None
         self._cache: dict[frozenset[Point], int] = {}
 
     def count(self, points: frozenset[Point]) -> int:
+        """The complexity of `points`, a subset of the root."""
         if not points:
             return 1  # the unique empty pattern
         cached = self._cache.get(points)
         if cached is not None:
             return cached
-        if points <= self._root:
-            if self._projection is None:
-                self._projection = _Projection(self.config, as_points(self._root))
-            _require_exact(self._projection.exactness)
-            count = self._projection.count(points)
-        else:
-            rep = complexity(self.config, points)
-            _require_exact(rep.exactness)
-            count = rep.count
+        if self._projection is None:
+            if isinstance(self.config, WindowSample):
+                _require_exact(self.config.enumeration_domain(points).exactness)
+            self._projection = _Projection(self.config, self._root)
+        _require_exact(self._projection.exactness)
+        count = self._projection.count(points)
         self._cache[points] = count
         return count
 
@@ -453,7 +449,7 @@ def lemma_thickness_audit(
     return MlcAudit(True, "checked", size, size >= 3)
 
 
-# -- directional point sets and strips -----------------------------------------
+# -- directional point sets ---------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -466,24 +462,6 @@ class DirectionalPointSets:
     finals: tuple[Point, ...]
     qualifying_lines: tuple[tuple[int, int], ...]  # (offset c, section size)
 
-    def half_strip(self, a: int, sign: str, t_hi: int) -> frozenset[Point]:
-        """F^+(a) or F^-(a) truncated to steps a..t_hi."""
-        v = self.line.minimal_vector()
-        if sign == "+":
-            cells, step = self.initials, v
-        elif sign == "-":
-            cells, step = self.finals, (-v[0], -v[1])
-        else:
-            raise ValueError("sign must be '+' or '-'")
-        return frozenset(
-            padd(g, pscale(t, step)) for t in range(a, t_hi + 1) for g in cells
-        )
-
-    def strip(self, t_lo: int, t_hi: int) -> frozenset[Point]:
-        v = self.line.minimal_vector()
-        return frozenset(
-            padd(g, pscale(t, v)) for t in range(t_lo, t_hi + 1) for g in self.initials
-        )
 
 
 def directional_point_sets(shape: ConvexLatticeSet, line: Line, p: int) -> DirectionalPointSets:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import nivatlab
-from nivatlab.cli import cli_main
+from nivatlab.cli import build_parser, cli_main
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,31 @@ def run(capsys, *argv):
     code = cli_main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_separately(*argv):
+    """The CLI in a fresh interpreter: exit code, stdout and stderr."""
+    src = os.path.dirname(os.path.dirname(nivatlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nivatlab.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_in_process_calls_match_separate_runs(self, configs, capsys):
+        # The second call drops --json and switches subcommand: nothing of the
+        # first parse may carry over into it through the shared parser.
+        argvs = [
+            ["--json", "complexity", "--config", configs["diag"], "--shape", "rect:3,2", "--dump"],
+            ["periods", "--config", configs["checker"], "--bound", "2"],
+        ]
+        in_process = [run(capsys, *argv) for argv in argvs]
+        assert in_process == [run_separately(*argv) for argv in argvs]
 
 
 class TestNivatCommand:
@@ -242,16 +267,11 @@ class TestShapesAndErrors:
     def test_malformed_field_diagnostic(self, tmp_path, spec, field):
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(spec))
-        src = os.path.dirname(os.path.dirname(nivatlab.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-m", "nivatlab.cli", "complexity", "--config", str(path),
-             "--shape", "rect:1,1"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-        )
-        lines = proc.stderr.splitlines()
-        assert proc.returncode == 1 and proc.stdout == ""
+        code, out, err = run_separately("complexity", "--config", str(path), "--shape", "rect:1,1")
+        lines = err.splitlines()
+        assert code == 1 and out == ""
         assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0]
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv,literal,form", [
         (["hull", "--shape", "rect:1"], "'rect:1'", "rect:N,K"),
@@ -265,16 +285,12 @@ class TestShapesAndErrors:
     ])
     def test_malformed_literal_is_quoted(self, configs, argv, literal, form):
         argv = [configs["diag"] if a == "DIAG" else a for a in argv]
-        src = os.path.dirname(os.path.dirname(nivatlab.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-m", "nivatlab.cli", *argv],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-        )
-        lines = proc.stderr.splitlines()
-        assert proc.returncode == 1 and proc.stdout == ""
+        code, out, err = run_separately(*argv)
+        lines = err.splitlines()
+        assert code == 1 and out == ""
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert literal in lines[0] and form in lines[0]
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in err
 
     def test_plain_grid_window(self, configs, capsys):
         code, out, _ = run(

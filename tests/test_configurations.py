@@ -128,17 +128,6 @@ class TestExtraction:
         pat = extract_pattern(diagonal, [(0, 0)], (4, 4))
         assert pat.letters == (diagonal.letter_at((4, 4)),)
 
-    def test_shift_equivariance(self, checkerboard, one_defect):
-        shape = block(2, 3)
-        for cfg in (checkerboard, one_defect):
-            for v in [(1, 0), (0, 1), (2, -1)]:
-                shifted = cfg.shifted(v)
-                for u in [(0, 0), (3, 1), (-2, 2)]:
-                    uv = (u[0] + v[0], u[1] + v[1])
-                    assert extract_pattern(cfg, shape, uv) == extract_pattern(
-                        shifted, shape, u
-                    )
-
 
 class TestPattern:
     def test_canonicalization(self):
@@ -204,21 +193,6 @@ class TestDiagonalDirectionalExactness:
         brute = set()
         for t in range(-1500, 1501):
             u = (base[0] + t * v[0], base[1] + t * v[1])
-            brute.add(extract_pattern(diagonal, shape, u))
-        assert result.patterns == brute
-
-    @pytest.mark.parametrize("a", [-3, 0, 5, 40])
-    @pytest.mark.parametrize("kind", ["forward", "backward"])
-    def test_half_ranges_match_brute(self, diagonal, kind, a):
-        shape = block(2, 2).points
-        line = Line(2, 1, 0)
-        base = (1, 4)
-        result = directional_language(diagonal, shape, line, base=base, trange=(kind, a))
-        v = line.minimal_vector()
-        step = v if kind == "forward" else (-v[0], -v[1])
-        brute = set()
-        for t in range(a, a + 2500):
-            u = (base[0] + t * step[0], base[1] + t * step[1])
             brute.add(extract_pattern(diagonal, shape, u))
         assert result.patterns == brute
 

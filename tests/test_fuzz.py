@@ -111,31 +111,13 @@ def test_doubly_periodic_directional_matches_brute(zoo):
             assert dl.patterns == brute
 
 
-@pytest.mark.parametrize("kind,a", [("forward", -2), ("forward", 3), ("backward", 0)])
-def test_half_range_directional_matches_brute(zoo, kind, a):
-    shape = block(2, 2)
-    for cfg in zoo[1:5]:
-        for line in LINES[:4]:
-            dl = directional_language(cfg, shape, line, base=(1, 1), trange=(kind, a))
-            v = line.minimal_vector()
-            step = v if kind == "forward" else (-v[0], -v[1])
-            brute = {
-                extract_pattern(cfg, shape, (1 + t * step[0], 1 + t * step[1]))
-                for t in range(a, a + 120)
-            }
-            assert dl.patterns == brute
-
-
-def test_finite_defect_half_ranges(one_defect):
+def test_finite_defect_directional_matches_brute(one_defect):
     shape = block(2, 2)
     for line in LINES:
-        for kind, a in [("forward", -5), ("forward", 1), ("backward", -1), ("all", 0)]:
-            dl = directional_language(one_defect, shape, line, base=(0, 1), trange=(kind, a))
-            v = line.minimal_vector()
-            step = (-v[0], -v[1]) if kind == "backward" else v
-            lo = a if kind != "all" else -200
-            brute = {
-                extract_pattern(one_defect, shape, (t * step[0], 1 + t * step[1]))
-                for t in range(lo, 201)
-            }
-            assert dl.patterns == brute
+        dl = directional_language(one_defect, shape, line, base=(0, 1))
+        v = line.minimal_vector()
+        brute = {
+            extract_pattern(one_defect, shape, (t * v[0], 1 + t * v[1]))
+            for t in range(-200, 201)
+        }
+        assert dl.patterns == brute

@@ -20,6 +20,8 @@ from nivatlab.geometry import (
     supporting_line,
 )
 
+from conftest import convex_subsets_of_box
+
 points_strategy = st.lists(
     st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=8
 )
@@ -82,6 +84,15 @@ class TestVertices:
         s = convex_hull(pts)
         for g in sorted(s.points):
             assert is_vertex(s, g) == (g in s.vertices)
+
+    def test_vertex_matches_convex_subsets_of_box(self):
+        # g is a vertex of C exactly when C - {g} is empty or again convex.
+        convex = set(convex_subsets_of_box(1))
+        for c in convex:
+            s = ConvexLatticeSet(c)
+            for g in c:
+                rest = c - {g}
+                assert is_vertex(s, g) == (not rest or rest in convex)
 
 
 class TestEdges:
@@ -182,30 +193,6 @@ class TestLines:
         s = convex_hull([(0, 0), (2, 1)])
         sup = supporting_line(s, Line(2, 1, 0))
         assert sup.contains((0, 0)) and sup.contains((2, 1))
-
-    def test_adjacent_examples(self):
-        ell = Line(1, 0, 0)  # y = 0 oriented +x, half plane y >= 0
-        assert ell.adjacent("outward") == Line(1, 0, -1)
-        assert ell.adjacent("inward") == Line(1, 0, 1)
-        diag = Line(1, 1, 0)
-        assert diag.adjacent("outward").contains((1, 0))
-
-    def test_adjacent_round_trip_and_betweenness(self):
-        dirs = [
-            (dx, dy)
-            for dx in range(-5, 6)
-            for dy in range(-5, 6)
-            if (dx, dy) != (0, 0) and gcd(abs(dx), abs(dy)) == 1
-        ]
-        for dx, dy in dirs:
-            for c in range(-20, 21):
-                ell = Line(dx, dy, c)
-                out = ell.adjacent("outward")
-                assert out.adjacent("inward") == ell
-                # strictly larger half plane, no lattice line strictly between
-                assert out.c == ell.c - 1
-                g = out.lattice_point()
-                assert out.contains(g) and not ell.half_plane_contains(g)
 
     def test_minimal_vector(self):
         assert Line.through((0, 0), 3, 3).minimal_vector() == (1, 1)

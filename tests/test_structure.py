@@ -191,23 +191,6 @@ class TestDirectionalPointSets:
         d = directional_point_sets(tri, HORIZONTAL, 2)
         assert set(d.initials) == {(0, 1)}
 
-    def test_half_strip_truncation(self):
-        d = directional_point_sets(block(3, 3), HORIZONTAL, 2)
-        strip = d.half_strip(0, "+", 2)
-        assert (0, 1) in strip and (2, 2) in strip
-        assert (-1, 1) not in strip
-
-    def test_backward_half_strip_uses_final_points(self):
-        d = directional_point_sets(block(3, 3), HORIZONTAL, 2)
-        strip = d.half_strip(0, "-", 2)
-        assert (2, 1) in strip and (0, 2) in strip
-        assert (3, 1) not in strip
-
-    def test_two_sided_strip(self):
-        d = directional_point_sets(block(3, 3), HORIZONTAL, 2)
-        strip = d.strip(-1, 1)
-        assert {(-1, 1), (0, 1), (1, 1), (-1, 2), (0, 2), (1, 2)} == strip
-
     def test_thickness_check(self):
         tri = convex_hull([(0, 0), (2, 0), (0, 2)])
         ok, witness = thickness_ok(tri, HORIZONTAL, 2)
