@@ -16,15 +16,16 @@ back, read in slices rather than cell by cell:
   periodic body counts over its torus (`DoublyPeriodic.translate_box`).
 - Band words (`DiagonalFamily`): a letter depends only on x - y, so a key is
   one factor of the band word per maximal run of the cells' x - y values.
-- Finite-defect domains, and directional translates (a line, not a box) on
-  bodies other than the diagonal family, are read cell by cell.
+- Defects (`FiniteDefect`): a translate of the domain meets a defect or is the
+  far translate, so its key is background except where a defect falls.
+- Directional translates (a line, not a box) on bodies other than the
+  diagonal family are read cell by cell.
 
 Languages are closed under restriction: for T inside a root shape S, the
 T-pattern at u is the restriction of the S-pattern at u.  So on an exact
-domain, S's keys determine T's language, and `_Projection` counts T as the
+domain, S's keys determine T's language, and `_Counter` counts T as the
 number of distinct projections of S's keys onto T's positions in a key.  The
-structure searches count their subsets that way, and so does the table of a
-finite-defect body, which is read cell by cell.
+structure searches count their subsets that way.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .configurations import (
     WindowSample,
     as_points,
 )
-from .errors import GeometryError, SoundnessError
+from .errors import GeometryError, InexactDataError, SoundnessError
 from .geometry import ConvexLatticeSet, Line, Point, line_section, psub, supporting_line
 
 _Keys = tuple[set[str], tuple[int, ...]]  # distinct keys, and each cell's position in a key
@@ -125,6 +126,20 @@ def _letter_keys(config: Configuration, cells: tuple[Point, ...], translates) ->
     return keys, tuple(range(len(cells)))
 
 
+def _defect_keys(config: FiniteDefect, cells: tuple[Point, ...], translates) -> _Keys:
+    """The keys over the translates of a defect domain: background but where a defect falls.
+
+    The key of d - s holds defect d's letter at the position of cell s; the
+    domain's far translate meets no defect and keys as all background.
+    """
+    blank = [config.background] * len(cells)
+    met: dict[Point, list[str]] = {}
+    for (dx, dy), a in config.defects.items():
+        for i, (sx, sy) in enumerate(cells):
+            met.setdefault((dx - sx, dy - sy), blank.copy())[i] = a
+    return {"".join(met.get(u, blank)) for u in translates}, tuple(range(len(cells)))
+
+
 def _domain_keys(
     config: Configuration, cells: tuple[Point, ...]
 ) -> tuple[set[str], tuple[int, ...], EnumerationDomain]:
@@ -132,30 +147,59 @@ def _domain_keys(
     domain = config.enumeration_domain(cells)
     if isinstance(config, (DoublyPeriodic, WindowSample)):
         return (*_row_keys(config.row, cells, *config.translate_box(cells)), domain)
+    if isinstance(config, FiniteDefect):
+        return (*_defect_keys(config, cells, domain.translates), domain)
     return (*_letter_keys(config, cells, domain.translates), domain)
 
 
-class _Projection:
-    """The keys of a root point set over its domain, and the counts of its subsets.
+def _require_exact(exactness: Exactness) -> None:
+    if exactness is not Exactness.EXACT:
+        raise InexactDataError(
+            "this operation needs exact complexity; the representation "
+            "only certifies lower bounds"
+        )
 
-    A subset's count is the number of distinct projections of the root's keys
-    onto the subset's positions in a key.  It is the subset's complexity when
-    the root's domain is EXACT.  A lower-bound domain would miss the subset's
-    patterns at translates where the subset fits and the root does not.
+
+class _Counter:
+    """Complexity cache over subsets of one root point set; refuses inexact counts.
+
+    A subset's count is the number of distinct projections of the root's
+    keys, read on the first count, onto the subset's positions in a key.  It
+    is the subset's complexity when the root's domain is EXACT.  A window
+    sample's domain is a lower bound, and a subset fits at translates where
+    the root does not, so its first count raises InexactDataError from the
+    subset's domain alone, before any key is read (or UnknownLetterError when
+    the subset fits nowhere).
     """
 
-    def __init__(self, config: Configuration, cells: tuple[Point, ...]) -> None:
-        self.keys, index, domain = _domain_keys(config, cells)
-        self.exactness = domain.exactness
-        self._position = dict(zip(cells, index))
-        self._width = len(set(index))
+    def __init__(self, config: Configuration, root: Iterable[Point]) -> None:
+        self.config = config
+        self._root = as_points(root)
+        self.keys: set[str] | None = None  # the root's keys, once read
+        self._cache: dict[frozenset[Point], int] = {}
 
-    def count(self, points: Iterable[Point]) -> int:
-        """The number of distinct patterns of the nonempty subset `points` of the root."""
+    def count(self, points: frozenset[Point]) -> int:
+        """The complexity of `points`, a subset of the root."""
+        if not points:
+            return 1  # the unique empty pattern
+        cached = self._cache.get(points)
+        if cached is not None:
+            return cached
+        if self.keys is None:
+            if isinstance(self.config, WindowSample):
+                _require_exact(self.config.enumeration_domain(points).exactness)
+            self.keys, index, domain = _domain_keys(self.config, self._root)
+            self._exactness = domain.exactness
+            self._position = dict(zip(self._root, index))
+            self._width = len(set(index))
+        _require_exact(self._exactness)
         positions = sorted({self._position[g] for g in points})
         if len(positions) == self._width:
-            return len(self.keys)
-        return len(set(map(itemgetter(*positions), self.keys)))
+            count = len(self.keys)
+        else:
+            count = len(set(map(itemgetter(*positions), self.keys)))
+        self._cache[points] = count
+        return count
 
 
 def _in_cell_order(keys: Iterable[str], index: tuple[int, ...]) -> Iterable[str]:
@@ -196,26 +240,13 @@ def language_report(
 def complexity_table(
     config: Configuration, n_max: int, k_max: int
 ) -> dict[tuple[int, int], ComplexityReport]:
-    """Complexity of every n-by-k block with 1 <= n <= n_max, 1 <= k <= k_max.
-
-    A finite-defect body reads each translate cell by cell, so its largest
-    block is read once and every block counts by projection from it.  Other
-    bodies read row slices or band words, where counting each block is faster.
-    """
+    """Complexity of every n-by-k block with 1 <= n <= n_max, 1 <= k <= k_max."""
     if n_max < 1 or k_max < 1:
         raise ValueError("table dimensions must be positive")
-    blocks = {
-        (n, k): tuple((x, y) for x in range(n) for y in range(k))
+    return {
+        (n, k): complexity(config, tuple((x, y) for x in range(n) for y in range(k)))
         for n in range(1, n_max + 1)
         for k in range(1, k_max + 1)
-    }
-    if not isinstance(config, FiniteDefect):
-        return {nk: complexity(config, cells) for nk, cells in blocks.items()}
-    root = _Projection(config, blocks[n_max, k_max])
-    return {
-        nk: ComplexityReport(cells, root.count(cells), root.exactness,
-                             len(config.enumeration_domain(cells)))
-        for nk, cells in blocks.items()
     }
 
 

@@ -16,13 +16,13 @@ periods label each translate by itself and keep one language per translate.
 
 Each search counts convex subsets of one root shape: the start shape of the
 generating-set, mlc and balanced-set searches, or the radius box of the
-witness search.  Its `_Counter` reads the root's keys over the root's exact
-domain once and counts every subset as the number of distinct projections of
-those keys (`complexity._Projection`); languages are closed under
-restriction, so that is the subset's complexity.  The witness search keeps
-each candidate's hull vertices and tests the convexity of a grown candidate
-on them with Pick's theorem, building a `ConvexLatticeSet` only for the
-witness it returns.
+witness search.  Its `complexity._Counter` reads the root's keys over the
+root's exact domain once and counts every subset as the number of distinct
+projections of those keys; languages are closed under restriction, so that
+is the subset's complexity.  The balanced-set search lends its counter to the
+directional search on its cut.  The witness search keeps each candidate's
+hull vertices and tests the convexity of a grown candidate on them with
+Pick's theorem, building a `ConvexLatticeSet` only for the witness it returns.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .complexity import _Projection, complexity, directional_language, extension_counts
-from .configurations import Configuration, Exactness, Pattern, WindowSample, as_points
+from .complexity import _Counter, _require_exact, complexity, directional_language, extension_counts
+from .configurations import Configuration, Exactness, Pattern, as_points
 from .errors import (
     ConstructionError,
     GeometryError,
@@ -53,46 +53,6 @@ from .geometry import (
     supporting_line,
 )
 from .words import smallest_window_period, strip_word
-
-
-def _require_exact(exactness: Exactness) -> None:
-    if exactness is not Exactness.EXACT:
-        raise InexactDataError(
-            "this operation needs exact complexity; the representation "
-            "only certifies lower bounds"
-        )
-
-
-class _Counter:
-    """Complexity cache over subsets of one root point set; refuses inexact counts.
-
-    Every subset is counted by projection from the root's keys, read on the
-    first count.  A window sample's domain is a lower bound, so its first
-    count raises InexactDataError from the subset's domain alone, before any
-    key is read (or UnknownLetterError when the subset fits nowhere).
-    """
-
-    def __init__(self, config: Configuration, root: Iterable[Point]) -> None:
-        self.config = config
-        self._root = as_points(root)
-        self._projection: _Projection | None = None
-        self._cache: dict[frozenset[Point], int] = {}
-
-    def count(self, points: frozenset[Point]) -> int:
-        """The complexity of `points`, a subset of the root."""
-        if not points:
-            return 1  # the unique empty pattern
-        cached = self._cache.get(points)
-        if cached is not None:
-            return cached
-        if self._projection is None:
-            if isinstance(self.config, WindowSample):
-                _require_exact(self.config.enumeration_domain(points).exactness)
-            self._projection = _Projection(self.config, self._root)
-        _require_exact(self._projection.exactness)
-        count = self._projection.count(points)
-        self._cache[points] = count
-        return count
 
 
 def _vertices_of(points: frozenset[Point]) -> tuple[Point, ...]:
@@ -294,8 +254,14 @@ def find_directional_generating_set(
     S minus its supporting line is the shape cut by a half plane.
     """
     start = frozenset(shape.points)
-    counter = _Counter(config, start)
-    bound = _generating_bound(len(config.alphabet))
+    return _directional_generating_set(_Counter(config, start), start, line)
+
+
+def _directional_generating_set(
+    counter: _Counter, start: frozenset[Point], line: Line
+) -> GeneratingSetResult:
+    """`find_directional_generating_set` on `start`, counting with a counter whose root holds it."""
+    bound = _generating_bound(len(counter.config.alphabet))
     _require_bound(counter, start, bound, "|U|+|A|-2")
     stages = [start]
     while stages[-1]:
@@ -737,7 +703,7 @@ def construct_balanced_set(
             raise ConstructionError(step, message)
         raise HypothesisNotMet(f"{step}: {message} (direction outside the nonexpansive regime)")
 
-    gen = find_directional_generating_set(config, ConvexLatticeSet(cut, _validated=True), line)
+    gen = _directional_generating_set(counter, cut, line)
     s = gen.set
     sup = supporting_line(s, line)
     section = tuple(sorted(line_section(s, sup)))

@@ -25,7 +25,7 @@ from nivatlab.configurations import (
     extract_pattern,
 )
 from nivatlab.errors import GeometryError
-from nivatlab.geometry import ConvexLatticeSet, Line, block, convex_hull
+from nivatlab.geometry import ConvexLatticeSet, Line, block, convex_hull, line_section, supporting_line
 
 from conftest import (
     DIAGONAL,
@@ -123,7 +123,7 @@ class TestTable:
                 assert rep.count == n + k
 
     @pytest.mark.parametrize("count, letters", [(1, "ab"), (10, "ab"), (30, "abc")])
-    def test_defect_table_projects_from_the_largest_block(self, count, letters):
+    def test_defect_table_matches_complexity(self, count, letters):
         # Defects in [6, 14]^2: the brute-force box [0, 24)^2 holds every
         # translate that meets one and translates that meet none.
         rng = random.Random(count)
@@ -425,3 +425,56 @@ class TestPeriodQuotient:
             assert rep == complexity(cfg, cells)
             assert rep.count == len(_brute_language(cfg, cells))
 
+
+
+# -- finite-defect domains read from their defects alone --------------------------------
+
+
+def _defect_body(count: int, letters: str) -> FiniteDefect:
+    """`count` defects in [-9, -3] x [-8, -2], cycling through the letters after the background."""
+    rng = random.Random(count)
+    defects = {}
+    while len(defects) < count:
+        defects[rng.randint(-9, -3), rng.randint(-8, -2)] = letters[1 + len(defects) % (len(letters) - 1)]
+    return FiniteDefect(Alphabet(tuple(letters)), "a", defects)
+
+
+class TestDefectKeys:
+    """A finite-defect body's keys come from its defects: no translate is read cell by cell."""
+
+    @pytest.mark.parametrize("count, letters", [(1, "ab"), (10, "ab"), (10, "abc"), (30, "ab"), (30, "abc")])
+    def test_counts_without_letter_at(self, count, letters, monkeypatch):
+        cfg = _defect_body(count, letters)
+        # Every translate that meets a defect, and many that meet none.
+        sweep = [(x, y) for x in range(-16, 17) for y in range(-16, 17)]
+        shapes = [block(1, 1), block(3, 3), block(4, 2).translate((-2, -3)), HEXAGON.translate((-1, -2))]
+        point_sets = [tuple(sorted(s.points)) for s in shapes] + [GAPPED[3]]
+        brute = {cells: {extract_pattern(cfg, cells, u) for u in sweep} for cells in point_sets}
+        blocks = {(n, k): tuple((x, y) for x in range(n) for y in range(k))
+                  for n in range(1, 4) for k in range(1, 5)}
+        brute_table = {nk: len({extract_pattern(cfg, cells, u) for u in sweep})
+                       for nk, cells in blocks.items()}
+        brute_extensions = {}
+        for shape in shapes[1:]:
+            for line in (HORIZONTAL, DIAGONAL):
+                base = tuple(sorted(shape.points - line_section(shape, supporting_line(shape, line))))
+                grouped: dict = {}
+                for u in sweep:
+                    grouped.setdefault(extract_pattern(cfg, base, u), set()).add(
+                        extract_pattern(cfg, shape, u))
+                brute_extensions[shape, line] = grouped
+
+        def refuse(self, g):
+            raise AssertionError(f"letter_at{g} read on a finite-defect body")
+
+        monkeypatch.setattr(FiniteDefect, "letter_at", refuse)
+        for cells, patterns in brute.items():
+            rep = complexity(cfg, cells)
+            assert rep.count == len(patterns) and rep.exact
+            assert language(cfg, cells) == patterns
+        for (shape, line), grouped in brute_extensions.items():
+            table = extension_counts(cfg, shape, line)
+            assert {g: set(v) for g, v in table.extensions.items()} == grouped
+        table = complexity_table(cfg, 3, 4)
+        assert {nk: rep.count for nk, rep in table.items()} == brute_table
+        assert all(rep.exact for rep in table.values())

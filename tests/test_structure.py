@@ -227,6 +227,20 @@ class TestBalancedSet:
         with pytest.raises(HypothesisNotMet):
             construct_balanced_set(one_defect, block(2, 2), HORIZONTAL)
 
+    def test_directional_search_shares_the_counter(self, diagonal, monkeypatch):
+        # The cut lies inside the shape, so the directional search counts it
+        # with the shape's counter instead of reading the cut's keys again.
+        built = []
+
+        class Recording(structure._Counter):
+            def __init__(self, config, root):
+                built.append(root)
+                super().__init__(config, root)
+
+        monkeypatch.setattr(structure, "_Counter", Recording)
+        construct_balanced_set(diagonal, block(3, 4), HORIZONTAL)
+        assert len(built) == 1
+
 
 class TestPhi:
     def test_diagonal_constructed_set(self, diagonal):
@@ -517,18 +531,19 @@ class TestOrbitSharing:
         # once, and the shape and the shape minus each vertex are three
         # counts, not four.  (7, 0) is not generated, so the harness stops there.
         scans, counted = [], []
-        real_keys, real_count = complexity_module._domain_keys, complexity_module._Projection.count
+        real_keys, real_count = complexity_module._domain_keys, complexity_module._Counter.count
 
         def scanned(config, cells):
             scans.append(cells)
             return real_keys(config, cells)
 
         def projected(self, points):
-            counted.append(frozenset(points))
+            if points not in self._cache:
+                counted.append(frozenset(points))
             return real_count(self, points)
 
         monkeypatch.setattr(complexity_module, "_domain_keys", scanned)
-        monkeypatch.setattr(complexity_module._Projection, "count", projected)
+        monkeypatch.setattr(complexity_module._Counter, "count", projected)
         with pytest.raises(HypothesisNotMet, match=r"vertex \(7, 0\) is not generated"):
             verify_strip_lemma(diagonal, block(8, 8), HORIZONTAL, 1, window=12)
         assert scans == [tuple(sorted(block(8, 8).points))]
@@ -570,14 +585,14 @@ class TestProjectedCounts:
         counter = structure._Counter(cfg, root.points)
         for subset in subsets + [cells]:
             assert counter.count(frozenset(subset)) == complexity(cfg, subset).count
-        assert counter._projection is not None  # every count above was projected
+        assert counter.keys is not None  # every count above was projected
 
     def test_window_root_raises_on_its_first_count(self):
         w = WindowSample(AB, (-2, -1), ["abbab", "babba", "abaab", "bbaba", "aabab"])
         counter = structure._Counter(w, block(3, 3).points)
         with pytest.raises(InexactDataError):
             counter.count(frozenset([(0, 0), (1, 0)]))
-        assert counter._projection is None  # a window sample is never projected
+        assert counter.keys is None  # a window sample is never projected
 
 
 # -- the witness enumeration against brute force -------------------------------------------
