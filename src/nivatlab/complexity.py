@@ -24,8 +24,11 @@ back, read in slices rather than cell by cell:
 Languages are closed under restriction: for T inside a root shape S, the
 T-pattern at u is the restriction of the S-pattern at u.  So on an exact
 domain, S's keys determine T's language, and `_Counter` counts T as the
-number of distinct projections of S's keys onto T's positions in a key.  The
-structure searches count their subsets that way.
+number of distinct projections of S's keys onto T's positions in a key; when
+those positions form one run, each projection is one slice of a key.  The
+structure searches count their subsets that way, and a block table counts
+each column's blocks from its tallest block: a shorter block is a prefix of
+a row-slice key and a sub-run of a band key.
 """
 
 from __future__ import annotations
@@ -126,18 +129,21 @@ def _letter_keys(config: Configuration, cells: tuple[Point, ...], translates) ->
     return keys, tuple(range(len(cells)))
 
 
-def _defect_keys(config: FiniteDefect, cells: tuple[Point, ...], translates) -> _Keys:
-    """The keys over the translates of a defect domain: background but where a defect falls.
+def _defect_keys(config: FiniteDefect, cells: tuple[Point, ...]) -> _Keys:
+    """The keys over a defect domain: background but where a defect falls.
 
-    The key of d - s holds defect d's letter at the position of cell s; the
-    domain's far translate meets no defect and keys as all background.
+    The domain holds d - s for every defect d and cell s, and one far
+    translate.  The key of d - s holds d's letter at the position of cell s;
+    the far translate meets no defect and keys as all background.
     """
     blank = [config.background] * len(cells)
     met: dict[Point, list[str]] = {}
     for (dx, dy), a in config.defects.items():
         for i, (sx, sy) in enumerate(cells):
             met.setdefault((dx - sx, dy - sy), blank.copy())[i] = a
-    return {"".join(met.get(u, blank)) for u in translates}, tuple(range(len(cells)))
+    keys = set(map("".join, met.values()))
+    keys.add("".join(blank))
+    return keys, tuple(range(len(cells)))
 
 
 def _domain_keys(
@@ -148,7 +154,7 @@ def _domain_keys(
     if isinstance(config, (DoublyPeriodic, WindowSample)):
         return (*_row_keys(config.row, cells, *config.translate_box(cells)), domain)
     if isinstance(config, FiniteDefect):
-        return (*_defect_keys(config, cells, domain.translates), domain)
+        return (*_defect_keys(config, cells), domain)
     return (*_letter_keys(config, cells, domain.translates), domain)
 
 
@@ -176,6 +182,7 @@ class _Counter:
         self.config = config
         self._root = as_points(root)
         self.keys: set[str] | None = None  # the root's keys, once read
+        self.domain: EnumerationDomain | None = None  # the root's domain, read with its keys
         self._cache: dict[frozenset[Point], int] = {}
 
     def count(self, points: frozenset[Point]) -> int:
@@ -188,14 +195,16 @@ class _Counter:
         if self.keys is None:
             if isinstance(self.config, WindowSample):
                 _require_exact(self.config.enumeration_domain(points).exactness)
-            self.keys, index, domain = _domain_keys(self.config, self._root)
-            self._exactness = domain.exactness
+            self.keys, index, self.domain = _domain_keys(self.config, self._root)
             self._position = dict(zip(self._root, index))
             self._width = len(set(index))
-        _require_exact(self._exactness)
+        _require_exact(self.domain.exactness)
         positions = sorted({self._position[g] for g in points})
+        first, last = positions[0], positions[-1]
         if len(positions) == self._width:
             count = len(self.keys)
+        elif last - first + 1 == len(positions):  # one run of positions: one slice per key
+            count = len(set(map(itemgetter(slice(first, last + 1)), self.keys)))
         else:
             count = len(set(map(itemgetter(*positions), self.keys)))
         self._cache[points] = count
@@ -240,14 +249,30 @@ def language_report(
 def complexity_table(
     config: Configuration, n_max: int, k_max: int
 ) -> dict[tuple[int, int], ComplexityReport]:
-    """Complexity of every n-by-k block with 1 <= n <= n_max, 1 <= k <= k_max."""
+    """Complexity of every n-by-k block with 1 <= n <= n_max, 1 <= k <= k_max.
+
+    On an exact body each column n reads the keys of block(n, k_max) once,
+    and counts every block(n, k) as the distinct projections of those keys;
+    each report still takes its exactness and translate count from the
+    block's own domain.  A lower-bound domain (a window sample) fits shorter
+    blocks at translates where the tallest one does not fit, so such a table
+    counts every block with `complexity`.
+    """
     if n_max < 1 or k_max < 1:
         raise ValueError("table dimensions must be positive")
-    return {
-        (n, k): complexity(config, tuple((x, y) for x in range(n) for y in range(k)))
-        for n in range(1, n_max + 1)
-        for k in range(1, k_max + 1)
-    }
+    blocks = {(n, k): tuple((x, y) for x in range(n) for y in range(k))
+              for n in range(1, n_max + 1) for k in range(1, k_max + 1)}
+    if config.enumeration_domain(blocks[1, 1]).exactness is not Exactness.EXACT:
+        return {nk: complexity(config, cells) for nk, cells in blocks.items()}
+    table = {}
+    for n in range(1, n_max + 1):
+        counter = _Counter(config, blocks[n, k_max])
+        for k in range(1, k_max + 1):
+            cells = blocks[n, k]
+            count = counter.count(frozenset(cells))
+            domain = counter.domain if k == k_max else config.enumeration_domain(cells)
+            table[n, k] = ComplexityReport(cells, count, domain.exactness, len(domain))
+    return table
 
 
 def table_to_csv(table: Mapping[tuple[int, int], ComplexityReport]) -> str:

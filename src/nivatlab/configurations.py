@@ -355,7 +355,7 @@ class FiniteDefect(Configuration):
 
     def enumeration_domain(self, shape: Iterable[Point]) -> EnumerationDomain:
         pts = as_points(shape)
-        overlapping = {psub(d, s) for d in self.defects for s in pts}
+        overlapping = {(dx - sx, dy - sy) for dx, dy in self.defects for sx, sy in pts}
         far = (max(d[0] for d in self.defects) - min(g[0] for g in pts) + 1, 0)
         return EnumerationDomain(sorted(overlapping) + [far], Exactness.EXACT)
 

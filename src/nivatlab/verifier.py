@@ -132,23 +132,24 @@ def diagonal_expected(n: int, k: int) -> int:
 def example_suite(sum_max: int = 14, square_max: int = 12) -> ExampleSuiteResult:
     """Check the diagonal family's closed forms and the strict half-area bound.
 
-    Any mismatch is reported in the result rows rather than raised, so callers
-    see exactly the offending (n, k).
+    Both checks read one block table, large enough for every n + k <= sum_max
+    and every n, k <= square_max.  Any mismatch is reported in the result
+    rows rather than raised, so callers see exactly the offending (n, k).
     """
-    eta = DiagonalFamily()
+    size = max(sum_max - 1, square_max)
+    table = complexity_table(DiagonalFamily(), size, size)
     rows = []
     for s in range(2, sum_max + 1):
         for n in range(1, s):
             k = s - n
-            cells = tuple((x, y) for x in range(n) for y in range(k))
-            count = complexity(eta, cells).count
-            expected = diagonal_expected(n, k)
+            count, expected = table[n, k].count, diagonal_expected(n, k)
             rows.append(ExampleSuiteRow(n, k, count, expected, count == expected))
     ck_rows = []
-    table = complexity_table(eta, square_max, square_max)
-    for (n, k), rep in sorted(table.items()):
-        ok = Fraction(rep.count) > Fraction(n * k, 2)
-        ck_rows.append(ExampleSuiteRow(n, k, rep.count, n * k // 2 + 1, ok))
+    for n in range(1, square_max + 1):
+        for k in range(1, square_max + 1):
+            count = table[n, k].count
+            ok = Fraction(count) > Fraction(n * k, 2)
+            ck_rows.append(ExampleSuiteRow(n, k, count, n * k // 2 + 1, ok))
     rows_t = tuple(rows)
     ck_t = tuple(ck_rows)
     return ExampleSuiteResult(rows_t, ck_t, all(r.ok for r in rows_t + ck_t))

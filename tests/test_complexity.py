@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from nivatlab.configurations import (
     WindowSample,
     extract_pattern,
 )
-from nivatlab.errors import GeometryError
+from nivatlab.errors import GeometryError, UnknownLetterError
 from nivatlab.geometry import ConvexLatticeSet, Line, block, convex_hull, line_section, supporting_line
 
 from conftest import (
@@ -37,6 +38,8 @@ from conftest import (
     random_finite_defect,
     sheared_doubly_periodic,
 )
+
+complexity_module = importlib.import_module("nivatlab.complexity")  # the package binds the function
 
 
 class TestComplexity:
@@ -113,34 +116,6 @@ class TestLanguage:
     def test_diagonal_r34_language_size(self, diagonal):
         pats, exact = language_report(diagonal, block(3, 4))
         assert len(pats) == 7 and exact is Exactness.EXACT
-
-
-class TestTable:
-    def test_low_range_values(self, diagonal):
-        table = complexity_table(diagonal, 4, 4)
-        for (n, k), rep in table.items():
-            if n + k <= 7:
-                assert rep.count == n + k
-
-    @pytest.mark.parametrize("count, letters", [(1, "ab"), (10, "ab"), (30, "abc")])
-    def test_defect_table_matches_complexity(self, count, letters):
-        # Defects in [6, 14]^2: the brute-force box [0, 24)^2 holds every
-        # translate that meets one and translates that meet none.
-        rng = random.Random(count)
-        defects = {}
-        while len(defects) < count:
-            defects[rng.randint(6, 14), rng.randint(6, 14)] = rng.choice(letters[1:])
-        cfg = FiniteDefect(Alphabet(tuple(letters)), "a", defects)
-        table = complexity_table(cfg, 4, 5)
-        for (n, k), rep in table.items():
-            cells = tuple((x, y) for x in range(n) for y in range(k))
-            assert rep == complexity(cfg, cells)
-            assert rep.count == naive_complexity(cfg, cells, 24)
-
-    def test_csv_shape(self, checkerboard):
-        text = table_to_csv(complexity_table(checkerboard, 2, 2))
-        assert text.splitlines()[0] == "n,k,count,exact"
-        assert len(text.splitlines()) == 5
 
 
 class TestDirectionalLanguage:
@@ -414,17 +389,98 @@ class TestPeriodQuotient:
         firsts = [v[0].letters for v in table.extensions.values()]
         assert firsts == sorted(firsts)
 
-    @settings(max_examples=40, deadline=None)
-    @given(bodies, st.integers(1, 4), st.integers(1, 4))
-    def test_complexity_table(self, body, n_max, k_max):
-        cfg = _body(*body)
-        table = complexity_table(cfg, n_max, k_max)
-        assert sorted(table) == [(n, k) for n in range(1, n_max + 1) for k in range(1, k_max + 1)]
+
+def _naive_count(cfg, cells) -> int:
+    """`naive_complexity` over a box holding every pattern; a window's sweep for windows."""
+    if isinstance(cfg, WindowSample):
+        return len(_brute_language(cfg, cells))
+    if isinstance(cfg, DoublyPeriodic):
+        return naive_complexity(cfg, cells, abs(cfg._det))
+    if isinstance(cfg, DiagonalFamily):
+        return naive_complexity(cfg, cells, 60)
+    # Defects lie in [-4, 4]^2: cells moved by (-14, -14) sweep the translates [-14, 15)^2.
+    return naive_complexity(cfg, [(x - 14, y - 14) for x, y in cells], 29)
+
+
+class TestTable:
+    def test_low_range_values(self, diagonal):
+        table = complexity_table(diagonal, 4, 4)
+        for (n, k), rep in table.items():
+            if n + k <= 7:
+                assert rep.count == n + k
+
+    @pytest.mark.parametrize("count, letters", [(1, "ab"), (10, "ab"), (30, "abc")])
+    def test_defect_table_matches_complexity(self, count, letters):
+        # Defects in [6, 14]^2: the brute-force box [0, 24)^2 holds every
+        # translate that meets one and translates that meet none.
+        rng = random.Random(count)
+        defects = {}
+        while len(defects) < count:
+            defects[rng.randint(6, 14), rng.randint(6, 14)] = rng.choice(letters[1:])
+        cfg = FiniteDefect(Alphabet(tuple(letters)), "a", defects)
+        table = complexity_table(cfg, 4, 5)
         for (n, k), rep in table.items():
             cells = tuple((x, y) for x in range(n) for y in range(k))
             assert rep == complexity(cfg, cells)
-            assert rep.count == len(_brute_language(cfg, cells))
+            assert rep.count == naive_complexity(cfg, cells, 24)
 
+    def test_csv_shape(self, checkerboard):
+        text = table_to_csv(complexity_table(checkerboard, 2, 2))
+        assert text.splitlines()[0] == "n,k,count,exact"
+        assert len(text.splitlines()) == 5
+
+    @settings(max_examples=40, deadline=None)
+    @given(bodies, st.integers(1, 6), st.integers(1, 6))
+    def test_every_entry_is_the_complexity_of_its_block(self, body, n_max, k_max):
+        """Equal reports (shape, count, exactness, translates_examined) and brute-force counts."""
+        cfg = _body(*body)
+        if isinstance(cfg, WindowSample) and (n_max > cfg.width or k_max > cfg.height):
+            with pytest.raises(UnknownLetterError, match="cannot fit the shape anywhere"):
+                complexity_table(cfg, n_max, k_max)
+            return
+        table = complexity_table(cfg, n_max, k_max)
+        assert list(table) == [(n, k) for n in range(1, n_max + 1) for k in range(1, k_max + 1)]
+        for (n, k), rep in table.items():
+            cells = tuple((x, y) for x in range(n) for y in range(k))
+            assert rep == complexity(cfg, cells)
+            if n <= 4 and k <= 4:
+                assert rep.count == _naive_count(cfg, cells)
+
+    @pytest.mark.parametrize("kind", ["diagonal", "periodic", "sheared", "defect"])
+    def test_exact_table_reads_one_root_per_column(self, kind, monkeypatch):
+        """Each column reads its tallest block's keys once; no block is counted on its own."""
+        cfg = _body(kind, 5)
+        roots = []
+        read = complexity_module._domain_keys
+
+        def recorded(config, cells):
+            roots.append(cells)
+            return read(config, cells)
+
+        def refused(*args):
+            raise AssertionError("an exact table called complexity")
+
+        monkeypatch.setattr(complexity_module, "_domain_keys", recorded)
+        monkeypatch.setattr(complexity_module, "complexity", refused)
+        table = complexity_table(cfg, 4, 3)
+        assert roots == [tuple((x, y) for x in range(n) for y in range(3)) for n in range(1, 5)]
+        assert len(table) == 12 and all(rep.exact for rep in table.values())
+
+    def test_window_table_counts_every_block(self, monkeypatch):
+        """A window's shorter blocks fit where its tallest does not: each is counted alone."""
+        cfg = _body("window", 5)
+        counted = []
+        count = complexity_module.complexity
+
+        def recorded(config, cells):
+            counted.append(cells)
+            return count(config, cells)
+
+        monkeypatch.setattr(complexity_module, "complexity", recorded)
+        table = complexity_table(cfg, 3, 4)
+        assert counted == [tuple((x, y) for x in range(n) for y in range(k))
+                           for n in range(1, 4) for k in range(1, 5)]
+        assert not any(rep.exact for rep in table.values())
 
 
 # -- finite-defect domains read from their defects alone --------------------------------

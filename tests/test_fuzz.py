@@ -2,9 +2,17 @@
 must either succeed with self-consistent certificates or refuse cleanly.
 A ConstructionError or crash here is a genuine bug."""
 
+import io
+import json
+import os
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nivatlab.cli import cli_main
 
 from nivatlab.complexity import complexity, directional_language, extension_counts
 from nivatlab.configurations import DiagonalFamily, DoublyPeriodic, extract_pattern
@@ -121,3 +129,89 @@ def test_finite_defect_directional_matches_brute(one_defect):
             for t in range(-200, 201)
         }
         assert dl.patterns == brute
+
+
+# -- the `table` command on random literals and configs ------------------------------
+
+
+def _small_max(text: str) -> bool:
+    """False when the text reads as N,K with a value above 6: every table stays small."""
+    try:
+        return all(int(v) <= 6 for v in text.split(","))
+    except ValueError:
+        return True
+
+
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+COORDS = st.integers(-6, 6)
+GRIDS = st.integers(1, 5).flatmap(
+    lambda w: st.lists(st.text("ab", min_size=w, max_size=w), min_size=1, max_size=5))
+# Well-formed specs (most pass validation); MALFORMED sets one field to a bad value.
+VALID = st.one_of(
+    st.fixed_dictionaries({"type": st.just("diagonal_family")},
+                          optional={"black": st.sampled_from("bx"), "white": st.sampled_from("wx")}),
+    st.fixed_dictionaries({"type": st.just("doubly_periodic"), "alphabet": st.just(["a", "b"]),
+                           "rows": GRIDS}),
+    st.fixed_dictionaries({
+        "type": st.just("finite_defect"), "alphabet": st.just(["a", "b"]), "background": st.just("a"),
+        "defects": st.lists(st.tuples(COORDS, COORDS, st.just("b")).map(list), min_size=1, max_size=5),
+    }),
+    st.fixed_dictionaries({"type": st.just("window"), "alphabet": st.just(["a", "b"]), "rows": GRIDS},
+                          optional={"origin": st.lists(COORDS, min_size=2, max_size=2)}),
+)
+LETTERS = st.sampled_from(["a", "b", "c", "ab", "", 1])
+FIELDS = st.sampled_from(["type", "alphabet", "rows", "basis", "table", "background", "defects",
+                          "origin", "black", "white"])
+MALFORMED = st.builds(lambda spec, field, value: {**spec, field: value},
+                      VALID, FIELDS, JUNK | LETTERS | st.lists(LETTERS, max_size=3))
+BASES = st.fixed_dictionaries({
+    "type": st.just("doubly_periodic"), "alphabet": st.just(["a", "b"]),
+    "basis": st.lists(st.lists(COORDS, min_size=2, max_size=2), min_size=2, max_size=2),
+    "table": st.lists(st.tuples(st.lists(COORDS, min_size=2, max_size=2), st.sampled_from("ab"))
+                      .map(list), max_size=8),
+})
+CONFIGS = VALID | MALFORMED | BASES | JUNK
+SIZES = st.integers(1, 5) | st.integers(-1, 6)
+MAX_LITERALS = (st.tuples(SIZES, SIZES).map(lambda nk: f"{nk[0]},{nk[1]}")
+                | st.text(max_size=8).filter(_small_max))
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("table_fuzz"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(CONFIGS, MAX_LITERALS, st.booleans(), st.booleans(), st.booleans())
+def test_table_command_exits_cleanly(cli_dir, spec, literal, as_json, to_csv, joined):
+    """Exit 0, 1 or 2 and never a traceback; a table that succeeds has N*K rows."""
+    config, csv_path = os.path.join(cli_dir, "config.json"), os.path.join(cli_dir, "table.csv")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump(spec, fh)
+    if os.path.exists(csv_path):
+        os.remove(csv_path)
+    argv = (["--json"] if as_json else []) + ["table", "--config", config]
+    argv += [f"--max={literal}"] if joined else ["--max", literal]
+    argv += ["--csv", csv_path] if to_csv else []
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # argparse refused the arguments
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        n, k = (int(v) for v in literal.split(","))
+        if to_csv:
+            with open(csv_path, encoding="utf-8") as fh:
+                rows = fh.read().splitlines()[1:]
+        elif as_json:
+            rows = json.loads(out.getvalue())["rows"]
+        else:
+            rows = out.getvalue().splitlines()[1:]
+        assert len(rows) == n * k

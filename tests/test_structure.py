@@ -587,6 +587,32 @@ class TestProjectedCounts:
             assert counter.count(frozenset(subset)) == complexity(cfg, subset).count
         assert counter.keys is not None  # every count above was projected
 
+    @pytest.mark.parametrize("kind", ["diagonal", "periodic", "sheared", "defect"])
+    def test_contiguous_runs_match_tuples_and_complexity(self, kind):
+        """A subset whose key positions form one run is counted by slicing each key."""
+        cfg = _projection_body(kind, 11)
+        for at in ((0, 0), (-4, -3)):
+            root = block(3, 4).translate(at)
+            counter = structure._Counter(cfg, root.points)
+            counter.count(frozenset(root.points))
+            cells_at: dict = {}
+            for g, i in counter._position.items():
+                cells_at.setdefault(i, []).append(g)
+            # Shorter blocks are row-major prefixes of a row-slice key and
+            # sub-runs of a band key; a defect key is in cell order.
+            for k in range(1, 5):
+                run = sorted({counter._position[g] for g in block(3, k).translate(at).points})
+                if kind == "diagonal":
+                    assert run == list(range(run[0], run[0] + len(run)))
+                elif kind != "defect":
+                    assert run == list(range(len(run)))
+            width = len(cells_at)
+            for i in range(width):
+                for j in range(i, width):
+                    subset = frozenset(g for p in range(i, j + 1) for g in cells_at[p])
+                    tuples = {tuple(key[p] for p in range(i, j + 1)) for key in counter.keys}
+                    assert counter.count(subset) == len(tuples) == complexity(cfg, subset).count
+
     def test_window_root_raises_on_its_first_count(self):
         w = WindowSample(AB, (-2, -1), ["abbab", "babba", "abaab", "bbaba", "aabab"])
         counter = structure._Counter(w, block(3, 3).points)
