@@ -4,8 +4,9 @@ Counting enumerates a certified translate domain and deduplicates patterns by
 their letters.  One kernel reads the letters of a shape at every translate:
 `_domain_keys` over a certified domain and `_letter_keys` over any list of
 translates.  Complexities, languages, directional languages, extension counts
-and tables all scan through it.  Exactness flags propagate: anything computed
-from a lower-bound domain is itself a lower bound.
+and tables all scan through it.  Exactness is a fact of the body, not of a
+count: every report takes `config.exactness`, which is EXACT except on a
+window sample, whose domains give only lower bounds.
 
 The kernel keys each translate by a string that determines its pattern and
 back, read in slices rather than cell by cell:
@@ -23,7 +24,7 @@ back, read in slices rather than cell by cell:
 
 Languages are closed under restriction: for T inside a root shape S, the
 T-pattern at u is the restriction of the S-pattern at u.  So on an exact
-domain, S's keys determine T's language, and `_Counter` counts T as the
+body, S's keys determine T's language, and `_Counter` counts T as the
 number of distinct projections of S's keys onto T's positions in a key; when
 those positions form one run, each projection is one slice of a key.  The
 structure searches count their subsets that way, and a block table counts
@@ -42,7 +43,6 @@ from .configurations import (
     Configuration,
     DiagonalFamily,
     DoublyPeriodic,
-    EnumerationDomain,
     Exactness,
     FiniteDefect,
     Pattern,
@@ -148,14 +148,15 @@ def _defect_keys(config: FiniteDefect, cells: tuple[Point, ...]) -> _Keys:
 
 def _domain_keys(
     config: Configuration, cells: tuple[Point, ...]
-) -> tuple[set[str], tuple[int, ...], EnumerationDomain]:
-    """The keys of the cells over their domain, or its `translate_box` for row-slice bodies."""
+) -> tuple[set[str], tuple[int, ...], int]:
+    """The keys of the cells over their domain (its `translate_box` for row-slice
+    bodies), their index, and the domain's size."""
     domain = config.enumeration_domain(cells)
     if isinstance(config, (DoublyPeriodic, WindowSample)):
-        return (*_row_keys(config.row, cells, *config.translate_box(cells)), domain)
+        return (*_row_keys(config.row, cells, *config.translate_box(cells)), len(domain))
     if isinstance(config, FiniteDefect):
-        return (*_defect_keys(config, cells), domain)
-    return (*_letter_keys(config, cells, domain.translates), domain)
+        return (*_defect_keys(config, cells), len(domain))
+    return (*_letter_keys(config, cells, domain), len(domain))
 
 
 def _require_exact(exactness: Exactness) -> None:
@@ -171,18 +172,17 @@ class _Counter:
 
     A subset's count is the number of distinct projections of the root's
     keys, read on the first count, onto the subset's positions in a key.  It
-    is the subset's complexity when the root's domain is EXACT.  A window
-    sample's domain is a lower bound, and a subset fits at translates where
-    the root does not, so its first count raises InexactDataError from the
-    subset's domain alone, before any key is read (or UnknownLetterError when
-    the subset fits nowhere).
+    is the subset's complexity on an EXACT body.  On a lower-bound body (a
+    window sample) a subset fits at translates where the root does not, so
+    the first count raises InexactDataError before any key is read, or
+    UnknownLetterError when the subset fits nowhere.
     """
 
     def __init__(self, config: Configuration, root: Iterable[Point]) -> None:
         self.config = config
         self._root = as_points(root)
         self.keys: set[str] | None = None  # the root's keys, once read
-        self.domain: EnumerationDomain | None = None  # the root's domain, read with its keys
+        self.size: int | None = None  # the size of the root's domain, read with its keys
         self._cache: dict[frozenset[Point], int] = {}
 
     def count(self, points: frozenset[Point]) -> int:
@@ -193,12 +193,12 @@ class _Counter:
         if cached is not None:
             return cached
         if self.keys is None:
-            if isinstance(self.config, WindowSample):
-                _require_exact(self.config.enumeration_domain(points).exactness)
-            self.keys, index, self.domain = _domain_keys(self.config, self._root)
+            if self.config.exactness is not Exactness.EXACT:
+                self.config.enumeration_domain(points)  # raises when the subset fits nowhere
+                _require_exact(self.config.exactness)
+            self.keys, index, self.size = _domain_keys(self.config, self._root)
             self._position = dict(zip(self._root, index))
             self._width = len(set(index))
-        _require_exact(self.domain.exactness)
         positions = sorted({self._position[g] for g in points})
         first, last = positions[0], positions[-1]
         if len(positions) == self._width:
@@ -227,8 +227,8 @@ def complexity(config: Configuration, shape: ConvexLatticeSet | Iterable[Point])
     cells = as_points(shape)
     if not cells:
         return ComplexityReport((), 1, Exactness.EXACT, 0)
-    keys, _, domain = _domain_keys(config, cells)
-    return ComplexityReport(cells, len(keys), domain.exactness, len(domain))
+    keys, _, size = _domain_keys(config, cells)
+    return ComplexityReport(cells, len(keys), config.exactness, size)
 
 
 def language(config: Configuration, shape: ConvexLatticeSet | Iterable[Point]) -> frozenset[Pattern]:
@@ -242,8 +242,8 @@ def language_report(
     cells = as_points(shape)
     if not cells:
         return frozenset([Pattern(())]), Exactness.EXACT
-    keys, index, domain = _domain_keys(config, cells)
-    return frozenset(_patterns(cells, _in_cell_order(keys, index))), domain.exactness
+    keys, index, _ = _domain_keys(config, cells)
+    return frozenset(_patterns(cells, _in_cell_order(keys, index))), config.exactness
 
 
 def complexity_table(
@@ -253,16 +253,16 @@ def complexity_table(
 
     On an exact body each column n reads the keys of block(n, k_max) once,
     and counts every block(n, k) as the distinct projections of those keys;
-    each report still takes its exactness and translate count from the
-    block's own domain.  A lower-bound domain (a window sample) fits shorter
-    blocks at translates where the tallest one does not fit, so such a table
-    counts every block with `complexity`.
+    each report still takes its translate count from the block's own domain.
+    A lower-bound body (a window sample) fits shorter blocks at translates
+    where the tallest one does not fit, so its table counts every block with
+    `complexity`.
     """
     if n_max < 1 or k_max < 1:
         raise ValueError("table dimensions must be positive")
     blocks = {(n, k): tuple((x, y) for x in range(n) for y in range(k))
               for n in range(1, n_max + 1) for k in range(1, k_max + 1)}
-    if config.enumeration_domain(blocks[1, 1]).exactness is not Exactness.EXACT:
+    if config.exactness is not Exactness.EXACT:
         return {nk: complexity(config, cells) for nk, cells in blocks.items()}
     table = {}
     for n in range(1, n_max + 1):
@@ -270,8 +270,8 @@ def complexity_table(
         for k in range(1, k_max + 1):
             cells = blocks[n, k]
             count = counter.count(frozenset(cells))
-            domain = counter.domain if k == k_max else config.enumeration_domain(cells)
-            table[n, k] = ComplexityReport(cells, count, domain.exactness, len(domain))
+            size = counter.size if k == k_max else len(config.enumeration_domain(cells))
+            table[n, k] = ComplexityReport(cells, count, config.exactness, size)
     return table
 
 
@@ -308,11 +308,11 @@ def directional_language(
     if not cells:
         return DirectionalLanguage(frozenset([Pattern(())]), Exactness.EXACT)
     v = line.minimal_vector()
-    domain = config.directional_translates(cells, base, v)
-    translates = [(base[0] + t * v[0], base[1] + t * v[1]) for t in domain.translates]
+    steps = config.directional_translates(cells, base, v)
+    translates = [(base[0] + t * v[0], base[1] + t * v[1]) for t in steps]
     keys, index = _letter_keys(config, cells, translates)
     patterns = frozenset(_patterns(cells, _in_cell_order(keys, index)))
-    return DirectionalLanguage(patterns, domain.exactness)
+    return DirectionalLanguage(patterns, config.exactness)
 
 
 # -- extension counts --------------------------------------------------------
@@ -349,16 +349,16 @@ def extension_counts(config: Configuration, shape: ConvexLatticeSet, line: Line)
     cells = as_points(shape)
     base_set = set(base_cells)
     base_index = [i for i, g in enumerate(cells) if g in base_set]
-    keys, index, domain = _domain_keys(config, cells)
+    keys, index, _ = _domain_keys(config, cells)
     ordered = sorted(_in_cell_order(keys, index))
     restricted = _patterns(base_cells, ("".join([k[i] for i in base_index]) for k in ordered))
     grouped: dict[Pattern, list[Pattern]] = {}
     for full, base_pattern in zip(_patterns(cells, ordered), restricted):
         grouped.setdefault(base_pattern, []).append(full)
     table = ExtensionTable(
-        cells, base_cells, {g: tuple(v) for g, v in grouped.items()}, domain.exactness
+        cells, base_cells, {g: tuple(v) for g, v in grouped.items()}, config.exactness
     )
-    if domain.exactness is Exactness.EXACT:
+    if config.exactness is Exactness.EXACT:
         base_count = complexity(config, base_cells).count
         if table.excess() != len(keys) - base_count:
             raise SoundnessError(

@@ -1,8 +1,8 @@
 """Intensional total configurations Z^2 -> A and their finite enumeration domains.
 
 Each representation supports exact point queries, certified period tests, and
-produces a finite list of translates whose patterns realize the whole
-language of a shape (flagged EXACT) or only part of it (LOWER_BOUND).
+produces a finite sequence of translates whose patterns realize the whole
+language of a shape (`exactness` EXACT) or only part of it (LOWER_BOUND).
 """
 
 from __future__ import annotations
@@ -97,29 +97,20 @@ class Pattern:
         return "\n".join(lines)
 
 
-class EnumerationDomain(Sequence[Point]):
-    """A finite list of translates together with an exactness flag."""
-
-    def __init__(self, translates: Sequence[Point], exactness: Exactness) -> None:
-        self.translates = tuple(translates)
-        self.exactness = exactness
-
-    def __len__(self) -> int:
-        return len(self.translates)
-
-    def __getitem__(self, i):
-        return self.translates[i]
-
-
 class Configuration:
     """Base class; subclasses define one intensional body each."""
 
     alphabet: Alphabet
+    # Whether enumeration_domain and directional_translates realize the whole
+    # language (EXACT) or only part of it (LOWER_BOUND): a fixed fact of each
+    # representation, so every count on the body shares it.
+    exactness = Exactness.EXACT
 
     def letter_at(self, g: Point) -> str:
         raise NotImplementedError
 
-    def enumeration_domain(self, shape: Iterable[Point]) -> EnumerationDomain:
+    def enumeration_domain(self, shape: Iterable[Point]) -> Sequence[Point]:
+        """Translates whose shape-patterns realize the language, as `exactness` says."""
         raise NotImplementedError
 
     def is_period(self, h: Point) -> bool:
@@ -152,7 +143,7 @@ class Configuration:
         """True when the representation proves there is no period at all."""
         return False
 
-    def directional_translates(self, shape: Iterable[Point], base: Point, v: Point) -> EnumerationDomain:
+    def directional_translates(self, shape: Iterable[Point], base: Point, v: Point) -> Sequence[int]:
         """Steps t such that the patterns of shape+base+t*v realize those over every integer t."""
         raise NotImplementedError
 
@@ -241,8 +232,8 @@ class DoublyPeriodic(Configuration):
             self._domain = tuple(sorted(self._table))
         return self._domain
 
-    def enumeration_domain(self, shape: Iterable[Point]) -> EnumerationDomain:
-        return EnumerationDomain(self.fundamental_domain(), Exactness.EXACT)
+    def enumeration_domain(self, shape: Iterable[Point]) -> tuple[Point, ...]:
+        return self.fundamental_domain()
 
     def row(self, y: int, lo: int, hi: int) -> str:
         """The letters at (x, y) for lo <= x < hi.
@@ -322,8 +313,8 @@ class DoublyPeriodic(Configuration):
         a, _, d = self._orbit_basis(v)
         return abs(self._det) // (a * d)
 
-    def directional_translates(self, shape, base, v) -> EnumerationDomain:
-        return EnumerationDomain(range(self.directional_period(v)), Exactness.EXACT)
+    def directional_translates(self, shape, base, v) -> range:
+        return range(self.directional_period(v))
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +344,11 @@ class FiniteDefect(Configuration):
     def letter_at(self, g: Point) -> str:
         return self.defects.get(g, self.background)
 
-    def enumeration_domain(self, shape: Iterable[Point]) -> EnumerationDomain:
+    def enumeration_domain(self, shape: Iterable[Point]) -> list[Point]:
         pts = as_points(shape)
         overlapping = {(dx - sx, dy - sy) for dx, dy in self.defects for sx, sy in pts}
         far = (max(d[0] for d in self.defects) - min(g[0] for g in pts) + 1, 0)
-        return EnumerationDomain(sorted(overlapping) + [far], Exactness.EXACT)
+        return sorted(overlapping) + [far]
 
     def is_period(self, h: Point) -> bool:
         # A finite nonempty defect set cannot map onto itself under a nonzero shift.
@@ -370,7 +361,7 @@ class FiniteDefect(Configuration):
         """The cross product of v and u: with v primitive it is equal exactly on u + Zv."""
         return v[0] * u[1] - v[1] * u[0]
 
-    def directional_translates(self, shape, base, v) -> EnumerationDomain:
+    def directional_translates(self, shape, base, v) -> list[int]:
         pts = as_points(shape)
         norm = v[0] * v[0] + v[1] * v[1]
         hits: set[int] = set()
@@ -380,7 +371,7 @@ class FiniteDefect(Configuration):
                 if delta[0] * v[1] == delta[1] * v[0]:  # delta = t*v: v is primitive
                     hits.add((delta[0] * v[0] + delta[1] * v[1]) // norm)
         far = max(hits, default=0) + 1
-        return EnumerationDomain(sorted(hits) + [far], Exactness.EXACT)
+        return sorted(hits) + [far]
 
 
 def _clear_y(p: Point, g: Point) -> tuple[Point, Point]:
@@ -464,9 +455,6 @@ class DiagonalFamily(Configuration):
         k = abs(v[0] - v[1])
         return (u[0] - u[1]) % k if k else u[0] - u[1]
 
-    def certified_aperiodic(self) -> bool:
-        return False
-
     def offsets_within(self, radius: int) -> list[int]:
         out = [0]
         c = 6
@@ -476,13 +464,12 @@ class DiagonalFamily(Configuration):
         return sorted(out)
 
     @staticmethod
-    def _delta_span(pts: Sequence[Point]) -> tuple[int, int]:
-        deltas = [x - y for x, y in pts]
+    def _delta_span(shape: Iterable[Point]) -> tuple[int, int]:
+        deltas = [x - y for x, y in shape]
         return min(deltas), max(deltas)
 
-    def enumeration_domain(self, shape: Iterable[Point]) -> EnumerationDomain:
-        pts = as_points(shape)
-        lo, hi = self._delta_span(pts)
+    def enumeration_domain(self, shape: Iterable[Point]) -> list[Point]:
+        lo, hi = self._delta_span(shape)
         width = hi - lo
         # Beyond sigma(c0) consecutive offsets are further apart than the
         # window is wide, so sweeping the window minimum across [-m, m]
@@ -490,17 +477,14 @@ class DiagonalFamily(Configuration):
         # isolated offset, and an empty gap.
         c0 = max(6, width)
         m = _sigma(c0 + 2) + width + 1
-        return EnumerationDomain(
-            [(d, 0) for d in range(-m - lo, m - lo + 1)], Exactness.EXACT
-        )
+        return [(d, 0) for d in range(-m - lo, m - lo + 1)]
 
-    def directional_translates(self, shape, base, v) -> EnumerationDomain:
+    def directional_translates(self, shape, base, v) -> Sequence[int]:
         k = v[0] - v[1]
         if k == 0:
             # Sliding along the period direction never changes the pattern.
-            return EnumerationDomain([0], Exactness.EXACT)
-        pts = as_points(shape)
-        lo, hi = self._delta_span(pts)
+            return [0]
+        lo, hi = self._delta_span(shape)
         width = hi - lo
         start = lo + (base[0] - base[1])  # window minimum at t = 0
         # The window minimum moves by k per step.  Offsets mod |k| repeat with
@@ -510,7 +494,7 @@ class DiagonalFamily(Configuration):
         period_c = 2 * abs(k) + 2
         m = _sigma(c0 + period_c) + width + 1
         bounds = sorted((_ceil_div(-m - start, k), (m - start) // k))
-        return EnumerationDomain(range(bounds[0] - 1, bounds[1] + 2), Exactness.EXACT)
+        return range(bounds[0] - 1, bounds[1] + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +502,8 @@ class DiagonalFamily(Configuration):
 
 class WindowSample(Configuration):
     """Letters known only inside a finite window; all counts over it are lower bounds."""
+
+    exactness = Exactness.LOWER_BOUND
 
     def __init__(self, alphabet: Alphabet, origin: Point, rows: Sequence[str]) -> None:
         if not rows or len(set(map(len, rows))) != 1:
@@ -573,25 +559,25 @@ class WindowSample(Configuration):
         y_lo, y_hi = self.origin[1] - min(ys), self.origin[1] + self.height - 1 - max(ys)
         return range(x_lo, x_hi + 1), range(y_lo, y_hi + 1)
 
-    def enumeration_domain(self, shape: Iterable[Point]) -> EnumerationDomain:
+    def enumeration_domain(self, shape: Iterable[Point]) -> tuple[Point, ...]:
         us = tuple(product(*self.translate_box(shape)))
         if not us:
             raise UnknownLetterError(
                 f"the {self.width}x{self.height} window cannot fit the shape anywhere"
             )
-        return EnumerationDomain(us, Exactness.LOWER_BOUND)
+        return us
 
-    def directional_translates(self, shape, base, v) -> EnumerationDomain:
+    def directional_translates(self, shape, base, v) -> range:
         """The steps t that keep shape + base + t*v inside the window."""
         lows, highs = [], []
         for r, b, s in zip(self.translate_box(shape), base, v):
             if not r or not (s or b in r):
-                return EnumerationDomain([], Exactness.LOWER_BOUND)
+                return range(0)
             if s:
                 first, last = (r[0], r[-1]) if s > 0 else (r[-1], r[0])
                 lows.append(_ceil_div(first - b, s))
                 highs.append((last - b) // s)
-        return EnumerationDomain(list(range(max(lows), min(highs) + 1)), Exactness.LOWER_BOUND)
+        return range(max(lows), min(highs) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -511,39 +511,36 @@ def m_classes(
     # extension_counts has checked against its own count of the base.
     if base_cells:
         table = extension_counts(config, shape, line)
-        exactness, diff, n_of = table.exactness, table.excess(), table.counts()
+        diff, n_of = table.excess(), table.counts()
     else:
-        rep = complexity(config, shape)
-        exactness, diff, n_of = rep.exactness, rep.count - 1, {Pattern(()): rep.count}
-    _require_exact(exactness)
+        count = complexity(config, shape).count
+        diff, n_of = count - 1, {Pattern(()): count}
+    _require_exact(config.exactness)
     isets = directional_point_sets(shape, line, p)
     v = line.minimal_vector()
     orbits: set = set()
     out: list[MClass] = []
     seen: set[tuple[frozenset[Pattern], frozenset[Pattern]]] = set()
-    for u in config.enumeration_domain(shape.points).translates:
+    for u in config.enumeration_domain(shape.points):
         orbit = config.orbit_class(u, v)
         if orbit in orbits:
             continue
         orbits.add(orbit)
         if base_cells:
-            base_lang = directional_language(config, base_cells, line, base=u)
-            langs = base_lang.patterns
-            exact = base_lang.exactness
+            langs = directional_language(config, base_cells, line, base=u).patterns
         else:
-            langs, exact = frozenset([Pattern(())]), Exactness.EXACT
+            langs = frozenset([Pattern(())])
         if not all(n_of.get(g, 0) > 1 for g in langs):
             continue
         if isets.initials:
-            alpha_lang = directional_language(config, isets.initials, line, base=u)
-            alpha, exact = alpha_lang.patterns, exact & alpha_lang.exactness
+            alpha = directional_language(config, isets.initials, line, base=u).patterns
         else:
             alpha = frozenset([Pattern(())])
         key = (langs, alpha)
         if key in seen:
             continue
         seen.add(key)
-        out.append(MClass(u, langs, alpha, exact))
+        out.append(MClass(u, langs, alpha, config.exactness))
     return tuple(out), diff
 
 
@@ -805,8 +802,9 @@ def verify_strip_lemma(
 
     For each empirical class, when the complexity increment is at most
     p + |A^{l,p}| - 2, the strip word must show a period within that bound on
-    the examined window; a miss on exact data is a FAIL (it would contradict a
-    theorem), while windows shorter than three bounds are inconclusive.
+    the examined window; a miss is a FAIL (the classes are exact, so it would
+    contradict a theorem), while windows shorter than three bounds are
+    inconclusive.  Lower-bound data is INCONCLUSIVE with no outcomes.
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
@@ -828,7 +826,7 @@ def verify_strip_lemma(
                 StripLemmaStatus.INCONCLUSIVE,
                 tuple(StripClassOutcome(x.translate, 0, None, "inconclusive") for x in classes),
                 vacuous=False,
-                data_exact=all(x.exactness is Exactness.EXACT for x in classes),
+                data_exact=True,
             )
         classes, diff = m_classes(config, shape, line, p)
     except InexactDataError:
@@ -836,9 +834,7 @@ def verify_strip_lemma(
         return StripLemmaReport(StripLemmaStatus.INCONCLUSIVE, (), vacuous=False, data_exact=False)
     isets = directional_point_sets(shape, line, p)
     outcomes = []
-    data_exact = True
     for x in classes:
-        data_exact = data_exact and x.exactness is Exactness.EXACT
         bound = p + x.alphabet_size - 2
         if diff > bound:
             outcomes.append(StripClassOutcome(x.translate, bound, None, "skipped_hypothesis"))
@@ -853,17 +849,15 @@ def verify_strip_lemma(
         period = smallest_window_period(word.letters, bound)
         if period is not None:
             outcomes.append(StripClassOutcome(x.translate, bound, period, "pass"))
-        elif x.exactness is Exactness.EXACT:
-            outcomes.append(StripClassOutcome(x.translate, bound, None, "fail"))
         else:
-            outcomes.append(StripClassOutcome(x.translate, bound, None, "inconclusive"))
+            outcomes.append(StripClassOutcome(x.translate, bound, None, "fail"))
     if any(o.status == "fail" for o in outcomes):
         status = StripLemmaStatus.FAIL
     elif any(o.status == "inconclusive" for o in outcomes):
         status = StripLemmaStatus.INCONCLUSIVE
     else:
         status = StripLemmaStatus.PASS
-    return StripLemmaReport(status, tuple(outcomes), vacuous=not classes, data_exact=data_exact)
+    return StripLemmaReport(status, tuple(outcomes), vacuous=not classes, data_exact=True)
 
 
 # -- expansiveness witnesses -------------------------------------------------------

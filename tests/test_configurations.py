@@ -1,8 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from nivatlab.complexity import complexity, directional_language
+from nivatlab.complexity import (
+    complexity,
+    complexity_table,
+    directional_language,
+    extension_counts,
+    language_report,
+)
 from nivatlab.configurations import (
     Alphabet,
     Configuration,
@@ -16,7 +23,7 @@ from nivatlab.configurations import (
     extract_pattern,
 )
 from nivatlab.errors import ConfigurationError, UnknownLetterError
-from nivatlab.geometry import Line, block
+from nivatlab.geometry import Line, block, convex_hull
 
 from conftest import (
     DIAGONAL,
@@ -141,32 +148,87 @@ class TestPattern:
         assert pat.render() == ".b\na."
 
 
+def _parallelogram(b1, b2) -> list:
+    """The lattice points s*b1 + t*b2 with 0 <= s, t < 1, in ascending order."""
+    det = b1[0] * b2[1] - b1[1] * b2[0]
+    xs, ys = (0, b1[0], b2[0], b1[0] + b2[0]), (0, b1[1], b2[1], b1[1] + b2[1])
+    return [(x, y) for x in range(min(xs), max(xs) + 1) for y in range(min(ys), max(ys) + 1)
+            if 0 <= Fraction(x * b2[1] - y * b2[0], det) < 1
+            and 0 <= Fraction(b1[0] * y - b1[1] * x, det) < 1]
+
+
+EXACTNESS_BODIES = {
+    "doubly_periodic": DoublyPeriodic(Alphabet(("a", "b")), ((3, 1), (-1, 2)),
+                                      {g: "ab"[i % 2] for i, g in enumerate(_parallelogram((3, 1), (-1, 2)))}),
+    "defect": FiniteDefect(Alphabet(("a", "b")), "a", {(0, 0): "b", (2, -1): "b", (-3, 4): "b"}),
+    "diagonal": DiagonalFamily(),
+    "window": WindowSample(Alphabet(("a", "b")), (-2, 1), ["abbab", "babba", "abaab", "bbaba"]),
+}
+
+
 class TestEnumerationDomains:
+    """Each domain's translates in order, and the exactness every report takes from its body.
+
+    Domain order shows in `MClass.translate` and `condition_ii`, which keep
+    the first translate of each class.
+    """
+
     def test_doubly_periodic_domain_size(self, ab):
         cfg = DoublyPeriodic.from_rows(ab, ["ab", "ba"])  # basis (2,0),(0,2)
-        dom = cfg.enumeration_domain(block(3, 3).points)
-        assert len(dom) == 4
-        assert dom.exactness is Exactness.EXACT
+        assert list(cfg.enumeration_domain(block(3, 3).points)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        sheared = EXACTNESS_BODIES["doubly_periodic"]
+        for cells in [block(3, 3).points, [(5, -2)]]:
+            assert list(sheared.enumeration_domain(cells)) == _parallelogram((3, 1), (-1, 2))
+        assert len(_parallelogram((3, 1), (-1, 2))) == 7
 
     def test_finite_defect_domain(self, one_defect):
         dom = one_defect.enumeration_domain(block(2, 2).points)
         assert len(dom) == 5  # 4 overlapping + 1 far translate
-        assert dom.exactness is Exactness.EXACT
+        assert list(dom) == [(-1, -1), (-1, 0), (0, -1), (0, 0), (1, 0)]
+        cfg = EXACTNESS_BODIES["defect"]
+        for cells in [block(2, 3).points, convex_hull([(-1, 2), (3, 0), (1, 4)]).points]:
+            overlapping = sorted({(dx - sx, dy - sy) for dx, dy in cfg.defects for sx, sy in cells})
+            far = (max(dx for dx, _ in cfg.defects) - min(sx for sx, _ in cells) + 1, 0)
+            assert list(cfg.enumeration_domain(cells)) == overlapping + [far]
 
     def test_diagonal_domain_gives_known_count(self, diagonal):
         rep = complexity(diagonal, block(3, 4))
         assert (rep.count, rep.exactness) == (7, Exactness.EXACT)
+        for cells in [block(3, 4).points, convex_hull([(-1, 2), (3, 0), (1, 4)]).points]:
+            dom = list(diagonal.enumeration_domain(cells))
+            first = dom[0][0]
+            assert dom == [(d, 0) for d in range(first, first + len(dom))]
+            # The sweep is symmetric about minus the least x - y of the shape.
+            assert first + dom[-1][0] == -2 * min(x - y for x, y in cells)
 
     def test_window_domain_is_lower_bound(self, ab):
         w = WindowSample(ab, (0, 0), ["ab" * 3] * 6)
-        dom = w.enumeration_domain(block(2, 2).points)
-        assert dom.exactness is Exactness.LOWER_BOUND
-        assert len(dom) == 25
+        assert w.exactness is Exactness.LOWER_BOUND
+        assert len(w.enumeration_domain(block(2, 2).points)) == 25
 
     def test_window_smaller_than_shape_errors(self, ab):
         w = WindowSample(ab, (0, 0), ["ab", "ba"])
         with pytest.raises(UnknownLetterError):
             w.enumeration_domain(block(5, 5).points)
+
+    @pytest.mark.parametrize("kind", sorted(EXACTNESS_BODIES))
+    def test_reports_take_the_body_exactness(self, kind):
+        cfg = EXACTNESS_BODIES[kind]
+        expected = Exactness.LOWER_BOUND if kind == "window" else Exactness.EXACT
+        assert cfg.exactness is expected
+        assert "exactness" not in vars(cfg)  # a fact of the class, not of the instance
+        shape = block(3, 2)
+        cells = sorted(shape.points)
+        rep = complexity(cfg, shape)
+        assert rep.exactness is expected
+        assert rep.translates_examined == len(cfg.enumeration_domain(cells))
+        assert language_report(cfg, shape)[1] is expected
+        for line in (HORIZONTAL, VERTICAL, DIAGONAL):
+            assert directional_language(cfg, shape, line, base=(-1, 2)).exactness is expected
+            assert extension_counts(cfg, shape, line).exactness is expected
+        for (n, k), r in complexity_table(cfg, 3, 3).items():
+            assert r.exactness is expected
+            assert r.translates_examined == len(cfg.enumeration_domain(block(n, k).points))
 
 
 class TestDiagonalDirectionalExactness:

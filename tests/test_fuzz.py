@@ -131,7 +131,7 @@ def test_finite_defect_directional_matches_brute(one_defect):
         assert dl.patterns == brute
 
 
-# -- the `table` command on random literals and configs ------------------------------
+# -- CLI commands on random literals and configs ------------------------------------
 
 
 def _small_max(text: str) -> bool:
@@ -178,25 +178,28 @@ CONFIGS = VALID | MALFORMED | BASES | JUNK
 SIZES = st.integers(1, 5) | st.integers(-1, 6)
 MAX_LITERALS = (st.tuples(SIZES, SIZES).map(lambda nk: f"{nk[0]},{nk[1]}")
                 | st.text(max_size=8).filter(_small_max))
+SHAPE_LITERALS = (
+    st.tuples(SIZES, SIZES).map(lambda nk: f"rect:{nk[0]},{nk[1]}")
+    | st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=4)
+    .map(lambda pts: "points:" + ";".join(f"{x},{y}" for x, y in pts))
+    | st.sampled_from(["rect:2", "rect:a,b", "points:", "points:1,x", "hex:1,1"])
+)
 
 
 @pytest.fixture(scope="module")
 def cli_dir(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("table_fuzz"))
+    return str(tmp_path_factory.mktemp("cli_fuzz"))
 
 
-@settings(max_examples=200, deadline=None)
-@given(CONFIGS, MAX_LITERALS, st.booleans(), st.booleans(), st.booleans())
-def test_table_command_exits_cleanly(cli_dir, spec, literal, as_json, to_csv, joined):
-    """Exit 0, 1 or 2 and never a traceback; a table that succeeds has N*K rows."""
-    config, csv_path = os.path.join(cli_dir, "config.json"), os.path.join(cli_dir, "table.csv")
-    with open(config, "w", encoding="utf-8") as fh:
+def _write_config(cli_dir: str, spec) -> str:
+    path = os.path.join(cli_dir, "config.json")
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(spec, fh)
-    if os.path.exists(csv_path):
-        os.remove(csv_path)
-    argv = (["--json"] if as_json else []) + ["table", "--config", config]
-    argv += [f"--max={literal}"] if joined else ["--max", literal]
-    argv += ["--csv", csv_path] if to_csv else []
+    return path
+
+
+def _run_cleanly(argv: list[str]) -> tuple[int, str]:
+    """cli_main in process: exit 0, 1 or 2 and never a traceback; (exit code, stdout)."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -205,13 +208,39 @@ def test_table_command_exits_cleanly(cli_dir, spec, literal, as_json, to_csv, jo
             code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    return code, out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(CONFIGS, MAX_LITERALS, st.booleans(), st.booleans(), st.booleans())
+def test_table_command_exits_cleanly(cli_dir, spec, literal, as_json, to_csv, joined):
+    """Exit 0, 1 or 2 and never a traceback; a table that succeeds has N*K rows."""
+    config, csv_path = _write_config(cli_dir, spec), os.path.join(cli_dir, "table.csv")
+    if os.path.exists(csv_path):
+        os.remove(csv_path)
+    argv = (["--json"] if as_json else []) + ["table", "--config", config]
+    argv += [f"--max={literal}"] if joined else ["--max", literal]
+    argv += ["--csv", csv_path] if to_csv else []
+    code, out = _run_cleanly(argv)
     if code == 0:
         n, k = (int(v) for v in literal.split(","))
         if to_csv:
             with open(csv_path, encoding="utf-8") as fh:
                 rows = fh.read().splitlines()[1:]
         elif as_json:
-            rows = json.loads(out.getvalue())["rows"]
+            rows = json.loads(out)["rows"]
         else:
-            rows = out.getvalue().splitlines()[1:]
+            rows = out.splitlines()[1:]
         assert len(rows) == n * k
+
+
+@settings(max_examples=200, deadline=None)
+@given(CONFIGS, st.sampled_from([["complexity"], ["complexity", "--dump"], ["nivat"]]),
+       SHAPE_LITERALS, st.booleans(), st.booleans())
+def test_shape_commands_exit_cleanly(cli_dir, spec, command, literal, as_json, strict):
+    """`complexity` and `nivat`: exit 0, 1 or 2 and never a traceback; a JSON
+    report that succeeds is exact unless the body is a window sample."""
+    argv = (["--json"] if as_json else []) + (["--strict"] if strict else [])
+    code, out = _run_cleanly(argv + command + ["--config", _write_config(cli_dir, spec), "--shape", literal])
+    if code == 0 and as_json:
+        assert json.loads(out)["exact"] is (spec["type"] != "window")

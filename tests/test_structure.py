@@ -21,6 +21,7 @@ from nivatlab.errors import (
     GeometryError,
     HypothesisNotMet,
     InexactDataError,
+    UnknownLetterError,
 )
 from nivatlab.geometry import Line, block, convex_hull, line_section, supporting_line
 from nivatlab.structure import (
@@ -274,10 +275,12 @@ class TestStripLemma:
         assert rep.status is StripLemmaStatus.PASS
 
     def test_window_sample_never_fails(self, ab):
+        # Lower-bound data can neither verify nor refute the lemma.
         w = WindowSample(ab, (0, 0), ["ab" * 5] * 10)
-        rep = verify_strip_lemma(w, block(2, 2), HORIZONTAL, 1, window=4)
-        assert rep.status in (StripLemmaStatus.PASS, StripLemmaStatus.INCONCLUSIVE)
-        assert rep.status is not StripLemmaStatus.FAIL
+        for p in (0, 1):
+            rep = verify_strip_lemma(w, block(2, 2), HORIZONTAL, p, window=4)
+            assert rep.status is StripLemmaStatus.INCONCLUSIVE
+            assert rep.data_exact is False and rep.outcomes == ()
 
     def test_phi_refuses_lower_bound_data(self, ab):
         w = WindowSample(ab, (0, 0), ["ab" * 5] * 10)
@@ -387,7 +390,7 @@ def _reference_m_classes(cfg, shape, line, p):
     n_of = extension_counts(cfg, shape, line).counts() if base_cells else {Pattern(()): total}
     initials = directional_point_sets(shape, line, p).initials
     out, seen = [], set()
-    for u in cfg.enumeration_domain(shape.points).translates:
+    for u in cfg.enumeration_domain(shape.points):
         base_lang = directional_language(cfg, base_cells, line, base=u)
         if not all(n_of.get(g, 0) > 1 for g in base_lang.patterns):
             continue
@@ -619,6 +622,11 @@ class TestProjectedCounts:
         with pytest.raises(InexactDataError):
             counter.count(frozenset([(0, 0), (1, 0)]))
         assert counter.keys is None  # a window sample is never projected
+        # A subset that fits nowhere names the window, not the inexact data.
+        wide = structure._Counter(w, block(6, 1).points)
+        with pytest.raises(UnknownLetterError, match="cannot fit the shape anywhere"):
+            wide.count(frozenset(block(6, 1).points))
+        assert wide.keys is None
 
 
 # -- the witness enumeration against brute force -------------------------------------------
