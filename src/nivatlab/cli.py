@@ -13,6 +13,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from operator import attrgetter
 
 from . import __version__
 from .complexity import complexity, complexity_table, language, table_to_csv
@@ -167,7 +168,7 @@ def cmd_complexity(args) -> int:
     tag = "exact" if rep.exact else "lower bound"
     payload = {"count": rep.count, "exact": rep.exact, "translates": rep.translates_examined}
     if args.dump:
-        pats = sorted(language(config, s), key=lambda p: p.cells)
+        pats = sorted(language(config, s), key=attrgetter("word"))  # shared offsets: the order of .cells
         payload["patterns"] = [p.render() for p in pats]
         if not args.json:
             print(f"P = {rep.count} ({tag}, {rep.translates_examined} translates)")

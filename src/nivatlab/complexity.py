@@ -29,15 +29,22 @@ number of distinct projections of S's keys onto T's positions in a key; when
 those positions form one run, each projection is one slice of a key.  The
 structure searches count their subsets that way, and a block table counts
 each column's blocks from its tallest block: a shorter block is a prefix of
-a row-slice key and a sub-run of a band key.
+a row-slice key and a sub-run of a band key.  A window sample's shorter
+blocks fit at translates where the tallest does not, so its table grows
+keys instead: block(n, k)'s key at a translate is block(n, k - 1)'s plus one
+row piece.
+
+Languages wrap each key as a `Pattern` whose letter string is the key
+respelled in cell order, over one offsets tuple that every pattern of the
+call shares; no pattern is built cell by cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping
+from operator import add, itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .configurations import (
     Configuration,
@@ -151,11 +158,12 @@ def _domain_keys(
 ) -> tuple[set[str], tuple[int, ...], int]:
     """The keys of the cells over their domain (its `translate_box` for row-slice
     bodies), their index, and the domain's size."""
-    domain = config.enumeration_domain(cells)
     if isinstance(config, (DoublyPeriodic, WindowSample)):
-        return (*_row_keys(config.row, cells, *config.translate_box(cells)), len(domain))
+        size = config.domain_size(cells)  # a window that cannot fit the cells raises here
+        return (*_row_keys(config.row, cells, *config.translate_box(cells)), size)
     if isinstance(config, FiniteDefect):
-        return (*_defect_keys(config, cells), len(domain))
+        return (*_defect_keys(config, cells), config.domain_size(cells))
+    domain = config.enumeration_domain(cells)
     return (*_letter_keys(config, cells, domain), len(domain))
 
 
@@ -194,7 +202,7 @@ class _Counter:
             return cached
         if self.keys is None:
             if self.config.exactness is not Exactness.EXACT:
-                self.config.enumeration_domain(points)  # raises when the subset fits nowhere
+                self.config.domain_size(points)  # raises when the subset fits nowhere
                 _require_exact(self.config.exactness)
             self.keys, index, self.size = _domain_keys(self.config, self._root)
             self._position = dict(zip(self._root, index))
@@ -211,15 +219,20 @@ class _Counter:
         return count
 
 
-def _in_cell_order(keys: Iterable[str], index: tuple[int, ...]) -> Iterable[str]:
-    """Keys respelled as the letters of every cell, in cell order."""
-    return ("".join([k[i] for i in index]) for k in keys)
+def _in_cell_order(keys: Iterable[str], index: Sequence[int]) -> Iterable[str]:
+    """Keys respelled as their letters at the index's positions, in index order."""
+    first, n = index[0], len(index)
+    if list(index) == list(range(first, first + n)):  # one run of positions: one slice per key
+        return map(itemgetter(slice(first, first + n)), keys)
+    return map("".join, map(itemgetter(*index), keys))
 
 
 def _patterns(cells: tuple[Point, ...], keys: Iterable[str]) -> list[Pattern]:
-    """Canonical patterns of full letter strings read over sorted cells, in key order."""
-    offsets = tuple(psub(g, cells[0]) for g in cells)
-    return [Pattern(tuple(zip(offsets, k))) for k in keys]
+    """Canonical patterns of full letter strings read over sorted cells, in key order.
+
+    The patterns share one offsets tuple and wrap each key as it is.
+    """
+    return Pattern._over(tuple(psub(g, cells[0]) for g in cells), keys)
 
 
 def complexity(config: Configuration, shape: ConvexLatticeSet | Iterable[Point]) -> ComplexityReport:
@@ -246,6 +259,27 @@ def language_report(
     return frozenset(_patterns(cells, _in_cell_order(keys, index))), config.exactness
 
 
+def _grown_column(config: WindowSample, n: int, k_max: int) -> Iterator[tuple[int, int]]:
+    """(count, translates) of block(n, k) in a window sample, for k = 1, ..., k_max.
+
+    The keys of block(n, 1) are the width-n pieces of each window row.  At a
+    translate, the key of block(n, k) is that of block(n, k - 1) plus the
+    piece of the row k - 1 above it, so each step appends the next row's
+    pieces to every row of keys and drops the top row of translates, where
+    block(n, k) leaves the window.
+    """
+    xs, ys = config.translate_box(((0, 0), (n - 1, 0)))
+    pieces = []
+    for y in ys:
+        word = config.row(y, xs[0], xs[-1] + n)
+        pieces.append([word[i:i + n] for i in range(len(xs))])
+    keys = pieces
+    for k in range(1, k_max + 1):
+        if k > 1:
+            keys = [list(map(add, row, above)) for row, above in zip(keys[:-1], pieces[k - 1:])]
+        yield len(set().union(*keys)), len(xs) * len(keys)
+
+
 def complexity_table(
     config: Configuration, n_max: int, k_max: int
 ) -> dict[tuple[int, int], ComplexityReport]:
@@ -255,15 +289,19 @@ def complexity_table(
     and counts every block(n, k) as the distinct projections of those keys;
     each report still takes its translate count from the block's own domain.
     A lower-bound body (a window sample) fits shorter blocks at translates
-    where the tallest one does not fit, so its table counts every block with
-    `complexity`.
+    where the tallest one does not fit, so its table grows each column's
+    keys row by row instead (`_grown_column`): every block is counted over
+    all of its own in-window translates.
     """
     if n_max < 1 or k_max < 1:
         raise ValueError("table dimensions must be positive")
     blocks = {(n, k): tuple((x, y) for x in range(n) for y in range(k))
               for n in range(1, n_max + 1) for k in range(1, k_max + 1)}
     if config.exactness is not Exactness.EXACT:
-        return {nk: complexity(config, cells) for nk, cells in blocks.items()}
+        config.domain_size(blocks[n_max, k_max])  # raises when the window is too small
+        return {(n, k): ComplexityReport(blocks[n, k], count, config.exactness, size)
+                for n in range(1, n_max + 1)
+                for k, (count, size) in enumerate(_grown_column(config, n, k_max), 1)}
     table = {}
     for n in range(1, n_max + 1):
         counter = _Counter(config, blocks[n, k_max])
@@ -351,7 +389,7 @@ def extension_counts(config: Configuration, shape: ConvexLatticeSet, line: Line)
     base_index = [i for i, g in enumerate(cells) if g in base_set]
     keys, index, _ = _domain_keys(config, cells)
     ordered = sorted(_in_cell_order(keys, index))
-    restricted = _patterns(base_cells, ("".join([k[i] for i in base_index]) for k in ordered))
+    restricted = _patterns(base_cells, _in_cell_order(ordered, base_index))
     grouped: dict[Pattern, list[Pattern]] = {}
     for full, base_pattern in zip(_patterns(cells, ordered), restricted):
         grouped.setdefault(base_pattern, []).append(full)

@@ -8,9 +8,11 @@ language of a shape (`exactness` EXACT) or only part of it (LOWER_BOUND).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, UnknownLetterError
@@ -59,11 +61,25 @@ def as_points(shape: ConvexLatticeSet | Iterable[Point]) -> tuple[Point, ...]:
     return pts
 
 
-@dataclass(frozen=True)
 class Pattern:
-    """A finite shaped word, canonicalized so its lexicographically least cell is (0, 0)."""
+    """A finite shaped word, canonicalized so its lexicographically least cell is (0, 0).
 
-    cells: tuple[tuple[Point, str], ...]
+    A pattern is one string of single-character letters, `word`, over a tuple
+    of cell offsets: the letter of `offsets[i]` is `word[i]`.  The patterns
+    one count builds share one offsets tuple (the flyweight pattern), so each
+    costs one string, and the hash reads the word alone.  Patterns are
+    immutable.
+    """
+
+    __slots__ = ("offsets", "word")
+
+    def __init__(self, cells: Iterable[tuple[Point, str]]) -> None:
+        cells = tuple(cells)
+        letters = [a for _, a in cells]
+        if not all(isinstance(a, str) and len(a) == 1 for a in letters):
+            raise ValueError("pattern letters must be single characters")
+        _set_offsets(self, tuple(g for g, _ in cells))
+        _set_word(self, "".join(letters))
 
     @classmethod
     def from_cells(cls, cells: Mapping[Point, str] | Iterable[tuple[Point, str]]) -> "Pattern":
@@ -71,30 +87,76 @@ class Pattern:
         if not items:
             return cls(())
         base = items[0][0]
-        return cls(tuple((psub(g, base), a) for g, a in items))
+        return cls((psub(g, base), a) for g, a in items)
+
+    @classmethod
+    def _over(cls, offsets: tuple[Point, ...], words: Iterable[str]) -> list["Pattern"]:
+        """The patterns of the words over one shared offsets tuple, in word order.
+
+        Each word holds one single-character letter per offset; nothing here
+        checks that.
+        """
+        new, out = object.__new__, []
+        for word in words:
+            pattern = new(cls)
+            _set_offsets(pattern, offsets)
+            _set_word(pattern, word)
+            out.append(pattern)
+        return out
 
     @property
-    def offsets(self) -> tuple[Point, ...]:
-        return tuple(g for g, _ in self.cells)
+    def cells(self) -> tuple[tuple[Point, str], ...]:
+        return tuple(zip(self.offsets, self.word))
 
     @property
     def letters(self) -> tuple[str, ...]:
-        return tuple(a for _, a in self.cells)
+        return tuple(self.word)
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.offsets)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.word == other.word and self.offsets == other.offsets
+
+    def __hash__(self) -> int:
+        return hash(self.word)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Pattern(cells={self.cells!r})"
+
+    def __reduce__(self):
+        return (self.__class__, (self.cells,))
 
     def render(self, outside: str = ".") -> str:
         """Text grid, highest y first, with `outside` marking cells off the shape."""
-        if not self.cells:
+        if not self.offsets:
             return ""
-        xs = [g[0] for g, _ in self.cells]
-        ys = [g[1] for g, _ in self.cells]
-        grid = dict(self.cells)
-        lines = []
-        for y in range(max(ys), min(ys) - 1, -1):
-            lines.append("".join(grid.get((x, y), outside) for x in range(min(xs), max(xs) + 1)))
-        return "\n".join(lines)
+        return "".join(_layout(self.offsets)([*self.word, outside, "\n"]))
+
+
+# The slot setters: they bypass the __setattr__ that keeps patterns immutable.
+_set_offsets = Pattern.offsets.__set__
+_set_word = Pattern.word.__set__
+
+
+@lru_cache(maxsize=64)
+def _layout(offsets: tuple[Point, ...]) -> Callable:
+    """The grid of `Pattern.render` for these offsets, as a getter over the word's
+    letters followed by the outside mark and a newline."""
+    n = len(offsets)
+    at = {g: i for i, g in enumerate(offsets)}
+    xs = range(min(x for x, _ in offsets), max(x for x, _ in offsets) + 1)
+    ys = range(max(y for _, y in offsets), min(y for _, y in offsets) - 1, -1)
+    rows = [[at.get((x, y), n) for x in xs] for y in ys]
+    return itemgetter(*[i for row in rows for i in row + [n + 1]][:-1])
 
 
 class Configuration:
@@ -112,6 +174,10 @@ class Configuration:
     def enumeration_domain(self, shape: Iterable[Point]) -> Sequence[Point]:
         """Translates whose shape-patterns realize the language, as `exactness` says."""
         raise NotImplementedError
+
+    def domain_size(self, shape: Iterable[Point]) -> int:
+        """len(enumeration_domain(shape)), and the same errors."""
+        return len(self.enumeration_domain(shape))
 
     def is_period(self, h: Point) -> bool:
         """Whether h is a global period; only meaningful when periods_certified()."""
@@ -560,12 +626,17 @@ class WindowSample(Configuration):
         return range(x_lo, x_hi + 1), range(y_lo, y_hi + 1)
 
     def enumeration_domain(self, shape: Iterable[Point]) -> tuple[Point, ...]:
-        us = tuple(product(*self.translate_box(shape)))
-        if not us:
+        self.domain_size(shape)  # raises when the shape fits nowhere
+        return tuple(product(*self.translate_box(shape)))
+
+    def domain_size(self, shape: Iterable[Point]) -> int:
+        """The number of in-window translates, read off the translate box."""
+        xs, ys = self.translate_box(shape)
+        if not (xs and ys):
             raise UnknownLetterError(
                 f"the {self.width}x{self.height} window cannot fit the shape anywhere"
             )
-        return us
+        return len(xs) * len(ys)
 
     def directional_translates(self, shape, base, v) -> range:
         """The steps t that keep shape + base + t*v inside the window."""

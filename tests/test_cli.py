@@ -7,6 +7,9 @@ import pytest
 
 import nivatlab
 from nivatlab.cli import build_parser, cli_main
+from nivatlab.complexity import language
+from nivatlab.configurations import config_from_dict
+from nivatlab.geometry import convex_hull
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +112,32 @@ class TestNivatCommand:
             capsys, "nivat", "--config", configs["window"], "--shape", "rect:2,2"
         )
         assert code2 == 0
+
+
+class TestComplexityCommand:
+    @pytest.mark.parametrize("kind", ["window", "defect_pair", "checker", "diag", "window3"])
+    @pytest.mark.parametrize("literal, cells", [
+        ("rect:3,2", [(x, y) for x in range(3) for y in range(2)]),
+        ("points:0,0;2,0;1,2;3,1", convex_hull([(0, 0), (2, 0), (1, 2), (3, 1)])),
+    ])
+    def test_dump_sorts_by_cells(self, configs, capsys, tmp_path, kind, literal, cells):
+        """`--dump` lists the language sorted by `Pattern.cells`, as text and as JSON."""
+        if kind == "window3":
+            rows = ["abcabca", "ccbaabc", "bacbbca", "aacbcab", "cbabcca", "abbcaac"]
+            spec = {"type": "window", "alphabet": ["a", "b", "c"], "origin": [-2, 3], "rows": rows}
+            path = tmp_path / "window3.json"
+            path.write_text(json.dumps(spec))
+            config = str(path)
+        else:
+            config = configs[kind]
+        with open(config, encoding="utf-8") as fh:
+            body = config_from_dict(json.load(fh))
+        renders = [p.render() for p in sorted(language(body, cells), key=lambda p: p.cells)]
+        code, out, _ = run(capsys, "--json", "complexity", "--config", config, "--shape", literal, "--dump")
+        assert code == 0 and json.loads(out)["patterns"] == renders
+        code, out, _ = run(capsys, "complexity", "--config", config, "--shape", literal, "--dump")
+        listed = "".join(f"-- pattern {i}\n{r}\n" for i, r in enumerate(renders))
+        assert code == 0 and out.split("\n", 1)[1] == listed
 
 
 class TestTableCommand:

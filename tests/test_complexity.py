@@ -466,21 +466,38 @@ class TestTable:
         assert roots == [tuple((x, y) for x in range(n) for y in range(3)) for n in range(1, 5)]
         assert len(table) == 12 and all(rep.exact for rep in table.values())
 
-    def test_window_table_counts_every_block(self, monkeypatch):
-        """A window's shorter blocks fit where its tallest does not: each is counted alone."""
-        cfg = _body("window", 5)
-        counted = []
-        count = complexity_module.complexity
+    def test_window_table_counts_every_block(self):
+        """Every (n, k) of a window table equals an in-window sweep that reads each cell.
 
-        def recorded(config, cells):
-            counted.append(cells)
-            return count(config, cells)
-
-        monkeypatch.setattr(complexity_module, "complexity", recorded)
-        table = complexity_table(cfg, 3, 4)
-        assert counted == [tuple((x, y) for x in range(n) for y in range(k))
-                           for n in range(1, 4) for k in range(1, 5)]
-        assert not any(rep.exact for rep in table.values())
+        Origins on both sides of zero; windows with room to spare, exactly
+        n_max wide or k_max tall, one row or one column; a window one short in
+        either direction raises the one fits-nowhere error.
+        """
+        sizes = [(7, 6, 3, 4), (3, 6, 3, 4), (7, 4, 3, 4), (3, 4, 3, 4), (1, 6, 1, 4), (7, 1, 3, 1)]
+        for origin in [(-4, -7), (0, 0), (3, 5), (-2, 6)]:
+            for width, height, n_max, k_max in sizes:
+                rng = random.Random(f"{origin} {width} {height}")
+                while True:
+                    rows = ["".join(rng.choice("ab") for _ in range(width)) for _ in range(height)]
+                    if set("".join(rows)) == {"a", "b"}:
+                        break
+                cfg = WindowSample(AB, origin, rows)
+                table = complexity_table(cfg, n_max, k_max)
+                assert list(table) == [(n, k) for n in range(1, n_max + 1) for k in range(1, k_max + 1)]
+                for (n, k), rep in table.items():
+                    cells = tuple((x, y) for x in range(n) for y in range(k))
+                    # Row r from the top of the window holds y = origin[1] + height - 1 - r.
+                    seen = {tuple(rows[origin[1] + height - 1 - (uy + y)][ux + x - origin[0]]
+                                  for x, y in cells)
+                            for ux in range(origin[0], origin[0] + width - n + 1)
+                            for uy in range(origin[1], origin[1] + height - k + 1)}
+                    assert rep.shape == cells and rep.count == len(seen)
+                    assert rep.exactness is Exactness.LOWER_BOUND
+                    assert rep.translates_examined == (width - n + 1) * (height - k + 1)
+                for too_big in [(width + 1, 1), (1, height + 1), (width + 1, height + 1)]:
+                    with pytest.raises(UnknownLetterError) as raised:
+                        complexity_table(cfg, *too_big)
+                    assert str(raised.value) == f"the {width}x{height} window cannot fit the shape anywhere"
 
 
 # -- finite-defect domains read from their defects alone --------------------------------

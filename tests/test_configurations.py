@@ -1,13 +1,18 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nivatlab.complexity import (
     complexity,
     complexity_table,
     directional_language,
     extension_counts,
+    language,
     language_report,
 )
 from nivatlab.configurations import (
@@ -31,6 +36,7 @@ from conftest import (
     VERTICAL,
     coset_representatives,
     random_doubly_periodic,
+    random_finite_defect,
 )
 
 
@@ -136,6 +142,68 @@ class TestExtraction:
         assert pat.letters == (diagonal.letter_at((4, 4)),)
 
 
+def _grid(cells, outside: str) -> str:
+    """A text grid of (point, letter) pairs, highest y first, drawn without Pattern."""
+    at = dict(cells)
+    xs, ys = [x for x, _ in at], [y for _, y in at]
+    return "\n".join("".join(at.get((x, y), outside) for x in range(min(xs), max(xs) + 1))
+                     for y in range(max(ys), min(ys) - 1, -1))
+
+
+def _check_language(cfg, translates, cells, outside: str) -> frozenset:
+    """The engine's language of the cells, checked pattern by pattern against
+    patterns built from letters read with letter_at at every translate."""
+    engine = language(cfg, cells)
+    twins = {p: p for p in engine}
+    read = set()
+    for ux, uy in translates:
+        if isinstance(cfg, WindowSample) and not all(
+                cfg._inside((x + ux, y + uy)) for x, y in cells):
+            continue
+        letters = {(x, y): cfg.letter_at((x + ux, y + uy)) for x, y in cells}
+        x0, y0 = cells[0]
+        expected = tuple(((x - x0, y - y0), letters[x, y]) for x, y in cells)
+        if expected in read:
+            continue
+        read.add(expected)
+        for pat in (Pattern(expected), Pattern.from_cells(letters), Pattern.from_cells(expected)):
+            twin = twins[pat]
+            assert pat == twin and twin == pat and hash(pat) == hash(twin)
+            assert pat.cells == twin.cells == expected
+            assert pat.offsets == twin.offsets == tuple(g for g, _ in expected)
+            assert pat.letters == twin.letters == tuple(a for _, a in expected)
+            assert len(pat) == len(twin) == len(cells)
+            assert repr(pat) == repr(twin) == f"Pattern(cells={expected!r})"
+            assert pat.render(outside) == twin.render(outside) == _grid(expected, outside)
+    assert {p.cells for p in engine} == read
+    return engine
+
+
+CONTRACT_KINDS = ["defect", "diagonal", "periodic", "window"]
+HEXAGON = convex_hull([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)])
+
+
+def _contract_body(kind: str, rng: random.Random):
+    """A body, and translates that realize every pattern of cells in [-2, 2]^2."""
+    if kind == "periodic":
+        # A lattice of index d holds (d, 0) and (0, d), so [0, d)^2 holds a residue system.
+        cfg = random_doubly_periodic(rng)
+        d = abs(cfg._det)
+        return cfg, [(x, y) for x in range(d) for y in range(d)]
+    if kind == "defect":  # defects lie in [-4, 4]^2
+        cfg = random_finite_defect(rng, Alphabet(("a", "b")))
+        return cfg, [(x, y) for x in range(-8, 9) for y in range(-8, 9)]
+    if kind == "diagonal":
+        return DiagonalFamily(*rng.sample("bw", 2)), [(t, 0) for t in range(-80, 81)]
+    origin = (rng.randint(-4, 4), rng.randint(-4, 4))
+    while True:
+        rows = ["".join(rng.choice("abc") for _ in range(6)) for _ in range(5)]
+        if set("".join(rows)) == set("abc"):
+            cfg = WindowSample(Alphabet(("a", "b", "c")), origin, rows)
+            return cfg, [(x, y) for x in range(origin[0] - 3, origin[0] + 9)
+                         for y in range(origin[1] - 3, origin[1] + 8)]
+
+
 class TestPattern:
     def test_canonicalization(self):
         a = Pattern.from_cells({(3, 4): "x", (4, 4): "y"})
@@ -146,6 +214,52 @@ class TestPattern:
     def test_render(self):
         pat = Pattern.from_cells({(0, 0): "a", (1, 1): "b"})
         assert pat.render() == ".b\na."
+
+    def test_value_semantics(self):
+        """Equal exactly when the cells are; immutable; copies and pickles are equal."""
+        row = Pattern.from_cells({(0, 0): "a", (1, 0): "b"})
+        column = Pattern.from_cells({(0, 0): "a", (0, 1): "b"})
+        assert row.word == column.word and row != column and row != row.cells
+        pat = Pattern.from_cells({(2, 1): "a", (3, 3): "b"})
+        for name in ("cells", "offsets", "word", "letters", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(pat, name, None)
+        with pytest.raises(AttributeError):
+            del pat.word
+        assert pat.cells == (((0, 0), "a"), ((1, 2), "b"))
+        for twin in (copy.copy(pat), copy.deepcopy(pat), pickle.loads(pickle.dumps(pat))):
+            assert twin == pat and repr(twin) == repr(pat)
+        with pytest.raises(ValueError, match="single characters"):
+            Pattern((((0, 0), "ab"),))
+
+    def test_empty_pattern(self):
+        empty = Pattern(())
+        assert (empty.cells, empty.offsets, empty.letters, len(empty)) == ((), (), (), 0)
+        assert empty == Pattern.from_cells({}) and repr(empty) == "Pattern(cells=())"
+        assert empty.render() == "" and language(DiagonalFamily(), []) == {empty}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(CONTRACT_KINDS), st.integers(0, 10**6),
+           st.sets(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=6),
+           st.sampled_from([".", " ", "#", "--"]))
+    def test_every_constructor_keeps_the_contract(self, kind, seed, cells, outside):
+        """Patterns from `Pattern(cells)`, `from_cells`, `language` and
+        `extension_counts` agree on every part of the API, on any cell set."""
+        cfg, translates = _contract_body(kind, random.Random(seed))
+        checked = _check_language(cfg, translates, sorted(cells), outside)
+        shape = random.Random(seed).choice([block(2, 3), block(3, 2), HEXAGON])
+        line = random.Random(seed).choice([HORIZONTAL, VERTICAL, DIAGONAL])
+        table = extension_counts(cfg, shape, line)
+        full = _check_language(cfg, translates, sorted(shape.points), outside)
+        base = _check_language(cfg, translates, table.base, outside)
+        # A window fits the base at translates where the shape does not fit.
+        assert set(table.extensions) == base or cfg.exactness is not Exactness.EXACT
+        assert set(table.extensions) <= base
+        assert {p for group in table.extensions.values() for p in group} == full
+        for pat in [*checked, *table.extensions, *table.extensions[next(iter(table.extensions))]]:
+            with pytest.raises(AttributeError):
+                pat.word = "x"
+
 
 
 def _parallelogram(b1, b2) -> list:

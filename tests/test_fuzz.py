@@ -244,3 +244,40 @@ def test_shape_commands_exit_cleanly(cli_dir, spec, command, literal, as_json, s
     code, out = _run_cleanly(argv + command + ["--config", _write_config(cli_dir, spec), "--shape", literal])
     if code == 0 and as_json:
         assert json.loads(out)["exact"] is (spec["type"] != "window")
+
+
+BOUND_LITERALS = st.integers(-2, 12).map(str) | st.sampled_from(["", "x", "1.5", "1e3", " 3", "-0"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(CONFIGS, BOUND_LITERALS, st.booleans())
+def test_periods_command_exits_cleanly(cli_dir, spec, bound, as_json):
+    """`periods`: exit 0, 1 or 2 and never a traceback; a JSON report that
+    succeeds lists only periods within the bound."""
+    argv = (["--json"] if as_json else []) + ["periods", "--config", _write_config(cli_dir, spec)]
+    code, out = _run_cleanly(argv + ["--bound", bound])
+    if code == 0 and as_json:
+        assert all(max(abs(x), abs(y)) <= int(bound) for x, y in json.loads(out)["periods"])
+
+
+SMALL_SHAPE_LITERALS = (
+    st.tuples(st.integers(-1, 3), st.integers(-1, 3)).map(lambda nk: f"rect:{nk[0]},{nk[1]}")
+    | st.lists(st.tuples(st.integers(-1, 2), st.integers(-1, 2)), min_size=1, max_size=4)
+    .map(lambda pts: "points:" + ";".join(f"{x},{y}" for x, y in pts))
+    | st.sampled_from(["rect:2", "points:", "hex:1,1"])
+)
+LINE_LITERALS = (st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(lambda v: f"{v[0]},{v[1]}")
+                 | st.sampled_from(["1,0,2", "1,1,-1", "1", "x,y", ""]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(CONFIGS, SMALL_SHAPE_LITERALS, st.none() | LINE_LITERALS, st.booleans())
+def test_generating_command_exits_cleanly(cli_dir, spec, literal, line, as_json):
+    """`generating`, with and without `--line`: exit 0, 1 or 2 and never a
+    traceback; a JSON report with a claim names the search that ran."""
+    argv = (["--json"] if as_json else []) + ["generating", "--config", _write_config(cli_dir, spec)]
+    argv += ["--shape", literal] + ([] if line is None else ["--line", line])
+    code, out = _run_cleanly(argv)
+    payload = json.loads(out) if code == 0 and as_json else {"status": "no_claim"}
+    if payload.get("status") != "no_claim" and line != "":  # `--line ""` runs the plain search
+        assert payload["kind"] == ("generating" if line is None else "directional")
