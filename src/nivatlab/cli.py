@@ -274,7 +274,7 @@ def _emit_generating(args, result) -> None:
 def cmd_generating(args) -> int:
     config = load_config(args.config)
     s = parse_shape(args.shape)
-    if args.line:
+    if args.line is not None:
         result = find_directional_generating_set(config, s, parse_line(args.line))
     else:
         result = find_generating_set(config, s)
@@ -295,7 +295,7 @@ def cmd_balanced(args) -> int:
     line = parse_line(args.line)
     witness_absent = True
     witness_payload = None
-    if args.witness_radius > 0:
+    if args.witness_radius != 0:
         w = expansive_witness(config, line, args.witness_radius)
         witness_absent = not w.found
         witness_payload = {

@@ -579,10 +579,13 @@ class WindowSample(Configuration):
         self.width = len(rows[0])
         self.height = len(rows)
         self._rows = tuple(rows)  # first row is the visual top
-        for a in "".join(rows):
-            if a not in alphabet:
-                raise ConfigurationError(f"letter {a!r} not in alphabet")
-        if set("".join(rows)) != set(alphabet.letters):
+        text = "".join(rows)
+        present = set(text)
+        foreign = present.difference(alphabet.letters)
+        if foreign:
+            first = next(a for a in text if a in foreign)  # the first in row order
+            raise ConfigurationError(f"letter {first!r} not in alphabet")
+        if len(present) != len(alphabet):
             raise ConfigurationError("every alphabet letter must occur in the window")
 
     def letter_at(self, g: Point) -> str:

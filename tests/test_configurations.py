@@ -99,6 +99,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             WindowSample(ab, (0, 0), ["aa", "aa"])
 
+    def test_window_names_first_foreign_letter_in_row_order(self, ab):
+        with pytest.raises(ConfigurationError) as exc:
+            WindowSample(ab, (0, 0), ["abz", "xab", "zxa"])
+        assert str(exc.value) == "letter 'z' not in alphabet"
+
 
 class TestEvaluation:
     def test_doubly_periodic_basis_invariance(self, checkerboard):

@@ -198,8 +198,8 @@ def _write_config(cli_dir: str, spec) -> str:
     return path
 
 
-def _run_cleanly(argv: list[str]) -> tuple[int, str]:
-    """cli_main in process: exit 0, 1 or 2 and never a traceback; (exit code, stdout)."""
+def _run_cleanly(argv: list[str]) -> tuple[int, str, str]:
+    """cli_main in process: exit 0, 1 or 2 and never a traceback; (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -208,7 +208,7 @@ def _run_cleanly(argv: list[str]) -> tuple[int, str]:
             code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=200, deadline=None)
@@ -221,7 +221,7 @@ def test_table_command_exits_cleanly(cli_dir, spec, literal, as_json, to_csv, jo
     argv = (["--json"] if as_json else []) + ["table", "--config", config]
     argv += [f"--max={literal}"] if joined else ["--max", literal]
     argv += ["--csv", csv_path] if to_csv else []
-    code, out = _run_cleanly(argv)
+    code, out, _ = _run_cleanly(argv)
     if code == 0:
         n, k = (int(v) for v in literal.split(","))
         if to_csv:
@@ -241,7 +241,7 @@ def test_shape_commands_exit_cleanly(cli_dir, spec, command, literal, as_json, s
     """`complexity` and `nivat`: exit 0, 1 or 2 and never a traceback; a JSON
     report that succeeds is exact unless the body is a window sample."""
     argv = (["--json"] if as_json else []) + (["--strict"] if strict else [])
-    code, out = _run_cleanly(argv + command + ["--config", _write_config(cli_dir, spec), "--shape", literal])
+    code, out, _ = _run_cleanly(argv + command + ["--config", _write_config(cli_dir, spec), "--shape", literal])
     if code == 0 and as_json:
         assert json.loads(out)["exact"] is (spec["type"] != "window")
 
@@ -255,7 +255,7 @@ def test_periods_command_exits_cleanly(cli_dir, spec, bound, as_json):
     """`periods`: exit 0, 1 or 2 and never a traceback; a JSON report that
     succeeds lists only periods within the bound."""
     argv = (["--json"] if as_json else []) + ["periods", "--config", _write_config(cli_dir, spec)]
-    code, out = _run_cleanly(argv + ["--bound", bound])
+    code, out, _ = _run_cleanly(argv + ["--bound", bound])
     if code == 0 and as_json:
         assert all(max(abs(x), abs(y)) <= int(bound) for x, y in json.loads(out)["periods"])
 
@@ -277,7 +277,21 @@ def test_generating_command_exits_cleanly(cli_dir, spec, literal, line, as_json)
     traceback; a JSON report with a claim names the search that ran."""
     argv = (["--json"] if as_json else []) + ["generating", "--config", _write_config(cli_dir, spec)]
     argv += ["--shape", literal] + ([] if line is None else ["--line", line])
-    code, out = _run_cleanly(argv)
+    code, out, _ = _run_cleanly(argv)
     payload = json.loads(out) if code == 0 and as_json else {"status": "no_claim"}
-    if payload.get("status") != "no_claim" and line != "":  # `--line ""` runs the plain search
+    if payload.get("status") != "no_claim":
         assert payload["kind"] == ("generating" if line is None else "directional")
+
+
+@settings(max_examples=100, deadline=None)
+@given(CONFIGS, LINE_LITERALS, st.integers(-2, 1), st.booleans())
+def test_witness_radius_exits_cleanly(cli_dir, spec, line, radius, as_json):
+    """`witness --radius` and `balanced --witness-radius`: exit 0, 1 or 2 and
+    never a traceback; a negative radius is one error, the same from both."""
+    flags = ["--json"] if as_json else []
+    body = ["--config", _write_config(cli_dir, spec), f"--line={line}"]
+    witness = _run_cleanly(flags + ["witness"] + body + [f"--radius={radius}"])
+    balanced = _run_cleanly(flags + ["balanced"] + body + ["--shape", "rect:2,2", f"--witness-radius={radius}"])
+    if radius < 0:
+        assert witness[0] == balanced[0] == 1
+        assert witness[2] == balanced[2] and len(witness[2].splitlines()) == 1

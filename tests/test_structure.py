@@ -1,5 +1,7 @@
 import importlib
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -669,3 +671,64 @@ class TestWitnessEnumeration:
         rep = expansive_witness(THREE_DEFECTS, HORIZONTAL, 2)
         assert not rep.found and rep.witness is None and rep.point is None
         assert rep.sets_examined == 33341
+
+    # The levels of convex subsets are memoised per radius for the process;
+    # each test below starts from an emptied memo and restores the old one.
+    @staticmethod
+    def _levels_by_size(radius):
+        by_size: dict[int, list] = {}
+        for c in convex_subsets_of_box(radius):
+            by_size.setdefault(len(c), []).append(tuple(sorted(c)))
+        return [sorted(by_size[n]) for n in sorted(by_size)]
+
+    @pytest.mark.parametrize("radius", [0, 1])
+    def test_levels_are_the_convex_subsets_by_size(self, radius, monkeypatch):
+        monkeypatch.setattr(structure, "_BOX_LEVELS", {})
+        expected = self._levels_by_size(radius)
+        assert list(structure._convex_levels(radius)) == expected
+        assert list(structure._convex_levels(radius)) == expected  # read again, not regrown
+
+    def test_a_search_that_stops_early_leaves_the_levels_whole(self, monkeypatch):
+        monkeypatch.setattr(structure, "_BOX_LEVELS", {})
+        early = expansive_witness(DiagonalFamily(), HORIZONTAL, 2)
+        assert early.found and early.sets_examined == 3
+        assert [len(level) for level in structure._BOX_LEVELS[2].levels] == [25, 200]  # nothing past pairs
+        full = expansive_witness(THREE_DEFECTS, HORIZONTAL, 2)
+        assert not full.found and full.sets_examined == 33341
+        monkeypatch.setattr(structure, "_BOX_LEVELS", {})
+        assert expansive_witness(THREE_DEFECTS, HORIZONTAL, 2) == full
+        monkeypatch.setattr(structure, "_BOX_LEVELS", {})
+        assert expansive_witness(DiagonalFamily(), HORIZONTAL, 2) == early
+
+    def test_an_inexact_body_leaves_the_levels_usable(self, monkeypatch):
+        monkeypatch.setattr(structure, "_BOX_LEVELS", {})
+        w = WindowSample(AB, (-2, -1), ["abbab", "babba", "abaab", "bbaba", "aabab"])
+        with pytest.raises(InexactDataError):
+            expansive_witness(w, Line(1, 3, 0), 1)
+        after_error = expansive_witness(THREE_DEFECTS, Line(1, 3, 0), 1)
+        monkeypatch.setattr(structure, "_BOX_LEVELS", {})
+        assert expansive_witness(THREE_DEFECTS, Line(1, 3, 0), 1) == after_error
+
+    def test_threads_grow_each_level_once(self, monkeypatch):
+        monkeypatch.setattr(structure, "_BOX_LEVELS", {})
+        bodies = [THREE_DEFECTS, DiagonalFamily(), FiniteDefect(AB, "a", {(0, 0): "b"})] * 4
+        expected = [expansive_witness(body, Line(1, 3, 0), 1) for body in bodies]
+        monkeypatch.setattr(structure, "_BOX_LEVELS", {})
+        reports: list = [None] * len(bodies)
+
+        def search(i):
+            reports[i] = expansive_witness(bodies[i], Line(1, 3, 0), 1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=search, args=(i,)) for i in range(len(bodies))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert reports == expected
+        assert list(structure._convex_levels(1)) == self._levels_by_size(1)  # no level twice
