@@ -16,7 +16,8 @@ back, read in slices rather than cell by cell:
   slices of a body row, and `zip` joins the lists into keys.  A doubly
   periodic body counts over its torus (`DoublyPeriodic.translate_box`).
 - Band words (`DiagonalFamily`): a letter depends only on x - y, so a key is
-  one factor of the band word per maximal run of the cells' x - y values.
+  one factor of the band word per maximal run of the cells' x - y values,
+  and one slice of it when they form one run.
 - Defects (`FiniteDefect`): a translate of the domain meets a defect or is the
   far translate, so its key is background except where a defect falls.
 - Directional translates (a line, not a box) on bodies other than the
@@ -28,11 +29,13 @@ body, S's keys determine T's language, and `_Counter` counts T as the
 number of distinct projections of S's keys onto T's positions in a key; when
 those positions form one run, each projection is one slice of a key.  The
 structure searches count their subsets that way, and a block table counts
-each column's blocks from its tallest block: a shorter block is a prefix of
-a row-slice key and a sub-run of a band key.  A window sample's shorter
-blocks fit at translates where the tallest does not, so its table grows
-keys instead: block(n, k)'s key at a translate is block(n, k - 1)'s plus one
-row piece.
+each column's blocks from its tallest block (`_projected_column`): a shorter
+block is a prefix of a row-slice key and a sub-run of a band key.  Table
+reports take their translate counts from `domain_size`, in closed form
+where the body has one, so no per-block domain is built.  A window
+sample's shorter blocks fit at translates where the tallest does not, so
+its table grows keys instead: block(n, k)'s key at a translate is
+block(n, k - 1)'s plus one row piece.
 
 Languages wrap each key as a `Pattern` whose letter string is the key
 respelled in cell order, over one offsets tuple that every pattern of the
@@ -111,15 +114,23 @@ def _row_keys(row: Callable[[int, int, int], str], cells: tuple[Point, ...], uxs
 
 
 def _band_keys(config: DiagonalFamily, cells: tuple[Point, ...], translates) -> _Keys:
-    """The keys over the translates: one letter per distinct x - y of the cells, in order."""
+    """The keys over the translates: one letter per distinct x - y of the cells, in order.
+
+    When those values form one run, as they do for blocks and hexagons, each
+    key is one slice of the band word.
+    """
     deltas = sorted({x - y for x, y in cells})
     shifts = [ux - uy for ux, uy in translates]
     low = min(shifts)
     word = config.band(deltas[0] + low, deltas[-1] + max(shifts) + 1)
+    position = {d: i for i, d in enumerate(deltas)}
+    index = tuple(position[x - y] for x, y in cells)
+    width = len(deltas)
+    if deltas[-1] - deltas[0] + 1 == width:
+        return {word[e - low:e - low + width] for e in shifts}, index
     starts = [e - low - deltas[0] for e in shifts]
     columns = [[word[i + d:i + d + n] for i in starts] for d, n in _runs(deltas)]
-    position = {d: i for i, d in enumerate(deltas)}
-    return set(_joined(columns)), tuple(position[x - y] for x, y in cells)
+    return set(_joined(columns)), index
 
 
 def _letter_keys(config: Configuration, cells: tuple[Point, ...], translates) -> _Keys:
@@ -136,12 +147,16 @@ def _letter_keys(config: Configuration, cells: tuple[Point, ...], translates) ->
     return keys, tuple(range(len(cells)))
 
 
-def _defect_keys(config: FiniteDefect, cells: tuple[Point, ...]) -> _Keys:
-    """The keys over a defect domain: background but where a defect falls.
+def _defect_keys(
+    config: FiniteDefect, cells: tuple[Point, ...]
+) -> tuple[set[str], tuple[int, ...], int]:
+    """The keys over a defect domain (background but where a defect falls),
+    their index, and the domain's size.
 
     The domain holds d - s for every defect d and cell s, and one far
     translate.  The key of d - s holds d's letter at the position of cell s;
-    the far translate meets no defect and keys as all background.
+    the far translate meets no defect and keys as all background.  So the
+    domain's size is the number of translates met, plus one.
     """
     blank = [config.background] * len(cells)
     met: dict[Point, list[str]] = {}
@@ -150,7 +165,7 @@ def _defect_keys(config: FiniteDefect, cells: tuple[Point, ...]) -> _Keys:
             met.setdefault((dx - sx, dy - sy), blank.copy())[i] = a
     keys = set(map("".join, met.values()))
     keys.add("".join(blank))
-    return keys, tuple(range(len(cells)))
+    return keys, tuple(range(len(cells))), len(met) + 1
 
 
 def _domain_keys(
@@ -162,7 +177,7 @@ def _domain_keys(
         size = config.domain_size(cells)  # a window that cannot fit the cells raises here
         return (*_row_keys(config.row, cells, *config.translate_box(cells)), size)
     if isinstance(config, FiniteDefect):
-        return (*_defect_keys(config, cells), config.domain_size(cells))
+        return _defect_keys(config, cells)
     domain = config.enumeration_domain(cells)
     return (*_letter_keys(config, cells, domain), len(domain))
 
@@ -175,22 +190,33 @@ def _require_exact(exactness: Exactness) -> None:
         )
 
 
+def _projected_count(keys: set[str], positions: list[int], width: int) -> int:
+    """The number of distinct projections of keys of `width` letters onto the
+    sorted distinct positions: one slice per key when the positions form one
+    run, all of each key when they are every position."""
+    first, last = positions[0], positions[-1]
+    if len(positions) == width:
+        return len(keys)
+    if last - first + 1 == len(positions):
+        return len(set(map(itemgetter(slice(first, last + 1)), keys)))
+    return len(set(map(itemgetter(*positions), keys)))
+
+
 class _Counter:
     """Complexity cache over subsets of one root point set; refuses inexact counts.
 
     A subset's count is the number of distinct projections of the root's
-    keys, read on the first count, onto the subset's positions in a key.  It
-    is the subset's complexity on an EXACT body.  On a lower-bound body (a
-    window sample) a subset fits at translates where the root does not, so
-    the first count raises InexactDataError before any key is read, or
-    UnknownLetterError when the subset fits nowhere.
+    keys, read on the first count, onto the subset's positions in a key
+    (`_projected_count`).  It is the subset's complexity on an EXACT body.
+    On a lower-bound body (a window sample) a subset fits at translates where
+    the root does not, so the first count raises InexactDataError before any
+    key is read, or UnknownLetterError when the subset fits nowhere.
     """
 
     def __init__(self, config: Configuration, root: Iterable[Point]) -> None:
         self.config = config
         self._root = as_points(root)
         self.keys: set[str] | None = None  # the root's keys, once read
-        self.size: int | None = None  # the size of the root's domain, read with its keys
         self._cache: dict[frozenset[Point], int] = {}
 
     def count(self, points: frozenset[Point]) -> int:
@@ -204,18 +230,11 @@ class _Counter:
             if self.config.exactness is not Exactness.EXACT:
                 self.config.domain_size(points)  # raises when the subset fits nowhere
                 _require_exact(self.config.exactness)
-            self.keys, index, self.size = _domain_keys(self.config, self._root)
+            self.keys, index, _ = _domain_keys(self.config, self._root)
             self._position = dict(zip(self._root, index))
             self._width = len(set(index))
         positions = sorted({self._position[g] for g in points})
-        first, last = positions[0], positions[-1]
-        if len(positions) == self._width:
-            count = len(self.keys)
-        elif last - first + 1 == len(positions):  # one run of positions: one slice per key
-            count = len(set(map(itemgetter(slice(first, last + 1)), self.keys)))
-        else:
-            count = len(set(map(itemgetter(*positions), self.keys)))
-        self._cache[points] = count
+        count = self._cache[points] = _projected_count(self.keys, positions, self._width)
         return count
 
 
@@ -280,36 +299,53 @@ def _grown_column(config: WindowSample, n: int, k_max: int) -> Iterator[tuple[in
         yield len(set().union(*keys)), len(xs) * len(keys)
 
 
+def _projected_column(config: Configuration, root: tuple[Point, ...], k_max: int) -> Iterator[int]:
+    """The count of block(n, k) on an exact body, for k = 1, ..., k_max.
+
+    `root` is block(n, k_max) in x-major order, so block(n, k) is its cells
+    x * k_max + y with y < k.  The root's keys are read once, and each block
+    is counted as their distinct projections onto its positions in a key.
+    The keys live only as long as this generator runs.
+    """
+    keys, index, _ = _domain_keys(config, root)
+    width = len(set(index))
+    starts = range(0, len(root), k_max)  # where each x of the root begins
+    for k in range(1, k_max + 1):
+        positions = sorted(set().union(*[index[i:i + k] for i in starts]))
+        yield _projected_count(keys, positions, width)
+
+
 def complexity_table(
     config: Configuration, n_max: int, k_max: int
 ) -> dict[tuple[int, int], ComplexityReport]:
     """Complexity of every n-by-k block with 1 <= n <= n_max, 1 <= k <= k_max.
 
-    On an exact body each column n reads the keys of block(n, k_max) once,
-    and counts every block(n, k) as the distinct projections of those keys;
-    each report still takes its translate count from the block's own domain.
-    A lower-bound body (a window sample) fits shorter blocks at translates
+    Block(n, k) is the prefix of n * k cells of one x-major tuple per height
+    k, and each report takes its translate count from `domain_size`, in
+    closed form where the body has one: no domain is built per block.  On an
+    exact body each column n reads the keys of block(n, k_max) once
+    (`_projected_column`) and counts every block(n, k) as the distinct
+    projections of those keys; on the diagonal family a block's x - y values
+    form one run, so each projection is one slice of a band key.  A
+    lower-bound body (a window sample) fits shorter blocks at translates
     where the tallest one does not fit, so its table grows each column's
     keys row by row instead (`_grown_column`): every block is counted over
     all of its own in-window translates.
     """
     if n_max < 1 or k_max < 1:
         raise ValueError("table dimensions must be positive")
-    blocks = {(n, k): tuple((x, y) for x in range(n) for y in range(k))
-              for n in range(1, n_max + 1) for k in range(1, k_max + 1)}
-    if config.exactness is not Exactness.EXACT:
-        config.domain_size(blocks[n_max, k_max])  # raises when the window is too small
-        return {(n, k): ComplexityReport(blocks[n, k], count, config.exactness, size)
+    heights = {k: tuple((x, y) for x in range(n_max) for y in range(k)) for k in range(1, k_max + 1)}
+    exactness = config.exactness
+    if exactness is not Exactness.EXACT:
+        config.domain_size(heights[k_max])  # raises when the window is too small
+        return {(n, k): ComplexityReport(heights[k][:n * k], count, exactness, size)
                 for n in range(1, n_max + 1)
                 for k, (count, size) in enumerate(_grown_column(config, n, k_max), 1)}
     table = {}
     for n in range(1, n_max + 1):
-        counter = _Counter(config, blocks[n, k_max])
-        for k in range(1, k_max + 1):
-            cells = blocks[n, k]
-            count = counter.count(frozenset(cells))
-            size = counter.size if k == k_max else len(config.enumeration_domain(cells))
-            table[n, k] = ComplexityReport(cells, count, config.exactness, size)
+        for k, count in enumerate(_projected_column(config, heights[k_max][:n * k_max], k_max), 1):
+            cells = heights[k][:n * k]
+            table[n, k] = ComplexityReport(cells, count, exactness, config.domain_size(cells))
     return table
 
 

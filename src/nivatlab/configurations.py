@@ -416,6 +416,11 @@ class FiniteDefect(Configuration):
         far = (max(d[0] for d in self.defects) - min(g[0] for g in pts) + 1, 0)
         return sorted(overlapping) + [far]
 
+    def domain_size(self, shape: Iterable[Point]) -> int:
+        """The overlapping translates, counted without sorting them, and the far one."""
+        pts = as_points(shape)
+        return len({(dx - sx, dy - sy) for dx, dy in self.defects for sx, sy in pts}) + 1
+
     def is_period(self, h: Point) -> bool:
         # A finite nonempty defect set cannot map onto itself under a nonzero shift.
         return False
@@ -534,16 +539,26 @@ class DiagonalFamily(Configuration):
         deltas = [x - y for x, y in shape]
         return min(deltas), max(deltas)
 
-    def enumeration_domain(self, shape: Iterable[Point]) -> list[Point]:
+    def _sweep(self, shape: Iterable[Point]) -> tuple[int, int]:
+        """(lo, m): the shape's least x - y, and the reach m of the window-minimum sweep.
+
+        Beyond sigma(c0) consecutive offsets are further apart than the
+        window is wide, so sweeping the window minimum across [-m, m]
+        realizes every view: all multi-offset views, one full crossing of an
+        isolated offset, and an empty gap.
+        """
         lo, hi = self._delta_span(shape)
         width = hi - lo
-        # Beyond sigma(c0) consecutive offsets are further apart than the
-        # window is wide, so sweeping the window minimum across [-m, m]
-        # realizes every view: all multi-offset views, one full crossing of an
-        # isolated offset, and an empty gap.
         c0 = max(6, width)
-        m = _sigma(c0 + 2) + width + 1
+        return lo, _sigma(c0 + 2) + width + 1
+
+    def enumeration_domain(self, shape: Iterable[Point]) -> list[Point]:
+        lo, m = self._sweep(shape)
         return [(d, 0) for d in range(-m - lo, m - lo + 1)]
+
+    def domain_size(self, shape: Iterable[Point]) -> int:
+        """The 2m + 1 translates of the sweep, without building them."""
+        return 2 * self._sweep(shape)[1] + 1
 
     def directional_translates(self, shape, base, v) -> Sequence[int]:
         k = v[0] - v[1]

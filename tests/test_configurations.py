@@ -349,6 +349,41 @@ class TestEnumerationDomains:
             assert r.exactness is expected
             assert r.translates_examined == len(cfg.enumeration_domain(block(n, k).points))
 
+    def test_diagonal_domain_sizes_in_closed_form(self, diagonal):
+        # 2m + 1 translates with m = sigma(max(6, w) + 2) + w + 1, where w is
+        # the shape's x - y width and sigma(c) = 6 + 7 + ... + c: 45 for one
+        # cell, 723 for block(13, 13) (w = 24).
+        for shape, size in [(block(1, 1), 45), (block(3, 4), 55), (block(13, 13), 723)]:
+            assert diagonal.domain_size(shape.points) == size
+            assert len(diagonal.enumeration_domain(shape.points)) == size
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(CONTRACT_KINDS), st.integers(0, 10**6), st.data())
+    def test_domain_size_is_the_domain_length(self, kind, seed, data):
+        """`domain_size` is `len(enumeration_domain)` on blocks, hexagons and
+        point sets whose x - y values have gaps, with the same fits-nowhere
+        error; a count examines exactly the domain's translates."""
+        cfg, _ = _contract_body(kind, random.Random(seed))
+        at = data.draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+        a, b, c = data.draw(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)))
+        shape = data.draw(st.sampled_from([
+            sorted(block(a + 1, c + 1).points),
+            sorted(convex_hull([(0, 0), (a, 0), (a + b, b), (a + b, b + c), (b, b + c), (0, c)]).points),
+            sorted(data.draw(st.sets(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+                                     min_size=1, max_size=6))),
+        ]))
+        cells = [(x + at[0], y + at[1]) for x, y in shape]
+        if isinstance(cfg, WindowSample) and not all(cfg.translate_box(cells)):
+            message = f"the {cfg.width}x{cfg.height} window cannot fit the shape anywhere"
+            for call in (cfg.domain_size, cfg.enumeration_domain, lambda g: complexity(cfg, g)):
+                with pytest.raises(UnknownLetterError) as err:
+                    call(cells)
+                assert str(err.value) == message
+            return
+        size = len(cfg.enumeration_domain(cells))
+        assert cfg.domain_size(cells) == size
+        assert complexity(cfg, cells).translates_examined == size
+
 
 class TestDiagonalDirectionalExactness:
     """The certified directional sweeps must agree with wide brute sweeps."""

@@ -295,3 +295,16 @@ def test_witness_radius_exits_cleanly(cli_dir, spec, line, radius, as_json):
     if radius < 0:
         assert witness[0] == balanced[0] == 1
         assert witness[2] == balanced[2] and len(witness[2].splitlines()) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(CONFIGS, st.sampled_from(["phi", "striplemma", "mlc"]), SMALL_SHAPE_LITERALS,
+       LINE_LITERALS, st.integers(-2, 3), st.booleans())
+def test_strip_commands_exit_cleanly(cli_dir, spec, command, literal, line, p, as_json):
+    """`phi`, `striplemma` (both with `--p` from -2 to 3) and `mlc`: exit 0, 1
+    or 2 and never a traceback."""
+    argv = (["--json"] if as_json else []) + [command, "--config", _write_config(cli_dir, spec)]
+    argv += ["--shape", literal]
+    if command != "mlc":
+        argv += [f"--line={line}", f"--p={p}"]
+    _run_cleanly(argv)
