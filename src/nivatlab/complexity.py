@@ -16,8 +16,7 @@ back, read in slices rather than cell by cell:
   slices of a body row, and `zip` joins the lists into keys.  A doubly
   periodic body counts over its torus (`DoublyPeriodic.translate_box`).
 - Band words (`DiagonalFamily`): a letter depends only on x - y, so a key is
-  one factor of the band word per maximal run of the cells' x - y values,
-  and one slice of it when they form one run.
+  one factor of the band word per maximal run of the cells' x - y values.
 - Defects (`FiniteDefect`): a translate of the domain meets a defect or is the
   far translate, so its key is background except where a defect falls.
 - Directional translates (a line, not a box) on bodies other than the
@@ -114,23 +113,15 @@ def _row_keys(row: Callable[[int, int, int], str], cells: tuple[Point, ...], uxs
 
 
 def _band_keys(config: DiagonalFamily, cells: tuple[Point, ...], translates) -> _Keys:
-    """The keys over the translates: one letter per distinct x - y of the cells, in order.
-
-    When those values form one run, as they do for blocks and hexagons, each
-    key is one slice of the band word.
-    """
+    """The keys over the translates: one letter per distinct x - y of the cells, in order."""
     deltas = sorted({x - y for x, y in cells})
     shifts = [ux - uy for ux, uy in translates]
     low = min(shifts)
     word = config.band(deltas[0] + low, deltas[-1] + max(shifts) + 1)
-    position = {d: i for i, d in enumerate(deltas)}
-    index = tuple(position[x - y] for x, y in cells)
-    width = len(deltas)
-    if deltas[-1] - deltas[0] + 1 == width:
-        return {word[e - low:e - low + width] for e in shifts}, index
     starts = [e - low - deltas[0] for e in shifts]
     columns = [[word[i + d:i + d + n] for i in starts] for d, n in _runs(deltas)]
-    return set(_joined(columns)), index
+    position = {d: i for i, d in enumerate(deltas)}
+    return set(_joined(columns)), tuple(position[x - y] for x, y in cells)
 
 
 def _letter_keys(config: Configuration, cells: tuple[Point, ...], translates) -> _Keys:
@@ -299,20 +290,26 @@ def _grown_column(config: WindowSample, n: int, k_max: int) -> Iterator[tuple[in
         yield len(set().union(*keys)), len(xs) * len(keys)
 
 
-def _projected_column(config: Configuration, root: tuple[Point, ...], k_max: int) -> Iterator[int]:
-    """The count of block(n, k) on an exact body, for k = 1, ..., k_max.
+def _projected_column(
+    config: Configuration, heights: Mapping[int, tuple[Point, ...]], n: int, k_max: int
+) -> Iterator[tuple[int, int]]:
+    """(count, translates) of block(n, k) on an exact body, for k = 1, ..., k_max.
 
-    `root` is block(n, k_max) in x-major order, so block(n, k) is its cells
-    x * k_max + y with y < k.  The root's keys are read once, and each block
-    is counted as their distinct projections onto its positions in a key.
-    The keys live only as long as this generator runs.
+    Block(n, k) is the prefix of n * k cells of heights[k], so the root,
+    block(n, k_max), holds it as its cells x * k_max + y with y < k.  The
+    root's keys and domain size are read once, and each shorter block is
+    counted as the keys' distinct projections onto its positions in a key,
+    its translates from `domain_size`.  The keys live only as long as this
+    generator runs.
     """
-    keys, index, _ = _domain_keys(config, root)
+    root = heights[k_max][:n * k_max]
+    keys, index, root_size = _domain_keys(config, root)
     width = len(set(index))
     starts = range(0, len(root), k_max)  # where each x of the root begins
     for k in range(1, k_max + 1):
         positions = sorted(set().union(*[index[i:i + k] for i in starts]))
-        yield _projected_count(keys, positions, width)
+        size = root_size if k == k_max else config.domain_size(heights[k][:n * k])
+        yield _projected_count(keys, positions, width), size
 
 
 def complexity_table(
@@ -321,32 +318,30 @@ def complexity_table(
     """Complexity of every n-by-k block with 1 <= n <= n_max, 1 <= k <= k_max.
 
     Block(n, k) is the prefix of n * k cells of one x-major tuple per height
-    k, and each report takes its translate count from `domain_size`, in
-    closed form where the body has one: no domain is built per block.  On an
-    exact body each column n reads the keys of block(n, k_max) once
-    (`_projected_column`) and counts every block(n, k) as the distinct
-    projections of those keys; on the diagonal family a block's x - y values
-    form one run, so each projection is one slice of a band key.  A
-    lower-bound body (a window sample) fits shorter blocks at translates
-    where the tallest one does not fit, so its table grows each column's
-    keys row by row instead (`_grown_column`): every block is counted over
-    all of its own in-window translates.
+    k, and no domain is built per block.  On an exact body each column n
+    reads the keys and domain size of block(n, k_max) once
+    (`_projected_column`), counts every block(n, k) as the distinct
+    projections of those keys, and takes each shorter block's translate
+    count from `domain_size`, in closed form where the body has one.  On
+    the diagonal family a block's x - y values form one run, so each
+    projection is one slice of a band key.  A lower-bound body (a window
+    sample) fits shorter blocks at translates where the tallest one does not
+    fit, so its table grows each column's keys row by row instead
+    (`_grown_column`): every block is counted over all of its own in-window
+    translates.
     """
     if n_max < 1 or k_max < 1:
         raise ValueError("table dimensions must be positive")
     heights = {k: tuple((x, y) for x in range(n_max) for y in range(k)) for k in range(1, k_max + 1)}
     exactness = config.exactness
-    if exactness is not Exactness.EXACT:
+    if exactness is Exactness.EXACT:
+        columns = (_projected_column(config, heights, n, k_max) for n in range(1, n_max + 1))
+    else:
         config.domain_size(heights[k_max])  # raises when the window is too small
-        return {(n, k): ComplexityReport(heights[k][:n * k], count, exactness, size)
-                for n in range(1, n_max + 1)
-                for k, (count, size) in enumerate(_grown_column(config, n, k_max), 1)}
-    table = {}
-    for n in range(1, n_max + 1):
-        for k, count in enumerate(_projected_column(config, heights[k_max][:n * k_max], k_max), 1):
-            cells = heights[k][:n * k]
-            table[n, k] = ComplexityReport(cells, count, exactness, config.domain_size(cells))
-    return table
+        columns = (_grown_column(config, n, k_max) for n in range(1, n_max + 1))
+    return {(n, k): ComplexityReport(heights[k][:n * k], count, exactness, size)
+            for n, column in enumerate(columns, 1)
+            for k, (count, size) in enumerate(column, 1)}
 
 
 def table_to_csv(table: Mapping[tuple[int, int], ComplexityReport]) -> str:

@@ -410,16 +410,20 @@ class FiniteDefect(Configuration):
     def letter_at(self, g: Point) -> str:
         return self.defects.get(g, self.background)
 
-    def enumeration_domain(self, shape: Iterable[Point]) -> list[Point]:
+    def _overlaps(self, shape: Iterable[Point]) -> tuple[set[Point], Point]:
+        """The translates that put a cell of the shape on a defect, and one far
+        translate that puts none there."""
         pts = as_points(shape)
-        overlapping = {(dx - sx, dy - sy) for dx, dy in self.defects for sx, sy in pts}
         far = (max(d[0] for d in self.defects) - min(g[0] for g in pts) + 1, 0)
+        return {(dx - sx, dy - sy) for dx, dy in self.defects for sx, sy in pts}, far
+
+    def enumeration_domain(self, shape: Iterable[Point]) -> list[Point]:
+        overlapping, far = self._overlaps(shape)
         return sorted(overlapping) + [far]
 
     def domain_size(self, shape: Iterable[Point]) -> int:
         """The overlapping translates, counted without sorting them, and the far one."""
-        pts = as_points(shape)
-        return len({(dx - sx, dy - sy) for dx, dy in self.defects for sx, sy in pts}) + 1
+        return len(self._overlaps(shape)[0]) + 1
 
     def is_period(self, h: Point) -> bool:
         # A finite nonempty defect set cannot map onto itself under a nonzero shift.

@@ -360,9 +360,9 @@ class TestEnumerationDomains:
     @settings(max_examples=120, deadline=None)
     @given(st.sampled_from(CONTRACT_KINDS), st.integers(0, 10**6), st.data())
     def test_domain_size_is_the_domain_length(self, kind, seed, data):
-        """`domain_size` is `len(enumeration_domain)` on blocks, hexagons and
-        point sets whose x - y values have gaps, with the same fits-nowhere
-        error; a count examines exactly the domain's translates."""
+        """`domain_size` is `len(enumeration_domain)` on blocks, hexagons,
+        point sets whose x - y values have gaps and the empty shape, with the
+        same errors; a count examines exactly the domain's translates."""
         cfg, _ = _contract_body(kind, random.Random(seed))
         at = data.draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
         a, b, c = data.draw(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)))
@@ -371,8 +371,17 @@ class TestEnumerationDomains:
             sorted(convex_hull([(0, 0), (a, 0), (a + b, b), (a + b, b + c), (b, b + c), (0, c)]).points),
             sorted(data.draw(st.sets(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
                                      min_size=1, max_size=6))),
+            [],
         ]))
         cells = [(x + at[0], y + at[1]) for x, y in shape]
+        if not cells:
+            def outcome(call):
+                try:
+                    return call(cells)
+                except Exception as err:
+                    return type(err), str(err)
+            assert outcome(cfg.domain_size) == outcome(lambda g: len(cfg.enumeration_domain(g)))
+            return
         if isinstance(cfg, WindowSample) and not all(cfg.translate_box(cells)):
             message = f"the {cfg.width}x{cfg.height} window cannot fit the shape anywhere"
             for call in (cfg.domain_size, cfg.enumeration_domain, lambda g: complexity(cfg, g)):
