@@ -12,9 +12,11 @@ The kernel keys each translate by a string that determines its pattern and
 back, read in slices rather than cell by cell:
 
 - Row slices (`DoublyPeriodic`, `WindowSample`): the cells split into maximal
-  runs along each row.  Per row of translates, each run gives a list of
-  slices of a body row, and `zip` joins the lists into keys.  A doubly
-  periodic body counts over its torus (`DoublyPeriodic.translate_box`).
+  runs along each row.  Each body row the translates reach is read once and
+  cut by one `itemgetter` of slices per distinct run (offset, length), so a
+  run's pieces over every translate come out in C; one `zip` joins the runs'
+  piece lists into keys.  A doubly periodic body counts over its torus
+  (`DoublyPeriodic.translate_box`).
 - Band words (`DiagonalFamily`): a letter depends only on x - y, so a key is
   one factor of the band word per maximal run of the cells' x - y values.
 - Defects (`FiniteDefect`): a translate of the domain meets a defect or is the
@@ -27,14 +29,16 @@ T-pattern at u is the restriction of the S-pattern at u.  So on an exact
 body, S's keys determine T's language, and `_Counter` counts T as the
 number of distinct projections of S's keys onto T's positions in a key; when
 those positions form one run, each projection is one slice of a key.  The
-structure searches count their subsets that way, and a block table counts
-each column's blocks from its tallest block (`_projected_column`): a shorter
-block is a prefix of a row-slice key and a sub-run of a band key.  Table
-reports take their translate counts from `domain_size`, in closed form
-where the body has one, so no per-block domain is built.  A window
-sample's shorter blocks fit at translates where the tallest does not, so
-its table grows keys instead: block(n, k)'s key at a translate is
-block(n, k - 1)'s plus one row piece.
+structure searches count their subsets that way.
+
+Block tables go by body kind, one column of blocks at a time.  Row-slice
+bodies grow (`_grown_column`): block(n, k)'s key at a translate is block(n,
+k - 1)'s plus one width-n piece of the next row, and a column stops growing
+once its keys are all distinct.  Diagonal and defect bodies project
+(`_projected_column`): each column counts its blocks from its tallest
+block's keys, a shorter block being a sub-run of a band key and a subset of
+a defect key, with translate counts from `block_domain_size`, in closed
+form on the diagonal family.  No per-block domain is built either way.
 
 Languages wrap each key as a `Pattern` whose letter string is the key
 respelled in cell order, over one offsets tuple that every pattern of the
@@ -44,7 +48,7 @@ call shares; no pattern is built cell by cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby, islice, repeat
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -78,7 +82,7 @@ class ComplexityReport:
         return self.exactness is Exactness.EXACT
 
 
-def _joined(columns: list[list[str]]) -> Iterable[str]:
+def _joined(columns: list[Iterable[str]]) -> Iterable[str]:
     """Equal-length columns of slices joined across, one string per position."""
     return columns[0] if len(columns) == 1 else map("".join, zip(*columns))
 
@@ -89,27 +93,37 @@ def _runs(values: list[int]) -> list[tuple[int, int]]:
     return [(run[0][1], len(run)) for run in (list(g) for _, g in groups)]
 
 
+def _cutter(count: int, offset: int, n: int) -> Callable[[str], tuple[str, ...]]:
+    """A getter of the `count` pieces of a string, n long, that start at offset, offset + 1, ...
+
+    One `itemgetter` of slices cuts them all in C; one slice alone gives a bare
+    string, so it is wrapped in a tuple.
+    """
+    getter = itemgetter(*[slice(i, i + n) for i in range(offset, offset + count)])
+    return getter if count > 1 else lambda word: (getter(word),)
+
+
 def _row_keys(row: Callable[[int, int, int], str], cells: tuple[Point, ...], uxs, uys) -> _Keys:
     """The keys over the box uxs x uys of translates (two ranges), read as row slices.
 
-    A key holds the letters of the cells in (y, x) order.
+    A key holds the letters of the cells in (y, x) order.  Each body row that
+    a run meets over uys is read once, and cut once per distinct run (offset,
+    length); rows between far-apart cells are not read.
     """
     in_rows = sorted(cells, key=lambda g: (g[1], g[0]))
     x_lo = min(x for x, _ in cells)
     width = max(x for x, _ in cells) + 1 - x_lo
     runs = [(y, x0 - x_lo, n) for y, row_cells in groupby(in_rows, lambda g: g[1])
             for x0, n in _runs([x for x, _ in row_cells])]
-    keys: set[str] = set()
-    lo, span = uxs[0], len(uxs) - 1 + width
-    columns: dict = {}  # (y, o, n) -> the slices of row y at o + ux - lo of length n
-    for uy in uys:
-        for y, o, n in runs:
-            if (y + uy, o, n) not in columns:
-                word = row(y + uy, x_lo + lo, x_lo + lo + span)
-                columns[y + uy, o, n] = [word[i + o:i + o + n] for i in range(len(uxs))]
-        keys.update(_joined([columns[y + uy, o, n] for y, o, n in runs]))
+    lo, hi = x_lo + uxs[0], x_lo + uxs[-1] + width
+    reach = {y: range(y + uys[0], y + uys[-1] + 1) for y, _, _ in runs}  # body rows that row y meets
+    ys = sorted(set().union(*reach.values()))
+    words = list(map(row, ys, repeat(lo), repeat(hi)))
+    pieces = {(o, n): dict(zip(ys, map(_cutter(len(uxs), o, n), words))) for o, n in {r[1:] for r in runs}}
+    # Per run, the pieces of every translate, row of translates after row.
+    columns = [chain.from_iterable(map(pieces[o, n].__getitem__, reach[y])) for y, o, n in runs]
     position = {g: i for i, g in enumerate(in_rows)}
-    return keys, tuple(position[g] for g in cells)
+    return set(_joined(columns)), tuple(position[g] for g in cells)
 
 
 def _band_keys(config: DiagonalFamily, cells: tuple[Point, ...], translates) -> _Keys:
@@ -269,38 +283,50 @@ def language_report(
     return frozenset(_patterns(cells, _in_cell_order(keys, index))), config.exactness
 
 
-def _grown_column(config: WindowSample, n: int, k_max: int) -> Iterator[tuple[int, int]]:
-    """(count, translates) of block(n, k) in a window sample, for k = 1, ..., k_max.
+def _grown_column(
+    config: DoublyPeriodic | WindowSample, n: int, k_max: int
+) -> Iterator[tuple[int, int]]:
+    """(count, translates) of block(n, k) on a row-slice body, for k = 1, ..., k_max.
 
-    The keys of block(n, 1) are the width-n pieces of each window row.  At a
-    translate, the key of block(n, k) is that of block(n, k - 1) plus the
-    piece of the row k - 1 above it, so each step appends the next row's
-    pieces to every row of keys and drops the top row of translates, where
-    block(n, k) leaves the window.
+    Each body row from the lowest translate of block(n, 1) to the top of the
+    highest of block(n, k_max) is read once and cut into its width-n pieces,
+    one per x of the translate box, into one flat list, row after row.
+    Block(n, 1)'s keys are the pieces of its rows of translates.  At a
+    translate, block(n, k)'s key is block(n, k - 1)'s plus the piece of the
+    row k - 1 above it: one `map(add, ...)` of the keys and the pieces from
+    row k - 1 on.  On a torus the rows go on past d through `row`, so every
+    block keeps all d rows of translates (|det| keys); in a window the map
+    stops a row of translates sooner each step, where block(n, k) leaves the
+    window.  Once a block's keys are all distinct, so are every taller
+    block's (its translates are the same or fewer, and its patterns restrict
+    to distinct ones), and the column stops growing: each taller block
+    counts its own translates.
     """
     xs, ys = config.translate_box(((0, 0), (n - 1, 0)))
-    pieces = []
-    for y in ys:
-        word = config.row(y, xs[0], xs[-1] + n)
-        pieces.append([word[i:i + n] for i in range(len(xs))])
-    keys = pieces
+    top = config.translate_box(((0, 0), (n - 1, k_max - 1)))[1][-1] + k_max
+    cut = _cutter(len(xs), 0, n)
+    pieces = list(chain.from_iterable(cut(config.row(y, xs[0], xs[-1] + n)) for y in range(ys[0], top)))
+    keys, distinct = pieces[:len(xs) * len(ys)], False
     for k in range(1, k_max + 1):
-        if k > 1:
-            keys = [list(map(add, row, above)) for row, above in zip(keys[:-1], pieces[k - 1:])]
-        yield len(set().union(*keys)), len(xs) * len(keys)
+        if k > 1 and not distinct:
+            keys = list(map(add, keys, islice(pieces, (k - 1) * len(xs), None)))
+        size = min(len(keys), len(pieces) - (k - 1) * len(xs))
+        count = size if distinct else len(set(keys))
+        distinct = count == size
+        yield count, size
 
 
 def _projected_column(
     config: Configuration, heights: Mapping[int, tuple[Point, ...]], n: int, k_max: int
 ) -> Iterator[tuple[int, int]]:
-    """(count, translates) of block(n, k) on an exact body, for k = 1, ..., k_max.
+    """(count, translates) of block(n, k) on a diagonal or defect body, for k = 1, ..., k_max.
 
     Block(n, k) is the prefix of n * k cells of heights[k], so the root,
     block(n, k_max), holds it as its cells x * k_max + y with y < k.  The
     root's keys and domain size are read once, and each shorter block is
     counted as the keys' distinct projections onto its positions in a key,
-    its translates from `domain_size`.  The keys live only as long as this
-    generator runs.
+    its translates from `block_domain_size`.  The keys live only as long as
+    this generator runs.
     """
     root = heights[k_max][:n * k_max]
     keys, index, root_size = _domain_keys(config, root)
@@ -308,7 +334,7 @@ def _projected_column(
     starts = range(0, len(root), k_max)  # where each x of the root begins
     for k in range(1, k_max + 1):
         positions = sorted(set().union(*[index[i:i + k] for i in starts]))
-        size = root_size if k == k_max else config.domain_size(heights[k][:n * k])
+        size = root_size if k == k_max else config.block_domain_size(n, k)
         yield _projected_count(keys, positions, width), size
 
 
@@ -318,27 +344,26 @@ def complexity_table(
     """Complexity of every n-by-k block with 1 <= n <= n_max, 1 <= k <= k_max.
 
     Block(n, k) is the prefix of n * k cells of one x-major tuple per height
-    k, and no domain is built per block.  On an exact body each column n
-    reads the keys and domain size of block(n, k_max) once
-    (`_projected_column`), counts every block(n, k) as the distinct
-    projections of those keys, and takes each shorter block's translate
-    count from `domain_size`, in closed form where the body has one.  On
-    the diagonal family a block's x - y values form one run, so each
-    projection is one slice of a band key.  A lower-bound body (a window
-    sample) fits shorter blocks at translates where the tallest one does not
-    fit, so its table grows each column's keys row by row instead
-    (`_grown_column`): every block is counted over all of its own in-window
-    translates.
+    k, and no domain is built per block.  Row-slice bodies (doubly periodic
+    and window samples) grow each column's keys row by row
+    (`_grown_column`): every block is counted over all of its own
+    translates, the torus on a doubly periodic body and the in-window ones
+    on a window.  Diagonal and defect bodies read the keys and domain size
+    of block(n, k_max) once per column (`_projected_column`), count every
+    block(n, k) as the distinct projections of those keys, and take each
+    shorter block's translate count from `block_domain_size`; on the
+    diagonal family a block's x - y values form one run, so each projection
+    is one slice of a band key.
     """
     if n_max < 1 or k_max < 1:
         raise ValueError("table dimensions must be positive")
     heights = {k: tuple((x, y) for x in range(n_max) for y in range(k)) for k in range(1, k_max + 1)}
-    exactness = config.exactness
-    if exactness is Exactness.EXACT:
-        columns = (_projected_column(config, heights, n, k_max) for n in range(1, n_max + 1))
-    else:
-        config.domain_size(heights[k_max])  # raises when the window is too small
+    if isinstance(config, (DoublyPeriodic, WindowSample)):
+        config.domain_size(heights[k_max])  # raises when a window cannot fit the tallest block
         columns = (_grown_column(config, n, k_max) for n in range(1, n_max + 1))
+    else:
+        columns = (_projected_column(config, heights, n, k_max) for n in range(1, n_max + 1))
+    exactness = config.exactness
     return {(n, k): ComplexityReport(heights[k][:n * k], count, exactness, size)
             for n, column in enumerate(columns, 1)
             for k, (count, size) in enumerate(column, 1)}

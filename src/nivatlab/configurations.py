@@ -179,6 +179,10 @@ class Configuration:
         """len(enumeration_domain(shape)), and the same errors."""
         return len(self.enumeration_domain(shape))
 
+    def block_domain_size(self, n: int, k: int) -> int:
+        """domain_size of block(n, k), the cells [0, n) x [0, k)."""
+        return self.domain_size(tuple(product(range(n), range(k))))
+
     def is_period(self, h: Point) -> bool:
         """Whether h is a global period; only meaningful when periods_certified()."""
         raise NotImplementedError
@@ -543,26 +547,30 @@ class DiagonalFamily(Configuration):
         deltas = [x - y for x, y in shape]
         return min(deltas), max(deltas)
 
-    def _sweep(self, shape: Iterable[Point]) -> tuple[int, int]:
-        """(lo, m): the shape's least x - y, and the reach m of the window-minimum sweep.
+    @staticmethod
+    def _reach(width: int) -> int:
+        """The reach m of the window-minimum sweep for cells whose x - y span `width`.
 
         Beyond sigma(c0) consecutive offsets are further apart than the
         window is wide, so sweeping the window minimum across [-m, m]
         realizes every view: all multi-offset views, one full crossing of an
         isolated offset, and an empty gap.
         """
-        lo, hi = self._delta_span(shape)
-        width = hi - lo
-        c0 = max(6, width)
-        return lo, _sigma(c0 + 2) + width + 1
+        return _sigma(max(6, width) + 2) + width + 1
 
     def enumeration_domain(self, shape: Iterable[Point]) -> list[Point]:
-        lo, m = self._sweep(shape)
+        lo, hi = self._delta_span(shape)
+        m = self._reach(hi - lo)
         return [(d, 0) for d in range(-m - lo, m - lo + 1)]
 
     def domain_size(self, shape: Iterable[Point]) -> int:
         """The 2m + 1 translates of the sweep, without building them."""
-        return 2 * self._sweep(shape)[1] + 1
+        lo, hi = self._delta_span(shape)
+        return 2 * self._reach(hi - lo) + 1
+
+    def block_domain_size(self, n: int, k: int) -> int:
+        """The sweep of block(n, k), whose x - y values run from -(k - 1) to n - 1."""
+        return 2 * self._reach(n + k - 2) + 1
 
     def directional_translates(self, shape, base, v) -> Sequence[int]:
         k = v[0] - v[1]

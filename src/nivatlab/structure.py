@@ -587,16 +587,15 @@ def phi(config: Configuration, shape: ConvexLatticeSet, line: Line, p: int) -> P
     Equal to the complexity increment when no empirical class induces a
     nontrivial alphabet; otherwise the maximum of p_x + |A^{l,p_x}| - 2 over
     classes, with p_x minimal per class.  p = 0 (expansive-direction
-    degenerate certificates) is accepted only when no class exists.
+    degenerate certificates) is accepted only when no class exists; with a
+    class it raises HypothesisNotMet, and the operation makes no claim.
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
     if p == 0:
         classes, diff = m_classes(config, shape, line, 1)
         if classes:
-            raise ConstructionError(
-                "phi-regime", "p = 0 but ambiguous-extension classes exist"
-            )
+            raise HypothesisNotMet("p = 0 but ambiguous-extension classes exist")
         return PhiReport(diff, "complexity_difference", diff, ())
     classes, diff = m_classes(config, shape, line, p)
     rich = [x for x in classes if x.alphabet_size > 1]

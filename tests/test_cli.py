@@ -219,6 +219,14 @@ class TestStructureCommands:
         )
         assert code == 0 and "pass" in out
 
+    def test_phi_p_zero_with_classes_is_no_claim(self, configs, capsys):
+        code, out, err = run(
+            capsys, "phi", "--config", configs["diag"], "--shape", "rect:2,2",
+            "--line", "1,1", "--p", "0",
+        )
+        assert code == 0 and err == ""
+        assert out == "no claim: p = 0 but ambiguous-extension classes exist\n"
+
     def test_striplemma_nonvacuous_and_strict_inconclusive(self, configs, capsys):
         code, out, _ = run(
             capsys, "--json", "striplemma", "--config", configs["ambiguous"],

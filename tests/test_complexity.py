@@ -348,6 +348,22 @@ class TestPeriodQuotient:
             assert rep.count == len(brute) and rep.translates_examined == 600
             assert language(cfg, cells) == brute
 
+    def test_rows_between_far_cells_are_not_read(self, monkeypatch):
+        """Cells 10**6 rows apart read the body rows under each cell, once each, and none between."""
+        cfg = sheared_doubly_periodic(random.Random(4), 5, 3, 2)
+        reads = []
+        row = cfg.row
+
+        def recorded(y, lo, hi):
+            reads.append(y)
+            return row(y, lo, hi)
+
+        monkeypatch.setattr(cfg, "row", recorded)
+        cells = ((0, 0), (1, 0), (3, 10**6))
+        brute = {extract_pattern(cfg, cells, (x, y)) for x in range(5) for y in range(3)}
+        assert complexity(cfg, cells).count == len(brute)
+        assert reads == [0, 1, 2, 10**6, 10**6 + 1, 10**6 + 2]
+
     @settings(max_examples=120, deadline=None)
     @given(bodies, point_sets)
     def test_complexity_and_language(self, body, cells):
@@ -446,7 +462,7 @@ class TestTable:
             if n <= 4 and k <= 4:
                 assert rep.count == _naive_count(cfg, cells)
 
-    @pytest.mark.parametrize("kind", ["diagonal", "periodic", "sheared", "defect"])
+    @pytest.mark.parametrize("kind", ["diagonal", "defect"])
     def test_exact_table_reads_one_root_per_column(self, kind, monkeypatch):
         """Each column reads its tallest block's keys once; no block is counted on its own."""
         cfg = _body(kind, 5)
@@ -465,6 +481,74 @@ class TestTable:
         table = complexity_table(cfg, 4, 3)
         assert roots == [tuple((x, y) for x in range(n) for y in range(3)) for n in range(1, 5)]
         assert len(table) == 12 and all(rep.exact for rep in table.values())
+
+    @pytest.mark.parametrize("kind", ["periodic", "sheared"])
+    def test_torus_table_grows_each_column(self, kind, monkeypatch):
+        """Each column reads every torus row it needs once, d + k_max - 1 of them;
+        no block reads its own keys or is counted on its own."""
+        cfg = _body(kind, 5)
+        a, _, d = cfg._hnf
+        reads = []
+        row = cfg.row
+
+        def recorded(y, lo, hi):
+            reads.append((y, lo, hi))
+            return row(y, lo, hi)
+
+        def refused(*args):
+            raise AssertionError("a torus table read the keys of one block")
+
+        monkeypatch.setattr(cfg, "row", recorded)
+        monkeypatch.setattr(complexity_module, "_domain_keys", refused)
+        monkeypatch.setattr(complexity_module, "complexity", refused)
+        table = complexity_table(cfg, 4, 3)
+        assert reads == [(y, 0, a - 1 + n) for n in range(1, 5) for y in range(d + 2)]
+        assert len(table) == 12 and all(rep.exact for rep in table.values())
+        assert {rep.translates_examined for rep in table.values()} == {abs(cfg._det)}
+
+    def test_columns_stop_growing_once_distinct(self, monkeypatch):
+        """A column whose first block has distinct keys at every translate grows no key."""
+
+        def refused(*args):
+            raise AssertionError("a column grew keys after they were all distinct")
+
+        monkeypatch.setattr(complexity_module, "add", refused)
+        torus = DoublyPeriodic.from_rows(AB, ["ab"])
+        window = WindowSample(Alphabet(tuple("abcd")), (2, -1), ["ab", "cd"])
+        for cfg, n_max, k_max, translates in [(torus, 3, 4, lambda n, k: 2),
+                                              (window, 2, 2, lambda n, k: (3 - n) * (3 - k))]:
+            for (n, k), rep in complexity_table(cfg, n_max, k_max).items():
+                assert rep.count == rep.translates_examined == translates(n, k)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(["periodic", "sheared", "column", "window"]), st.integers(0, 10**6),
+           st.integers(1, 5), st.integers(1, 5))
+    def test_grown_tables_on_small_bodies(self, kind, seed, n_max, k_max):
+        """Tori with few translates (sheared, and one cell wide) and windows exactly
+        n_max wide, where columns stop growing early and one translate per row
+        cuts a single piece: every block against brute force."""
+        rng = random.Random(seed)
+        if kind == "periodic":
+            cfg = random_doubly_periodic(rng, max_det=4)
+        elif kind == "sheared":
+            p, q = rng.choice([(1, 2), (2, 1), (2, 2), (3, 1), (1, 3)])
+            cfg = sheared_doubly_periodic(rng, p, q, rng.randint(-4, 4))
+        else:
+            width, height = 1 if kind == "column" else n_max, rng.randint(max(k_max, 2), 5)
+            while True:
+                rows = ["".join(rng.choice("ab") for _ in range(width)) for _ in range(height)]
+                if set("".join(rows)) == {"a", "b"}:
+                    break
+            cfg = (DoublyPeriodic.from_rows(AB, rows) if kind == "column"
+                   else WindowSample(AB, (rng.randint(-3, 3), rng.randint(-3, 3)), rows))
+        table = complexity_table(cfg, n_max, k_max)
+        for (n, k), rep in table.items():
+            cells = tuple((x, y) for x in range(n) for y in range(k))
+            assert rep.shape == cells and rep.count == _naive_count(cfg, cells)
+            if isinstance(cfg, WindowSample):
+                assert rep.translates_examined == (cfg.width - n + 1) * (cfg.height - k + 1)
+            else:
+                assert rep.translates_examined == abs(cfg._det)
 
     def test_window_table_counts_every_block(self):
         """Every (n, k) of a window table equals an in-window sweep that reads each cell.

@@ -353,16 +353,18 @@ class TestEnumerationDomains:
         # 2m + 1 translates with m = sigma(max(6, w) + 2) + w + 1, where w is
         # the shape's x - y width and sigma(c) = 6 + 7 + ... + c: 45 for one
         # cell, 723 for block(13, 13) (w = 24).
-        for shape, size in [(block(1, 1), 45), (block(3, 4), 55), (block(13, 13), 723)]:
-            assert diagonal.domain_size(shape.points) == size
-            assert len(diagonal.enumeration_domain(shape.points)) == size
+        for (n, k), size in [((1, 1), 45), ((3, 4), 55), ((13, 13), 723)]:
+            assert diagonal.domain_size(block(n, k).points) == size
+            assert len(diagonal.enumeration_domain(block(n, k).points)) == size
+            assert diagonal.block_domain_size(n, k) == size
 
     @settings(max_examples=120, deadline=None)
     @given(st.sampled_from(CONTRACT_KINDS), st.integers(0, 10**6), st.data())
     def test_domain_size_is_the_domain_length(self, kind, seed, data):
         """`domain_size` is `len(enumeration_domain)` on blocks, hexagons,
         point sets whose x - y values have gaps and the empty shape, with the
-        same errors; a count examines exactly the domain's translates."""
+        same errors; a count examines exactly the domain's translates, and
+        `block_domain_size` gives a block's size."""
         cfg, _ = _contract_body(kind, random.Random(seed))
         at = data.draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
         a, b, c = data.draw(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)))
@@ -392,6 +394,8 @@ class TestEnumerationDomains:
         size = len(cfg.enumeration_domain(cells))
         assert cfg.domain_size(cells) == size
         assert complexity(cfg, cells).translates_examined == size
+        if shape == sorted(block(a + 1, c + 1).points):
+            assert cfg.block_domain_size(a + 1, c + 1) == size
 
 
 class TestDiagonalDirectionalExactness:

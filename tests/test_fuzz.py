@@ -302,9 +302,11 @@ def test_witness_radius_exits_cleanly(cli_dir, spec, line, radius, as_json):
        LINE_LITERALS, st.integers(-2, 3), st.booleans())
 def test_strip_commands_exit_cleanly(cli_dir, spec, command, literal, line, p, as_json):
     """`phi`, `striplemma` (both with `--p` from -2 to 3) and `mlc`: exit 0, 1
-    or 2 and never a traceback."""
+    or 2 and never a traceback; `phi` never reports a soundness failure."""
     argv = (["--json"] if as_json else []) + [command, "--config", _write_config(cli_dir, spec)]
     argv += ["--shape", literal]
     if command != "mlc":
         argv += [f"--line={line}", f"--p={p}"]
-    _run_cleanly(argv)
+    _, _, err = _run_cleanly(argv)
+    if command == "phi":
+        assert "soundness failure" not in err

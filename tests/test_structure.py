@@ -264,6 +264,12 @@ class TestPhi:
         assert rep.case == "complexity_difference"
         assert rep.value == 1  # P(3,4) - P(3,3)
 
+    def test_p_zero_with_classes_makes_no_claim(self, diagonal):
+        """p = 0 is refused, not a soundness failure, when ambiguous-extension classes exist."""
+        assert m_classes(diagonal, block(2, 2), DIAGONAL, 1)[0]
+        with pytest.raises(HypothesisNotMet, match="p = 0 but ambiguous-extension classes exist"):
+            phi(diagonal, block(2, 2), DIAGONAL, 0)
+
 
 class TestStripLemma:
     def test_diagonal_pass(self, diagonal):
