@@ -19,6 +19,9 @@ back, read in slices rather than cell by cell:
   (`DoublyPeriodic.translate_box`).
 - Band words (`DiagonalFamily`): a letter depends only on x - y, so a key is
   one factor of the band word per maximal run of the cells' x - y values.
+  Over the sweep, a `range` of consecutive translates, each run's factors
+  are cut straight off the band word (`_sweep_keys`); directional
+  translates go through a list of shifts (`_band_keys`).
 - Defects (`FiniteDefect`): a translate of the domain meets a defect or is the
   far translate, so its key is background except where a defect falls.
 - Directional translates (a line, not a box) on bodies other than the
@@ -31,14 +34,16 @@ number of distinct projections of S's keys onto T's positions in a key; when
 those positions form one run, each projection is one slice of a key.  The
 structure searches count their subsets that way.
 
-Block tables go by body kind, one column of blocks at a time.  Row-slice
-bodies grow (`_grown_column`): block(n, k)'s key at a translate is block(n,
-k - 1)'s plus one width-n piece of the next row, and a column stops growing
-once its keys are all distinct.  Diagonal and defect bodies project
+Block tables go by body kind.  Row-slice bodies grow each column
+(`_grown_column`): block(n, k)'s key at a translate is block(n, k - 1)'s
+plus one width-n piece of the next row, and a column stops growing once its
+keys are all distinct.  On the diagonal family block(n, k)'s patterns are
+the band word's factors of length n + k - 1, so one count per length serves
+every block of that length (`_factor_counts`).  Defect bodies project
 (`_projected_column`): each column counts its blocks from its tallest
-block's keys, a shorter block being a sub-run of a band key and a subset of
-a defect key, with translate counts from `block_domain_size`, in closed
-form on the diagonal family.  No per-block domain is built either way.
+block's keys, a block's key being a subset of the root's, and grows one set
+of met translates row by row for the translate counts.  No per-block domain
+is built in any case.
 
 Languages wrap each key as a `Pattern` whose letter string is the key
 respelled in cell order, over one offsets tuple that every pattern of the
@@ -126,8 +131,33 @@ def _row_keys(row: Callable[[int, int, int], str], cells: tuple[Point, ...], uxs
     return set(_joined(columns)), tuple(position[g] for g in cells)
 
 
+def _factors(word: str, n: int, first: int, count: int) -> list[str]:
+    """The `count` factors of the word, n long, that start at first, first + 1, ...
+
+    Subscript slices are built by the interpreter's own opcode; `map(slice,
+    ...)` calls the type per slice, and measured 1.5 times slower on CPython
+    3.11 for the factor counts of a 13-by-13 table.
+    """
+    return [word[i:i + n] for i in range(first, first + count)]
+
+
+def _sweep_keys(config: DiagonalFamily, cells: tuple[Point, ...], offsets: range) -> _Keys:
+    """The keys over the sweep (d, 0), d in `offsets`: one band-word factor per
+    maximal run of the cells' x - y values, in order.
+
+    Consecutive translates start each run's factor one letter further on, so
+    every run's factors over the sweep are read straight off one band word.
+    """
+    deltas = sorted({x - y for x, y in cells})
+    word = config.band(deltas[0] + offsets[0], deltas[-1] + offsets[-1] + 1)
+    columns = [_factors(word, n, d - deltas[0], len(offsets)) for d, n in _runs(deltas)]
+    position = {d: i for i, d in enumerate(deltas)}
+    return set(_joined(columns)), tuple([position[x - y] for x, y in cells])
+
+
 def _band_keys(config: DiagonalFamily, cells: tuple[Point, ...], translates) -> _Keys:
-    """The keys over the translates: one letter per distinct x - y of the cells, in order."""
+    """The keys over any list of translates, such as a directional language's
+    steps: one letter per distinct x - y of the cells, in order."""
     deltas = sorted({x - y for x, y in cells})
     shifts = [ux - uy for ux, uy in translates]
     low = min(shifts)
@@ -184,6 +214,8 @@ def _domain_keys(
     if isinstance(config, FiniteDefect):
         return _defect_keys(config, cells)
     domain = config.enumeration_domain(cells)
+    if isinstance(config, DiagonalFamily):
+        return (*_sweep_keys(config, cells, domain.offsets), len(domain))
     return (*_letter_keys(config, cells, domain), len(domain))
 
 
@@ -316,26 +348,41 @@ def _grown_column(
         yield count, size
 
 
+def _factor_counts(config: DiagonalFamily, longest: int) -> list[tuple[int, int]]:
+    """(count, translates) of the band word's factors of length L, for L = 1, ..., longest.
+
+    A row of L cells has x - y values 0, ..., L - 1, so its sweep (d, 0),
+    |d| <= m, reads the length-L factors that start at -m, ..., m: the count
+    is the number of distinct ones among them, the translates 2m + 1.
+    """
+    out = []
+    for length in range(1, longest + 1):
+        size = config.block_domain_size(length, 1)
+        word = config.band(-(size // 2), size // 2 + length)
+        out.append((len(set(_factors(word, length, 0, size))), size))
+    return out
+
+
 def _projected_column(
-    config: Configuration, heights: Mapping[int, tuple[Point, ...]], n: int, k_max: int
+    config: FiniteDefect, heights: Mapping[int, tuple[Point, ...]], n: int, k_max: int
 ) -> Iterator[tuple[int, int]]:
-    """(count, translates) of block(n, k) on a diagonal or defect body, for k = 1, ..., k_max.
+    """(count, translates) of block(n, k) on a defect body, for k = 1, ..., k_max.
 
     Block(n, k) is the prefix of n * k cells of heights[k], so the root,
     block(n, k_max), holds it as its cells x * k_max + y with y < k.  The
-    root's keys and domain size are read once, and each shorter block is
-    counted as the keys' distinct projections onto its positions in a key,
-    its translates from `block_domain_size`.  The keys live only as long as
-    this generator runs.
+    root's keys are read once, and each block is counted as the keys'
+    distinct projections onto its cells.  Its translates are the ones that
+    put a cell on a defect, plus the far one: one set of them grows by the
+    cells (x, k - 1) of each new row.  The keys live only as long as this
+    generator runs.
     """
     root = heights[k_max][:n * k_max]
-    keys, index, root_size = _domain_keys(config, root)
-    width = len(set(index))
-    starts = range(0, len(root), k_max)  # where each x of the root begins
+    keys, _, _ = _domain_keys(config, root)  # a defect key holds the root's cells in order
+    met: set[Point] = set()
     for k in range(1, k_max + 1):
-        positions = sorted(set().union(*[index[i:i + k] for i in starts]))
-        size = root_size if k == k_max else config.block_domain_size(n, k)
-        yield _projected_count(keys, positions, width), size
+        met.update((dx - x, dy - k + 1) for dx, dy in config.defects for x in range(n))
+        positions = [i + y for i in range(0, len(root), k_max) for y in range(k)]
+        yield _projected_count(keys, positions, len(root)), len(met) + 1
 
 
 def complexity_table(
@@ -348,12 +395,12 @@ def complexity_table(
     and window samples) grow each column's keys row by row
     (`_grown_column`): every block is counted over all of its own
     translates, the torus on a doubly periodic body and the in-window ones
-    on a window.  Diagonal and defect bodies read the keys and domain size
-    of block(n, k_max) once per column (`_projected_column`), count every
-    block(n, k) as the distinct projections of those keys, and take each
-    shorter block's translate count from `block_domain_size`; on the
-    diagonal family a block's x - y values form one run, so each projection
-    is one slice of a band key.
+    on a window.  On the diagonal family a letter depends only on x - y, and
+    block(n, k)'s x - y values are the one run -(k - 1), ..., n - 1, so its
+    patterns are the band word's factors of length n + k - 1 over the same
+    sweep: one count per length serves every block (`_factor_counts`).
+    Defect bodies read the keys of block(n, k_max) once per column and count
+    every block(n, k) as their distinct projections (`_projected_column`).
     """
     if n_max < 1 or k_max < 1:
         raise ValueError("table dimensions must be positive")
@@ -361,6 +408,9 @@ def complexity_table(
     if isinstance(config, (DoublyPeriodic, WindowSample)):
         config.domain_size(heights[k_max])  # raises when a window cannot fit the tallest block
         columns = (_grown_column(config, n, k_max) for n in range(1, n_max + 1))
+    elif isinstance(config, DiagonalFamily):
+        by_length = _factor_counts(config, n_max + k_max - 1)
+        columns = (by_length[n - 1:n - 1 + k_max] for n in range(1, n_max + 1))
     else:
         columns = (_projected_column(config, heights, n, k_max) for n in range(1, n_max + 1))
     exactness = config.exactness

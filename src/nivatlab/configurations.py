@@ -8,12 +8,13 @@ language of a shape (`exactness` EXACT) or only part of it (LOWER_BOUND).
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import gcd, isqrt
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .errors import ConfigurationError, UnknownLetterError
 from .geometry import ConvexLatticeSet, Point, padd, psub
@@ -484,6 +485,33 @@ def _sigma(c: int) -> int:
     return c * (c + 1) // 2 - 15
 
 
+class Sweep(Sequence):
+    """The read-only sequence of translates (d, 0) for d in `offsets`, a range.
+
+    It has the length, order, indexing and slicing of the list of those
+    translates, and costs O(1) to build; `list(sweep)` gives the list.
+    """
+
+    __slots__ = ("offsets",)
+
+    def __init__(self, offsets: range) -> None:
+        self.offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Sweep(self.offsets[i])
+        return (self.offsets[i], 0)
+
+    def __iter__(self) -> Iterator[Point]:
+        return zip(self.offsets, repeat(0))
+
+    def __repr__(self) -> str:
+        return f"Sweep({self.offsets!r})"
+
+
 class DiagonalFamily(Configuration):
     """The two-letter family: black exactly where x - y is 0 or +-(6+7+...+c), c >= 6.
 
@@ -558,15 +586,12 @@ class DiagonalFamily(Configuration):
         """
         return _sigma(max(6, width) + 2) + width + 1
 
-    def enumeration_domain(self, shape: Iterable[Point]) -> list[Point]:
+    def enumeration_domain(self, shape: Iterable[Point]) -> Sweep:
+        """The sweep (d, 0), -m - lo <= d <= m - lo, where lo is the least x - y of
+        the shape: the window minimum lo + d runs across [-m, m]."""
         lo, hi = self._delta_span(shape)
         m = self._reach(hi - lo)
-        return [(d, 0) for d in range(-m - lo, m - lo + 1)]
-
-    def domain_size(self, shape: Iterable[Point]) -> int:
-        """The 2m + 1 translates of the sweep, without building them."""
-        lo, hi = self._delta_span(shape)
-        return 2 * self._reach(hi - lo) + 1
+        return Sweep(range(-m - lo, m - lo + 1))
 
     def block_domain_size(self, n: int, k: int) -> int:
         """The sweep of block(n, k), whose x - y values run from -(k - 1) to n - 1."""

@@ -136,6 +136,20 @@ def naive_complexity(config, cells, box: int) -> int:
     return len(seen)
 
 
+def naive_diagonal_language(config, cells, reach: int) -> set[tuple[str, ...]]:
+    """The letters, in cell order, of cells + (d, 0) for every |d| <= reach.
+
+    A diagonal-family letter depends only on x - y, so these translates show
+    every pattern of the shape once reach passes its certified sweep.  Each
+    letter is read with letter_at, once per x - y value; nothing here calls
+    the counting engine.
+    """
+    deltas = [x - y for x, y in cells]
+    lo = min(deltas) - reach
+    letters = [config.letter_at((c, 0)) for c in range(lo, max(deltas) + reach + 1)]
+    return {tuple([letters[e - lo + d] for e in deltas]) for d in range(-reach, reach + 1)}
+
+
 def sheared_doubly_periodic(rng: random.Random, p: int, q: int, shear: int) -> DoublyPeriodic:
     """A random body with basis (p, 0), (shear, q); the box [0, p) x [0, q) is a residue system."""
     letters = [rng.choice("ab") for _ in range(p * q - 2)] + ["a", "b"]

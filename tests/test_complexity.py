@@ -2,7 +2,7 @@ import importlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nivatlab.complexity import (
@@ -26,7 +26,7 @@ from nivatlab.configurations import (
     extract_pattern,
 )
 from nivatlab.errors import GeometryError, UnknownLetterError
-from nivatlab.geometry import ConvexLatticeSet, Line, block, convex_hull, line_section, supporting_line
+from nivatlab.geometry import ConvexLatticeSet, Line, block, convex_hull, line_section, psub, supporting_line
 
 from conftest import (
     DIAGONAL,
@@ -34,6 +34,7 @@ from conftest import (
     VERTICAL,
     enumerate_convex_subsets,
     naive_complexity,
+    naive_diagonal_language,
     random_doubly_periodic,
     random_finite_defect,
     sheared_doubly_periodic,
@@ -462,7 +463,7 @@ class TestTable:
             if n <= 4 and k <= 4:
                 assert rep.count == _naive_count(cfg, cells)
 
-    @pytest.mark.parametrize("kind", ["diagonal", "defect"])
+    @pytest.mark.parametrize("kind", ["defect"])
     def test_exact_table_reads_one_root_per_column(self, kind, monkeypatch):
         """Each column reads its tallest block's keys once; no block is counted on its own."""
         cfg = _body(kind, 5)
@@ -481,6 +482,30 @@ class TestTable:
         table = complexity_table(cfg, 4, 3)
         assert roots == [tuple((x, y) for x in range(n) for y in range(3)) for n in range(1, 5)]
         assert len(table) == 12 and all(rep.exact for rep in table.values())
+
+    def test_diagonal_table_counts_one_factor_set_per_length(self, monkeypatch):
+        """A diagonal table counts the band word's factors once per length
+        n + k - 1; no block reads its own keys or is counted on its own."""
+        lengths = []
+        factors = complexity_module._factors
+
+        def recorded(word, n, first, count):
+            lengths.append(n)
+            return factors(word, n, first, count)
+
+        def refused(*args):
+            raise AssertionError("a diagonal table read the keys of one block")
+
+        monkeypatch.setattr(complexity_module, "_factors", recorded)
+        monkeypatch.setattr(complexity_module, "_domain_keys", refused)
+        monkeypatch.setattr(complexity_module, "complexity", refused)
+        table = complexity_table(DiagonalFamily(), 4, 3)
+        assert lengths == [1, 2, 3, 4, 5, 6]
+        assert len(table) == 12 and all(rep.exact for rep in table.values())
+        by_length: dict = {}
+        for (n, k), rep in table.items():
+            by_length.setdefault(n + k - 1, set()).add((rep.count, rep.translates_examined))
+        assert sorted(by_length) == lengths and all(len(v) == 1 for v in by_length.values())
 
     @pytest.mark.parametrize("kind", ["periodic", "sheared"])
     def test_torus_table_grows_each_column(self, kind, monkeypatch):
@@ -584,6 +609,68 @@ class TestTable:
                     assert str(raised.value) == f"the {width}x{height} window cannot fit the shape anywhere"
 
 
+# -- the diagonal family as a word ------------------------------------------------------
+
+# Past the certified sweep of every shape below: their x - y values span at
+# most 24, whose sweep reaches 361.
+DIAG_REACH = 450
+# Point sets in the box [-5, 5] x [-4, 4], most of them with several x - y runs.
+scattered = st.sets(st.tuples(st.integers(-5, 5), st.integers(-4, 4)), min_size=1, max_size=12)
+hexagons = st.builds(
+    lambda a, b, c, at: convex_hull([(0, 0), (a, 0), (a + b, b), (a + b, b + c), (b, b + c), (0, c)]
+                                    ).translate(at).points,
+    st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),
+    st.tuples(st.integers(-40, 40), st.integers(-40, 40)))
+blocks = st.builds(lambda n, k, at: block(n, k).translate(at).points,
+                   st.integers(1, 9), st.integers(1, 9), st.tuples(st.integers(-40, 40), st.integers(-40, 40)))
+diagonal_shapes = st.one_of(scattered, hexagons, blocks).map(lambda pts: tuple(sorted(pts)))
+diagonal_letters = st.sampled_from([("b", "w"), ("w", "b"), ("x", "y")])
+
+
+def _block_cells(n: int, k: int) -> tuple:
+    return tuple((x, y) for x in range(n) for y in range(k))
+
+
+class TestDiagonalSweep:
+    """Counts over the sweep view and tables from factor counts, against a
+    brute-force sweep that reads every cell's letter."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(diagonal_shapes, diagonal_letters)
+    def test_complexity_and_language(self, cells, letters):
+        cfg = DiagonalFamily(*letters)
+        brute = naive_diagonal_language(cfg, cells, DIAG_REACH)
+        rep = complexity(cfg, cells)
+        assert rep.count == len(brute) and rep.exact
+        assert rep.translates_examined == len(cfg.enumeration_domain(cells))
+        patterns = language(cfg, cells)
+        assert sorted(p.letters for p in patterns) == sorted(brute)
+        assert {p.offsets for p in patterns} == {tuple(psub(g, cells[0]) for g in cells)}
+
+    @settings(max_examples=3, deadline=None)
+    @given(st.integers(1, 13), st.integers(1, 13), diagonal_letters)
+    @example(13, 13, ("b", "w"))
+    def test_tables_against_brute_force(self, n_max, k_max, letters):
+        cfg = DiagonalFamily(*letters)
+        table = complexity_table(cfg, n_max, k_max)
+        assert list(table) == [(n, k) for n in range(1, n_max + 1) for k in range(1, k_max + 1)]
+        for (n, k), rep in table.items():
+            cells = _block_cells(n, k)
+            assert rep.shape == cells and rep.exact
+            assert rep.count == len(naive_diagonal_language(cfg, cells, DIAG_REACH))
+            assert rep.translates_examined == len(cfg.enumeration_domain(cells))
+
+    @settings(max_examples=3, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 30))
+    @example(30, 30)
+    def test_tables_against_each_block(self, n_max, k_max):
+        cfg = DiagonalFamily()
+        for (n, k), rep in complexity_table(cfg, n_max, k_max).items():
+            cells = _block_cells(n, k)
+            assert rep == complexity(cfg, cells)
+            assert rep.translates_examined == len(cfg.enumeration_domain(cells))
+
+
 # -- finite-defect domains read from their defects alone --------------------------------
 
 
@@ -635,3 +722,15 @@ class TestDefectKeys:
         table = complexity_table(cfg, 3, 4)
         assert {nk: rep.count for nk, rep in table.items()} == brute_table
         assert all(rep.exact for rep in table.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.sampled_from("bc"),
+                           min_size=1, max_size=30), st.integers(1, 6), st.integers(1, 6))
+    def test_table_translates(self, defects, n_max, k_max):
+        """1 to 30 defects in a 7 x 7 box, many sharing rows and columns: every
+        block examines exactly its domain's translates and counts its complexity."""
+        cfg = FiniteDefect(Alphabet(("a", *sorted(set(defects.values())))), "a", defects)
+        for (n, k), rep in complexity_table(cfg, n_max, k_max).items():
+            cells = _block_cells(n, k)
+            assert rep.translates_examined == len(cfg.enumeration_domain(cells))
+            assert rep == complexity(cfg, cells)

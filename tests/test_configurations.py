@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -319,6 +320,29 @@ class TestEnumerationDomains:
             assert dom == [(d, 0) for d in range(first, first + len(dom))]
             # The sweep is symmetric about minus the least x - y of the shape.
             assert first + dom[-1][0] == -2 * min(x - y for x, y in cells)
+
+    def test_diagonal_domain_is_a_sweep_view(self, diagonal):
+        """The sweep is a read-only sequence with the length, order, indexing and
+        slicing of the list of its translates."""
+        for cells in [block(1, 1).points, block(3, 4).translate((5, -2)).points, [(0, 0), (3, 1)],
+                      HEXAGON.translate((-7, 30)).points]:
+            dom = diagonal.enumeration_domain(cells)
+            lo, m = min(x - y for x, y in cells), len(dom) // 2
+            old = [(d, 0) for d in range(-m - lo, m - lo + 1)]
+            assert isinstance(dom, Sequence) and not isinstance(dom, list)
+            assert len(dom) == len(old) and list(dom) == old and list(reversed(dom)) == old[::-1]
+            for i in (0, 1, m, len(old) - 1, -1, -2, -m, -len(old)):
+                assert dom[i] == old[i]
+            for s in (slice(None), slice(3, 9), slice(-5, None), slice(None, -7), slice(None, None, -2),
+                      slice(10, 2, -3), slice(len(old) + 5, None)):
+                assert isinstance(dom[s], Sequence) and list(dom[s]) == old[s]
+            for i in (len(old), -len(old) - 1):
+                with pytest.raises(IndexError):
+                    dom[i]
+            assert old[7] in dom and (old[0][0] - 1, 0) not in dom and (old[3][0], 1) not in dom
+            assert dom.index(old[5]) == 5 and dom.count(old[0]) == 1
+            with pytest.raises(TypeError):
+                dom[0] = (0, 0)
 
     def test_window_domain_is_lower_bound(self, ab):
         w = WindowSample(ab, (0, 0), ["ab" * 3] * 6)

@@ -362,6 +362,17 @@ class TestMClasses:
         assert diff == 1
         assert classes == ()  # the full language contains unique-extension patterns
 
+    @pytest.mark.parametrize("n, translates", [
+        (4, [(-25, 0), (-18, 0)]),
+        (5, [(-45, 0), (-38, 0), (-37, 0), (-36, 0)]),
+        (6, [(-69, 0), (-62, 0), (-61, 0), (-60, 0), (-59, 0), (-58, 0)]),
+    ])
+    def test_diagonal_classes_keep_their_translates(self, diagonal, n, translates):
+        """Each class is represented by its first translate in sweep order."""
+        for p in (1, 2):
+            classes, diff = m_classes(diagonal, block(n, n), DIAGONAL, p)
+            assert [x.translate for x in classes] == translates and diff == len(translates)
+
     def test_checkerboard_row_all_qualify(self, checkerboard):
         row = convex_hull([(0, 0), (1, 0)])
         classes, diff = m_classes(checkerboard, row, HORIZONTAL, 1)
