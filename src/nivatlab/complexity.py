@@ -2,11 +2,12 @@
 
 Counting enumerates a certified translate domain and deduplicates patterns by
 their letters.  One kernel reads the letters of a shape at every translate:
-`_domain_keys` over a certified domain and `_letter_keys` over any list of
-translates.  Complexities, languages, directional languages, extension counts
-and tables all scan through it.  Exactness is a fact of the body, not of a
-count: every report takes `config.exactness`, which is EXACT except on a
-window sample, whose domains give only lower bounds.
+`_domain_keys` over a certified domain, and `_band_keys` or `_letter_keys`
+over a directional language's translates.  Complexities, languages,
+directional languages, extension counts and tables all scan through it.
+Exactness is a fact of the body, not of a count: every report takes
+`config.exactness`, which is EXACT except on a window sample, whose domains
+give only lower bounds.
 
 The kernel keys each translate by a string that determines its pattern and
 back, read in slices rather than cell by cell:
@@ -19,31 +20,30 @@ back, read in slices rather than cell by cell:
   (`DoublyPeriodic.translate_box`).
 - Band words (`DiagonalFamily`): a letter depends only on x - y, so a key is
   one factor of the band word per maximal run of the cells' x - y values.
-  Over the sweep, a `range` of consecutive translates, each run's factors
-  are cut straight off the band word (`_sweep_keys`); directional
-  translates go through a list of shifts (`_band_keys`).
+  The translates' x - y shifts form a `range` (the sweep's offsets, or a
+  directional language's shifts, stepped by vx - vy), so each run's factors
+  are cut straight off one band word (`_band_keys`).
 - Defects (`FiniteDefect`): a translate of the domain meets a defect or is the
   far translate, so its key is background except where a defect falls.
-- Directional translates (a line, not a box) on bodies other than the
-  diagonal family are read cell by cell.
+- Directional translates (a line, not a box) on the other bodies are read
+  cell by cell (`_letter_keys`).
 
 Languages are closed under restriction: for T inside a root shape S, the
 T-pattern at u is the restriction of the S-pattern at u.  So on an exact
 body, S's keys determine T's language, and `_Counter` counts T as the
 number of distinct projections of S's keys onto T's positions in a key; when
 those positions form one run, each projection is one slice of a key.  The
-structure searches count their subsets that way.
+structure searches and defect tables count their subsets that way.
 
 Block tables go by body kind.  Row-slice bodies grow each column
 (`_grown_column`): block(n, k)'s key at a translate is block(n, k - 1)'s
 plus one width-n piece of the next row, and a column stops growing once its
 keys are all distinct.  On the diagonal family block(n, k)'s patterns are
 the band word's factors of length n + k - 1, so one count per length serves
-every block of that length (`_factor_counts`).  Defect bodies project
-(`_projected_column`): each column counts its blocks from its tallest
-block's keys, a block's key being a subset of the root's, and grows one set
-of met translates row by row for the translate counts.  No per-block domain
-is built in any case.
+every block of that length (`_factor_counts`).  Defect bodies project: one
+`_Counter` rooted at block(n_max, k_max) counts every block, and each column
+grows one set of met translates row by row for the translate counts
+(`_projected_column`).  No per-block domain is built in any case.
 
 Languages wrap each key as a `Pattern` whose letter string is the key
 respelled in cell order, over one offsets tuple that every pattern of the
@@ -131,52 +131,35 @@ def _row_keys(row: Callable[[int, int, int], str], cells: tuple[Point, ...], uxs
     return set(_joined(columns)), tuple(position[g] for g in cells)
 
 
-def _factors(word: str, n: int, first: int, count: int) -> list[str]:
-    """The `count` factors of the word, n long, that start at first, first + 1, ...
+def _band_keys(config: DiagonalFamily, cells: tuple[Point, ...], shifts: range) -> _Keys:
+    """The keys over translates whose x - y shifts are `shifts`, a range of
+    any nonzero step: one band-word factor per maximal run of the cells'
+    x - y values, in order.
 
-    Subscript slices are built by the interpreter's own opcode; `map(slice,
-    ...)` calls the type per slice, and measured 1.5 times slower on CPython
-    3.11 for the factor counts of a 13-by-13 table.
+    Each translate starts each run's factor `step` letters further on than
+    the translate before, so every run's factors are cut straight off one
+    band word: over the sweep the step is 1, along a direction v it is
+    vx - vy.
     """
-    return [word[i:i + n] for i in range(first, first + count)]
-
-
-def _sweep_keys(config: DiagonalFamily, cells: tuple[Point, ...], offsets: range) -> _Keys:
-    """The keys over the sweep (d, 0), d in `offsets`: one band-word factor per
-    maximal run of the cells' x - y values, in order.
-
-    Consecutive translates start each run's factor one letter further on, so
-    every run's factors over the sweep are read straight off one band word.
-    """
-    deltas = sorted({x - y for x, y in cells})
-    word = config.band(deltas[0] + offsets[0], deltas[-1] + offsets[-1] + 1)
-    columns = [_factors(word, n, d - deltas[0], len(offsets)) for d, n in _runs(deltas)]
-    position = {d: i for i, d in enumerate(deltas)}
-    return set(_joined(columns)), tuple([position[x - y] for x, y in cells])
-
-
-def _band_keys(config: DiagonalFamily, cells: tuple[Point, ...], translates) -> _Keys:
-    """The keys over any list of translates, such as a directional language's
-    steps: one letter per distinct x - y of the cells, in order."""
-    deltas = sorted({x - y for x, y in cells})
-    shifts = [ux - uy for ux, uy in translates]
-    low = min(shifts)
-    word = config.band(deltas[0] + low, deltas[-1] + max(shifts) + 1)
-    starts = [e - low - deltas[0] for e in shifts]
-    columns = [[word[i + d:i + d + n] for i in starts] for d, n in _runs(deltas)]
-    position = {d: i for i, d in enumerate(deltas)}
-    return set(_joined(columns)), tuple(position[x - y] for x, y in cells)
+    deltas = [x - y for x, y in cells]
+    distinct = sorted(set(deltas))
+    low, high = sorted((shifts[0], shifts[-1]))
+    word = config.band(distinct[0] + low, distinct[-1] + high + 1)
+    columns = []
+    for d, n in _runs(distinct):
+        o = d - distinct[0] - low  # the run's factor at shift s starts at s + o in the word
+        columns.append([word[i:i + n] for i in range(shifts.start + o, shifts.stop + o, shifts.step)])
+    position = {d: i for i, d in enumerate(distinct)}
+    return set(_joined(columns)), tuple(map(position.__getitem__, deltas))
 
 
 def _letter_keys(config: Configuration, cells: tuple[Point, ...], translates) -> _Keys:
     """The distinct keys of cells + u over the translates u, and the index of the keys.
 
     Equal keys mean equal patterns and back.  The index gives, in cell
-    order, the position of each cell's letter within a key.  Diagonal
-    bodies read their band word; others read each translate cell by cell.
+    order, the position of each cell's letter within a key.  Each translate
+    is read cell by cell.
     """
-    if isinstance(config, DiagonalFamily) and translates:
-        return _band_keys(config, cells, translates)
     letter_at = config.letter_at
     keys = {"".join([letter_at((g[0] + u[0], g[1] + u[1])) for g in cells]) for u in translates}
     return keys, tuple(range(len(cells)))
@@ -215,7 +198,7 @@ def _domain_keys(
         return _defect_keys(config, cells)
     domain = config.enumeration_domain(cells)
     if isinstance(config, DiagonalFamily):
-        return (*_sweep_keys(config, cells, domain.offsets), len(domain))
+        return (*_band_keys(config, cells, domain.offsets), len(domain))
     return (*_letter_keys(config, cells, domain), len(domain))
 
 
@@ -227,24 +210,13 @@ def _require_exact(exactness: Exactness) -> None:
         )
 
 
-def _projected_count(keys: set[str], positions: list[int], width: int) -> int:
-    """The number of distinct projections of keys of `width` letters onto the
-    sorted distinct positions: one slice per key when the positions form one
-    run, all of each key when they are every position."""
-    first, last = positions[0], positions[-1]
-    if len(positions) == width:
-        return len(keys)
-    if last - first + 1 == len(positions):
-        return len(set(map(itemgetter(slice(first, last + 1)), keys)))
-    return len(set(map(itemgetter(*positions), keys)))
-
-
 class _Counter:
     """Complexity cache over subsets of one root point set; refuses inexact counts.
 
     A subset's count is the number of distinct projections of the root's
-    keys, read on the first count, onto the subset's positions in a key
-    (`_projected_count`).  It is the subset's complexity on an EXACT body.
+    keys, read on the first count, onto the subset's positions in a key: all
+    of each key when the subset is the root, one slice per key when its
+    positions form one run.  It is the subset's complexity on an EXACT body.
     On a lower-bound body (a window sample) a subset fits at translates where
     the root does not, so the first count raises InexactDataError before any
     key is read, or UnknownLetterError when the subset fits nowhere.
@@ -271,7 +243,14 @@ class _Counter:
             self._position = dict(zip(self._root, index))
             self._width = len(set(index))
         positions = sorted({self._position[g] for g in points})
-        count = self._cache[points] = _projected_count(self.keys, positions, self._width)
+        first, last = positions[0], positions[-1]
+        if len(positions) == self._width:
+            count = len(self.keys)
+        elif last - first + 1 == len(positions):
+            count = len(set(map(itemgetter(slice(first, last + 1)), self.keys)))
+        else:
+            count = len(set(map(itemgetter(*positions), self.keys)))
+        self._cache[points] = count
         return count
 
 
@@ -359,30 +338,25 @@ def _factor_counts(config: DiagonalFamily, longest: int) -> list[tuple[int, int]
     for length in range(1, longest + 1):
         size = config.block_domain_size(length, 1)
         word = config.band(-(size // 2), size // 2 + length)
-        out.append((len(set(_factors(word, length, 0, size))), size))
+        out.append((len({word[i:i + length] for i in range(size)}), size))
     return out
 
 
 def _projected_column(
-    config: FiniteDefect, heights: Mapping[int, tuple[Point, ...]], n: int, k_max: int
+    counter: _Counter, heights: Mapping[int, tuple[Point, ...]], n: int, k_max: int
 ) -> Iterator[tuple[int, int]]:
     """(count, translates) of block(n, k) on a defect body, for k = 1, ..., k_max.
 
-    Block(n, k) is the prefix of n * k cells of heights[k], so the root,
-    block(n, k_max), holds it as its cells x * k_max + y with y < k.  The
-    root's keys are read once, and each block is counted as the keys'
-    distinct projections onto its cells.  Its translates are the ones that
-    put a cell on a defect, plus the far one: one set of them grows by the
-    cells (x, k - 1) of each new row.  The keys live only as long as this
-    generator runs.
+    Block(n, k) is the prefix of n * k cells of heights[k], and the counter,
+    rooted at the table's tallest and widest block, counts it.  Its
+    translates are the ones that put a cell on a defect, plus the far one:
+    one set of them grows by the cells (x, k - 1) of each new row.
     """
-    root = heights[k_max][:n * k_max]
-    keys, _, _ = _domain_keys(config, root)  # a defect key holds the root's cells in order
+    defects = counter.config.defects
     met: set[Point] = set()
     for k in range(1, k_max + 1):
-        met.update((dx - x, dy - k + 1) for dx, dy in config.defects for x in range(n))
-        positions = [i + y for i in range(0, len(root), k_max) for y in range(k)]
-        yield _projected_count(keys, positions, len(root)), len(met) + 1
+        met.update((dx - x, dy - k + 1) for dx, dy in defects for x in range(n))
+        yield counter.count(frozenset(heights[k][:n * k])), len(met) + 1
 
 
 def complexity_table(
@@ -399,20 +373,22 @@ def complexity_table(
     block(n, k)'s x - y values are the one run -(k - 1), ..., n - 1, so its
     patterns are the band word's factors of length n + k - 1 over the same
     sweep: one count per length serves every block (`_factor_counts`).
-    Defect bodies read the keys of block(n, k_max) once per column and count
-    every block(n, k) as their distinct projections (`_projected_column`).
+    Defect bodies read the keys of block(n_max, k_max) once and count every
+    block as their distinct projections (`_Counter`, `_projected_column`).
     """
     if n_max < 1 or k_max < 1:
         raise ValueError("table dimensions must be positive")
     heights = {k: tuple((x, y) for x in range(n_max) for y in range(k)) for k in range(1, k_max + 1)}
+    if isinstance(config, WindowSample):
+        config.domain_size(heights[k_max])  # raises when the window cannot fit the tallest block
     if isinstance(config, (DoublyPeriodic, WindowSample)):
-        config.domain_size(heights[k_max])  # raises when a window cannot fit the tallest block
         columns = (_grown_column(config, n, k_max) for n in range(1, n_max + 1))
     elif isinstance(config, DiagonalFamily):
         by_length = _factor_counts(config, n_max + k_max - 1)
         columns = (by_length[n - 1:n - 1 + k_max] for n in range(1, n_max + 1))
     else:
-        columns = (_projected_column(config, heights, n, k_max) for n in range(1, n_max + 1))
+        counter = _Counter(config, heights[k_max])
+        columns = (_projected_column(counter, heights, n, k_max) for n in range(1, n_max + 1))
     exactness = config.exactness
     return {(n, k): ComplexityReport(heights[k][:n * k], count, exactness, size)
             for n, column in enumerate(columns, 1)
@@ -453,8 +429,14 @@ def directional_language(
         return DirectionalLanguage(frozenset([Pattern(())]), Exactness.EXACT)
     v = line.minimal_vector()
     steps = config.directional_translates(cells, base, v)
-    translates = [(base[0] + t * v[0], base[1] + t * v[1]) for t in steps]
-    keys, index = _letter_keys(config, cells, translates)
+    if isinstance(config, DiagonalFamily):  # steps is a range, or [0] when x - y never changes
+        k, b = v[0] - v[1], base[0] - base[1]
+        step = k or 1
+        shifts = range(b + steps[0] * k, b + steps[-1] * k + step, step)
+        keys, index = _band_keys(config, cells, shifts)
+    else:
+        translates = [(base[0] + t * v[0], base[1] + t * v[1]) for t in steps]
+        keys, index = _letter_keys(config, cells, translates)
     patterns = frozenset(_patterns(cells, _in_cell_order(keys, index)))
     return DirectionalLanguage(patterns, config.exactness)
 

@@ -180,10 +180,6 @@ class Configuration:
         """len(enumeration_domain(shape)), and the same errors."""
         return len(self.enumeration_domain(shape))
 
-    def block_domain_size(self, n: int, k: int) -> int:
-        """domain_size of block(n, k), the cells [0, n) x [0, k)."""
-        return self.domain_size(tuple(product(range(n), range(k))))
-
     def is_period(self, h: Point) -> bool:
         """Whether h is a global period; only meaningful when periods_certified()."""
         raise NotImplementedError
@@ -415,20 +411,12 @@ class FiniteDefect(Configuration):
     def letter_at(self, g: Point) -> str:
         return self.defects.get(g, self.background)
 
-    def _overlaps(self, shape: Iterable[Point]) -> tuple[set[Point], Point]:
-        """The translates that put a cell of the shape on a defect, and one far
-        translate that puts none there."""
+    def enumeration_domain(self, shape: Iterable[Point]) -> list[Point]:
+        """The translates that put a cell of the shape on a defect, sorted, and
+        one far translate that puts none there."""
         pts = as_points(shape)
         far = (max(d[0] for d in self.defects) - min(g[0] for g in pts) + 1, 0)
-        return {(dx - sx, dy - sy) for dx, dy in self.defects for sx, sy in pts}, far
-
-    def enumeration_domain(self, shape: Iterable[Point]) -> list[Point]:
-        overlapping, far = self._overlaps(shape)
-        return sorted(overlapping) + [far]
-
-    def domain_size(self, shape: Iterable[Point]) -> int:
-        """The overlapping translates, counted without sorting them, and the far one."""
-        return len(self._overlaps(shape)[0]) + 1
+        return sorted({(dx - sx, dy - sy) for dx, dy in self.defects for sx, sy in pts}) + [far]
 
     def is_period(self, h: Point) -> bool:
         # A finite nonempty defect set cannot map onto itself under a nonzero shift.

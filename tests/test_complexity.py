@@ -1,5 +1,6 @@
 import importlib
 import random
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -330,6 +331,22 @@ class TestPeriodQuotient:
         assert len(keys) == len(brute)
         assert {"".join(p.letters) for p in brute} == set(_in_cell_order(keys, index))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+           st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=8),
+           st.tuples(st.integers(-40, 40), st.integers(-40, 40)))
+    def test_stepped_band_reads_match_brute(self, v, cells, base):
+        """Along v the band word is read every vx - vy letters, a negative, zero
+        or positive step; the patterns match a wide sweep read through letter_at."""
+        diagonal, g = DiagonalFamily(), gcd(*v)
+        line = Line(v[0] // g, v[1] // g, 0)
+        cells = sorted(cells)
+        result = directional_language(diagonal, cells, line, base=base)
+        step = line.minimal_vector()
+        brute = {extract_pattern(diagonal, cells, (base[0] + t * step[0], base[1] + t * step[1]))
+                 for t in range(-1000, 1001)}
+        assert result.patterns == brute
+
     def test_band_runs_skip_gaps(self, diagonal):
         """A gap in the x - y values of the cells is not read into the key."""
         for cells in GAPPED + [((0, 0), (2, 0), (5, 0)), ((0, 0), (6, 0), (7, 0))]:
@@ -463,10 +480,10 @@ class TestTable:
             if n <= 4 and k <= 4:
                 assert rep.count == _naive_count(cfg, cells)
 
-    @pytest.mark.parametrize("kind", ["defect"])
-    def test_exact_table_reads_one_root_per_column(self, kind, monkeypatch):
-        """Each column reads its tallest block's keys once; no block is counted on its own."""
-        cfg = _body(kind, 5)
+    def test_defect_table_reads_one_root(self, monkeypatch):
+        """A defect table reads the keys of block(n_max, k_max) once and counts
+        every block as their projections; no block is counted on its own."""
+        cfg = _body("defect", 5)
         roots = []
         read = complexity_module._domain_keys
 
@@ -475,31 +492,32 @@ class TestTable:
             return read(config, cells)
 
         def refused(*args):
-            raise AssertionError("an exact table called complexity")
+            raise AssertionError("a defect table called complexity")
 
         monkeypatch.setattr(complexity_module, "_domain_keys", recorded)
         monkeypatch.setattr(complexity_module, "complexity", refused)
         table = complexity_table(cfg, 4, 3)
-        assert roots == [tuple((x, y) for x in range(n) for y in range(3)) for n in range(1, 5)]
+        assert roots == [tuple((x, y) for x in range(4) for y in range(3))]
         assert len(table) == 12 and all(rep.exact for rep in table.values())
 
     def test_diagonal_table_counts_one_factor_set_per_length(self, monkeypatch):
-        """A diagonal table counts the band word's factors once per length
-        n + k - 1; no block reads its own keys or is counted on its own."""
+        """A diagonal table reads the band word once per length n + k - 1; no
+        block reads its own keys or is counted on its own."""
+        cfg = DiagonalFamily()
         lengths = []
-        factors = complexity_module._factors
+        band = cfg.band
 
-        def recorded(word, n, first, count):
-            lengths.append(n)
-            return factors(word, n, first, count)
+        def recorded(lo, hi):
+            lengths.append(lo + hi)  # the length-L read spans -m, ..., m + L - 1
+            return band(lo, hi)
 
         def refused(*args):
             raise AssertionError("a diagonal table read the keys of one block")
 
-        monkeypatch.setattr(complexity_module, "_factors", recorded)
+        monkeypatch.setattr(cfg, "band", recorded)
         monkeypatch.setattr(complexity_module, "_domain_keys", refused)
         monkeypatch.setattr(complexity_module, "complexity", refused)
-        table = complexity_table(DiagonalFamily(), 4, 3)
+        table = complexity_table(cfg, 4, 3)
         assert lengths == [1, 2, 3, 4, 5, 6]
         assert len(table) == 12 and all(rep.exact for rep in table.values())
         by_length: dict = {}

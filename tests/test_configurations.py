@@ -387,8 +387,7 @@ class TestEnumerationDomains:
     def test_domain_size_is_the_domain_length(self, kind, seed, data):
         """`domain_size` is `len(enumeration_domain)` on blocks, hexagons,
         point sets whose x - y values have gaps and the empty shape, with the
-        same errors; a count examines exactly the domain's translates, and
-        `block_domain_size` gives a block's size."""
+        same errors; a count examines exactly the domain's translates."""
         cfg, _ = _contract_body(kind, random.Random(seed))
         at = data.draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
         a, b, c = data.draw(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)))
@@ -418,8 +417,6 @@ class TestEnumerationDomains:
         size = len(cfg.enumeration_domain(cells))
         assert cfg.domain_size(cells) == size
         assert complexity(cfg, cells).translates_examined == size
-        if shape == sorted(block(a + 1, c + 1).points):
-            assert cfg.block_domain_size(a + 1, c + 1) == size
 
 
 class TestDiagonalDirectionalExactness:
