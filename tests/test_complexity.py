@@ -294,8 +294,8 @@ def _brute_translates(cfg, cells):
         if zero != 0 or p < 0 or q < 0:
             p = q = abs(cfg._det)
         us = [(x, y) for x in range(p) for y in range(q)]
-    else:  # defects lie in [-4, 4]^2 and windows in [-3, 10]^2; cells lie in [-5, 5)^2
-        us = [(x, y) for x in range(-14, 15) for y in range(-14, 15)]
+    else:  # defects lie in [-4, 4]^2 and windows in [-3, 9]^2; cells lie in [-9, 4]^2
+        us = [(x, y) for x in range(-18, 19) for y in range(-18, 19)]
     return [u for u in us if _fits(cfg, cells, u)]
 
 
@@ -384,6 +384,7 @@ class TestPeriodQuotient:
 
     @settings(max_examples=120, deadline=None)
     @given(bodies, point_sets)
+    @example(("window", 999997), ((-9, -1), (-9, 0), (-8, -1), (-8, 0), (-7, -1), (-7, 0)))
     def test_complexity_and_language(self, body, cells):
         cfg = _body(*body)
         brute = _brute_language(cfg, cells)
