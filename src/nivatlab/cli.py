@@ -132,7 +132,7 @@ def cmd_hull(args) -> int:
         f"{len(s)} points, {len(s.vertices)} vertices, "
         f"{len(s.edges)} edges, area {Fraction(s.twice_area(), 2)}",
         {
-            "points": sorted(s.points),
+            "points": list(s.cells),
             "vertices": list(s.vertices),
             "edges": [
                 {"start": e.start, "end": e.end, "count": e.lattice_count} for e in s.edges
@@ -252,10 +252,10 @@ def cmd_periods(args) -> int:
 def _emit_generating(args, result) -> None:
     emit(
         args,
-        f"set {sorted(result.set.points)}; {result.bound_check}; "
+        f"set {list(result.set.cells)}; {result.bound_check}; "
         f"vertices generated: {all(c.generated for c in result.certificates)}",
         {
-            "set": sorted(result.set.points),
+            "set": list(result.set.cells),
             "kind": result.kind.value,
             "count": result.bound_check.count,
             "size": result.bound_check.size,
@@ -300,17 +300,17 @@ def cmd_balanced(args) -> int:
         witness_absent = not w.found
         witness_payload = {
             "found": w.found,
-            "set": sorted(w.witness.points) if w.witness else None,
+            "set": list(w.witness.cells) if w.witness else None,
         }
     cert = construct_balanced_set(config, s, line, witness_absent=witness_absent)
     emit(
         args,
-        f"balanced set {sorted(cert.set.points)}, p = {cert.p}, "
+        f"balanced set {list(cert.set.cells)}, p = {cert.p}, "
         f"drop {cert.drop} <= {cert.drop_bound}, "
         f"sections {len(cert.support_section)}/{len(cert.antiparallel_section)}, "
         f"nonexpansive regime: {cert.nonexpansive_regime}",
         {
-            "set": sorted(cert.set.points),
+            "set": list(cert.set.cells),
             "p": cert.p,
             "drop": cert.drop,
             "drop_bound": cert.drop_bound,
@@ -369,13 +369,13 @@ def cmd_witness(args) -> int:
     line = parse_line(args.line)
     rep = expansive_witness(config, line, args.radius)
     human = (
-        f"witness {sorted(rep.witness.points)} with generated point {rep.point}"
+        f"witness {list(rep.witness.cells)} with generated point {rep.point}"
         if rep.found
         else f"no witness within radius {args.radius} ({rep.sets_examined} sets examined); not a nonexpansiveness proof"
     )
     emit(args, human, {
         "found": rep.found,
-        "witness": sorted(rep.witness.points) if rep.witness else None,
+        "witness": list(rep.witness.cells) if rep.witness else None,
         "point": rep.point,
         "sets_examined": rep.sets_examined,
         "radius": rep.radius,
@@ -420,9 +420,59 @@ def cmd_example_suite(args) -> int:
     return EXIT_OK if result.passed else EXIT_ERROR
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once: it keeps no state between parses."""
+# name: (handler, help, required --flags in order, further (flag, add_argument options))
+_COMMANDS = {
+    "hull": (cmd_hull, "convex lattice hull of a shape literal", ("shape",), ()),
+    "quasiregular": (cmd_quasiregular, "antiparallel edge pairing check", ("shape",), ()),
+    "complexity": (cmd_complexity, "pattern count of a shape", ("config", "shape"), (
+        ("--dump", dict(action="store_true", help="also print every pattern as a text grid")),
+    )),
+    "table": (cmd_table, "block complexity table", ("config",), (
+        ("--max", dict(required=True, metavar="N,K")),
+        ("--csv", dict(help="write CSV to this path")),
+    )),
+    "mh": (cmd_mh, "complexity-to-periodicity bound on a word", (), (
+        ("--word", {}),
+        ("--word-file", {}),
+        ("--n0", dict(type=int, required=True)),
+        ("--mode", dict(choices=["one_sided", "two_sided"], default="one_sided")),
+    )),
+    "finewilf": (cmd_finewilf, "combine two verified periods", (), (
+        ("--word", {}),
+        ("--word-file", {}),
+        ("--p", dict(type=int, required=True)),
+        ("--q", dict(type=int, required=True)),
+    )),
+    "periods": (cmd_periods, "periods within a sup-norm bound", ("config",), (
+        ("--bound", dict(type=int, default=8)),
+    )),
+    "generating": (cmd_generating, "minimal generating set (optionally directional)",
+                   ("config", "shape"), (
+        ("--line", dict(help="direction DX,DY[,C] for the directional variant")),
+    )),
+    "mlc": (cmd_mlc, "minimal half-bound generating set", ("config", "shape"), ()),
+    "balanced": (cmd_balanced, "constructive balanced-set certificate", ("config", "shape", "line"), (
+        ("--witness-radius", dict(type=int, default=1)),
+    )),
+    "phi": (cmd_phi, "strip-extension budget", ("config", "shape", "line"), (
+        ("--p", dict(type=int, required=True)),
+    )),
+    "striplemma": (cmd_striplemma, "strip periodicity harness", ("config", "shape", "line"), (
+        ("--p", dict(type=int, required=True)),
+        ("--window", dict(type=int, default=12)),
+    )),
+    "witness": (cmd_witness, "one-sided expansiveness witness search", ("config", "line"), (
+        ("--radius", dict(type=int, default=1)),
+    )),
+    "nivat": (cmd_nivat, "hypothesis/conclusion check on a configuration", ("config", "shape"), (
+        ("--period-bound", dict(type=int)),
+    )),
+    "example-suite": (cmd_example_suite, "reference-family value checks", (), ()),
+}
+
+
+def _top_parser(**subparsers) -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
+    """The top-level parser and its still empty subcommand action."""
     parser = argparse.ArgumentParser(
         prog="nivatlab",
         description="Exact pattern complexity and periodicity analysis on Z^2.",
@@ -431,70 +481,61 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     parser.add_argument("--strict", action="store_true",
                         help="exit 2 on inconclusive outcomes instead of 0")
-    sub = parser.add_subparsers(dest="command", required=True)
+    return parser, parser.add_subparsers(dest="command", required=True, **subparsers)
 
-    def add(name, fn, help, *required):
-        """A subcommand with its handler, followed by its required --flags in order."""
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(fn=fn)
-        for flag in required:
-            p.add_argument(f"--{flag}", required=True)
-        return p
 
-    add("hull", cmd_hull, "convex lattice hull of a shape literal", "shape")
-    add("quasiregular", cmd_quasiregular, "antiparallel edge pairing check", "shape")
+def _add_command(sub: argparse._SubParsersAction, name: str) -> None:
+    fn, help, required, options = _COMMANDS[name]
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(fn=fn)
+    for flag in required:
+        p.add_argument(f"--{flag}", required=True)
+    for flag, kwargs in options:
+        p.add_argument(flag, **kwargs)
 
-    p = add("complexity", cmd_complexity, "pattern count of a shape", "config", "shape")
-    p.add_argument("--dump", action="store_true", help="also print every pattern as a text grid")
 
-    p = add("table", cmd_table, "block complexity table", "config")
-    p.add_argument("--max", required=True, metavar="N,K")
-    p.add_argument("--csv", help="write CSV to this path")
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser with every subcommand, built once: it keeps no state between parses."""
+    parser, sub = _top_parser()
+    for name in _COMMANDS:
+        _add_command(sub, name)
+    return parser
 
-    p = add("mh", cmd_mh, "complexity-to-periodicity bound on a word")
-    p.add_argument("--word")
-    p.add_argument("--word-file")
-    p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--mode", choices=["one_sided", "two_sided"], default="one_sided")
 
-    p = add("finewilf", cmd_finewilf, "combine two verified periods")
-    p.add_argument("--word")
-    p.add_argument("--word-file")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+@cache
+def _command_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
+    """The top-level parser that `_parser_for` adds subcommands to one at a time.
 
-    p = add("periods", cmd_periods, "periods within a sup-norm bound", "config")
-    p.add_argument("--bound", type=int, default=8)
+    Its metavar names every subcommand, so the usage it prints with an
+    "unrecognized arguments" error is the full parser's.
+    """
+    return _top_parser(metavar="{" + ",".join(_COMMANDS) + "}")
 
-    p = add("generating", cmd_generating, "minimal generating set (optionally directional)",
-            "config", "shape")
-    p.add_argument("--line", help="direction DX,DY[,C] for the directional variant")
 
-    add("mlc", cmd_mlc, "minimal half-bound generating set", "config", "shape")
+def _parser_for(argv: list[str]) -> argparse.ArgumentParser:
+    """A parser that treats argv exactly as `build_parser()` does.
 
-    p = add("balanced", cmd_balanced, "constructive balanced-set certificate",
-            "config", "shape", "line")
-    p.add_argument("--witness-radius", type=int, default=1)
-
-    p = add("phi", cmd_phi, "strip-extension budget", "config", "shape", "line")
-    p.add_argument("--p", type=int, required=True)
-
-    p = add("striplemma", cmd_striplemma, "strip periodicity harness", "config", "shape", "line")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--window", type=int, default=12)
-
-    p = add("witness", cmd_witness, "one-sided expansiveness witness search", "config", "line")
-    p.add_argument("--radius", type=int, default=1)
-
-    p = add("nivat", cmd_nivat, "hypothesis/conclusion check on a configuration", "config", "shape")
-    p.add_argument("--period-bound", type=int)
-
-    add("example-suite", cmd_example_suite, "reference-family value checks")
+    When argv is only `--json` and `--strict` flags followed by a known
+    subcommand, that is the shared top-level parser holding the subcommands
+    run so far, this one added if new; parsing never reaches the others.
+    Any other argv (help, `--version`, abbreviated flags, a missing or
+    unknown command) gets the full parser.
+    """
+    i = 0
+    while i < len(argv) and argv[i] in ("--json", "--strict"):
+        i += 1
+    if i == len(argv) or argv[i] not in _COMMANDS:
+        return build_parser()
+    parser, sub = _command_parser()
+    if argv[i] not in sub.choices:
+        _add_command(sub, argv[i])
     return parser
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser_for(argv).parse_args(argv)
     try:
         return args.fn(args)
     except (ConstructionError, SoundnessError) as exc:

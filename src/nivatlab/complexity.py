@@ -33,17 +33,19 @@ T-pattern at u is the restriction of the S-pattern at u.  So on an exact
 body, S's keys determine T's language, and `_Counter` counts T as the
 number of distinct projections of S's keys onto T's positions in a key; when
 those positions form one run, each projection is one slice of a key.  The
-structure searches and defect tables count their subsets that way.
+structure searches count their subsets that way, and defect tables their
+blocks.
 
 Block tables go by body kind.  Row-slice bodies grow each column
 (`_grown_column`): block(n, k)'s key at a translate is block(n, k - 1)'s
 plus one width-n piece of the next row, and a column stops growing once its
 keys are all distinct.  On the diagonal family block(n, k)'s patterns are
 the band word's factors of length n + k - 1, so one count per length serves
-every block of that length (`_factor_counts`).  Defect bodies project: one
-`_Counter` rooted at block(n_max, k_max) counts every block, and each column
-grows one set of met translates row by row for the translate counts
-(`_projected_column`).  No per-block domain is built in any case.
+every block of that length (`_factor_counts`).  Defect bodies project: the
+keys of block(n_max, k_max) are read once, every block is counted from its
+positions in them, and each column grows one set of met translates row by
+row for the translate counts (`_projected_column`).  No per-block domain is
+built in any case.
 
 Languages wrap each key as a `Pattern` whose letter string is the key
 respelled in cell order, over one offsets tuple that every pattern of the
@@ -343,20 +345,25 @@ def _factor_counts(config: DiagonalFamily, longest: int) -> list[tuple[int, int]
 
 
 def _projected_column(
-    counter: _Counter, heights: Mapping[int, tuple[Point, ...]], n: int, k_max: int
+    config: FiniteDefect, keys: set[str], n: int, k_max: int
 ) -> Iterator[tuple[int, int]]:
     """(count, translates) of block(n, k) on a defect body, for k = 1, ..., k_max.
 
-    Block(n, k) is the prefix of n * k cells of heights[k], and the counter,
-    rooted at the table's tallest and widest block, counts it.  Its
-    translates are the ones that put a cell on a defect, plus the far one:
-    one set of them grows by the cells (x, k - 1) of each new row.
+    `keys` are the keys of the table's tallest and widest block, whose cells
+    are x-major, so cell (x, y) sits at position x * k_max + y of a key.
+    Block(n, k)'s count is the number of distinct projections of those keys
+    onto its positions: one slice per key when k = k_max.  Its translates
+    are the ones that put a cell on a defect, plus the far one: one set of
+    them grows by the cells (x, k - 1) of each new row.
     """
-    defects = counter.config.defects
     met: set[Point] = set()
     for k in range(1, k_max + 1):
-        met.update((dx - x, dy - k + 1) for dx, dy in defects for x in range(n))
-        yield counter.count(frozenset(heights[k][:n * k])), len(met) + 1
+        met.update((dx - x, dy - k + 1) for dx, dy in config.defects for x in range(n))
+        if k == k_max:
+            cut = itemgetter(slice(0, n * k_max))
+        else:
+            cut = itemgetter(*[x * k_max + y for x in range(n) for y in range(k)])
+        yield len(set(map(cut, keys))), len(met) + 1
 
 
 def complexity_table(
@@ -374,7 +381,7 @@ def complexity_table(
     patterns are the band word's factors of length n + k - 1 over the same
     sweep: one count per length serves every block (`_factor_counts`).
     Defect bodies read the keys of block(n_max, k_max) once and count every
-    block as their distinct projections (`_Counter`, `_projected_column`).
+    block as their distinct projections (`_projected_column`).
     """
     if n_max < 1 or k_max < 1:
         raise ValueError("table dimensions must be positive")
@@ -387,8 +394,8 @@ def complexity_table(
         by_length = _factor_counts(config, n_max + k_max - 1)
         columns = (by_length[n - 1:n - 1 + k_max] for n in range(1, n_max + 1))
     else:
-        counter = _Counter(config, heights[k_max])
-        columns = (_projected_column(counter, heights, n, k_max) for n in range(1, n_max + 1))
+        keys = _domain_keys(config, heights[k_max])[0]
+        columns = (_projected_column(config, keys, n, k_max) for n in range(1, n_max + 1))
     exactness = config.exactness
     return {(n, k): ComplexityReport(heights[k][:n * k], count, exactness, size)
             for n, column in enumerate(columns, 1)

@@ -57,9 +57,8 @@ class Alphabet:
 def as_points(shape: ConvexLatticeSet | Iterable[Point]) -> tuple[Point, ...]:
     """A shape argument as a sorted point tuple (complexity works on any finite set)."""
     if isinstance(shape, ConvexLatticeSet):
-        return tuple(sorted(shape.points))
-    pts = tuple(sorted(set((int(x), int(y)) for x, y in shape)))
-    return pts
+        return shape.cells
+    return tuple(sorted(set((int(x), int(y)) for x, y in shape)))
 
 
 class Pattern:

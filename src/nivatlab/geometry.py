@@ -114,24 +114,27 @@ class Edge(NamedTuple):
 class ConvexLatticeSet:
     """A finite nonempty convex subset of Z^2, equal to its hull's lattice points.
 
-    Vertices are listed counterclockwise starting at the lexicographic
-    minimum; edges follow the positively oriented hull boundary and are empty
-    for null-area sets.
+    `cells` holds the points as a sorted tuple, the order every count reads
+    them in.  Vertices are listed counterclockwise starting at the
+    lexicographic minimum; edges follow the positively oriented hull boundary
+    and are empty for null-area sets.
     """
 
-    __slots__ = ("points", "vertices", "edges", "_twice_area")
+    __slots__ = ("points", "cells", "vertices", "edges", "_twice_area")
 
     def __init__(self, points: Iterable[Point], _validated: bool = False) -> None:
         pts = frozenset((int(x), int(y)) for x, y in points)
         if not pts:
             raise GeometryError("a convex lattice set must be nonempty")
-        verts = _hull_vertices(sorted(pts))
+        cells = tuple(sorted(pts))
+        verts = _hull_vertices(cells)
         if not _validated and _hull_lattice_count(verts) != len(pts):
             missing = sorted(_hull_points(verts) - pts)[:4]
             raise GeometryError(
                 f"point set is not convex: hull contains extra lattice points {missing}"
             )
         self.points: frozenset[Point] = pts
+        self.cells: tuple[Point, ...] = cells
         self.vertices: tuple[Point, ...] = tuple(verts)
         self._twice_area = _twice_area(verts)
         self.edges: tuple[Edge, ...] = self._compute_edges()
@@ -154,7 +157,7 @@ class ConvexLatticeSet:
         return len(self.points)
 
     def __iter__(self) -> Iterator[Point]:
-        return iter(sorted(self.points))
+        return iter(self.cells)
 
     def __contains__(self, g: Point) -> bool:
         return g in self.points
@@ -166,7 +169,7 @@ class ConvexLatticeSet:
         return hash(self.points)
 
     def __repr__(self) -> str:
-        return f"ConvexLatticeSet({sorted(self.points)})"
+        return f"ConvexLatticeSet({list(self.cells)})"
 
     def has_positive_area(self) -> bool:
         return self._twice_area > 0

@@ -219,7 +219,7 @@ def _minimal_generating_set(
 ) -> GeneratingSetResult:
     """The inclusion-minimal convex subset within the bound, its vertices certified."""
     start = frozenset(shape.points)
-    counter = _Counter(config, start)
+    counter = _Counter(config, shape)
     bound = bound_of(len(config.alphabet))
     _require_bound(counter, start, bound, label)
     minimal, examined = _minimal_qualifying(
@@ -263,7 +263,7 @@ def find_directional_generating_set(
     S minus its supporting line is the shape cut by a half plane.
     """
     start = frozenset(shape.points)
-    return _directional_generating_set(_Counter(config, start), start, line)
+    return _directional_generating_set(_Counter(config, shape), start, line)
 
 
 def _directional_generating_set(
@@ -660,7 +660,7 @@ def construct_balanced_set(
             f"balanced-set construction needs a quasi-regular shape; edge "
             f"{report.violating_edge} has no matching antiparallel edge"
         )
-    counter = _Counter(config, shape.points)
+    counter = _Counter(config, shape)
     a = len(config.alphabet)
     _require_bound(counter, frozenset(shape.points), _mlc_bound(a), "|U|/2+|A|-1")
 
@@ -819,7 +819,7 @@ def verify_strip_lemma(
     try:
         gen_section = line_section(shape, supporting_line(shape, line))
         pts = frozenset(shape.points)
-        counter = _Counter(config, pts)
+        counter = _Counter(config, shape)
         for g in sorted(gen_section):
             if g in shape.vertices and not _generated(counter, pts, g):
                 raise HypothesisNotMet(

@@ -42,7 +42,7 @@ class NivatReport:
     def to_dict(self) -> dict:
         return {
             "schema": 1,
-            "shape": sorted(self.shape.points),
+            "shape": list(self.shape.cells),
             "quasi_regular": self.quasi_regular,
             "count": self.complexity.count,
             "exact": self.complexity.exact,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 import nivatlab
+from nivatlab import cli
 from nivatlab.cli import build_parser, cli_main
 from nivatlab.complexity import language
 from nivatlab.configurations import config_from_dict
@@ -67,9 +69,86 @@ def run_separately(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def outcome(capsys, argv):
+    """cli_main in process, argparse exits included: exit code, stdout and stderr."""
+    try:
+        code = cli_main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def parser_argvs(configs):
+    """Every subcommand, and help, version and argparse errors in their usual places."""
+    diag, checker = configs["diag"], configs["checker"]
+    return [
+        ["hull", "--shape", "rect:3,2"],
+        ["--json", "quasiregular", "--shape", "points:0,0;2,0;0,1"],
+        ["complexity", "--config", diag, "--shape", "rect:3,2", "--dump"],
+        ["--json", "table", "--config", configs["defect_pair"], "--max", "3,3"],
+        ["mh", "--word", "abaababaab", "--n0", "3", "--mode", "two_sided"],
+        ["--json", "finewilf", "--word", "abaababaabaab", "--p", "5", "--q", "8"],
+        ["periods", "--config", checker, "--bound", "2"],
+        ["generating", "--config", diag, "--shape", "rect:3,3", "--line", "1,0"],
+        ["mlc", "--config", checker, "--shape", "rect:3,3"],
+        ["balanced", "--config", diag, "--shape", "rect:3,3", "--line", "1,0"],
+        ["phi", "--config", diag, "--shape", "rect:3,3", "--line", "1,0", "--p", "1"],
+        ["--strict", "striplemma", "--config", checker, "--shape", "rect:3,3", "--line", "1,0",
+         "--p", "2", "--window", "4"],
+        ["witness", "--config", diag, "--line", "1,0"],
+        ["--json", "--strict", "nivat", "--config", configs["window"], "--shape", "rect:2,2"],
+        ["--json", "example-suite"],
+        ["-h"], ["--help"], ["--version"], ["--json", "--version"],
+        ["-h", "hull"], ["hull", "-h"], ["--json", "table", "-h"], ["nivat", "--help"],
+        ["bogus"], ["--json", "bogus"], [], ["--json"], ["--strict", "--json"],
+        ["hull"], ["table", "--config", diag], ["mh", "--word", "ab"],
+        ["mh", "--word", "ab", "--n0", "x"], ["periods", "--config", checker, "--bound", "1.5"],
+        ["mh", "--word", "ab", "--n0", "1", "--mode", "both"],
+        ["hull", "--shape", "rect:2,2", "extra"], ["--json", "example-suite", "extra"],
+        ["--bogus"], ["--bogus", "hull", "--shape", "rect:2,2"], ["hull", "--shape", "rect:2,2", "--bogus"],
+        ["--js", "hull", "--shape", "rect:2,2"], ["--str", "hull", "--shape", "rect:2,2"],
+        ["hull", "--sh", "rect:2,2"], ["mh", "--word", "aaaa", "--n0", "1", "--mo", "two_sided"],
+        ["hull", "--shape", "rect:2,2", "--json"], ["--", "hull", "--shape", "rect:2,2"],
+        ["--json=1", "hull", "--shape", "rect:2,2"],
+    ]
+
+
 class TestParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
+
+    def test_matches_full_parser(self, configs, capsys, monkeypatch):
+        """cli_main prints and exits exactly as it would through the full parser,
+        both as a process's first command and after every subcommand ran."""
+        monkeypatch.setenv("COLUMNS", "100")
+        argvs = parser_argvs(configs)
+        first = []
+        for argv in argvs:
+            cli._command_parser.cache_clear()
+            first.append(outcome(capsys, argv))
+        after_all = [outcome(capsys, argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_parser_for", lambda argv: build_parser())
+        full = [outcome(capsys, argv) for argv in argvs]
+        assert first == full and after_all == full
+
+    def test_builds_only_the_parser_it_runs(self, capsys, monkeypatch):
+        """A valid command builds the top-level parser and its own subcommand
+        parser, and a later run builds only a subcommand not run before."""
+        cli._command_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run(capsys, "--json", "hull", "--shape", "rect:2,2")[0] == 0
+        assert built == ["nivatlab", "nivatlab hull"]
+        assert run(capsys, "hull", "--shape", "rect:3,2")[0] == 0
+        assert run(capsys, "quasiregular", "--shape", "rect:3,2")[0] == 0
+        assert built == ["nivatlab", "nivatlab hull", "nivatlab quasiregular"]
 
     def test_in_process_calls_match_separate_runs(self, configs, capsys):
         # The second call drops --json and switches subcommand: nothing of the

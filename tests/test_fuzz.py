@@ -7,11 +7,13 @@ import json
 import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nivatlab import cli
 from nivatlab.cli import cli_main
 
 from nivatlab.complexity import complexity, directional_language, extension_counts
@@ -310,3 +312,110 @@ def test_strip_commands_exit_cleanly(cli_dir, spec, command, literal, line, p, a
     _, _, err = _run_cleanly(argv)
     if command == "phi":
         assert "soundness failure" not in err
+
+
+INT_LITERALS = st.integers(-2, 9).map(str) | st.sampled_from(["", "x", "1.5", " 3", "-0", "1e3"])
+WORDS = st.text("ab", max_size=14) | st.text(max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["hull", "quasiregular"]), SHAPE_LITERALS, st.booleans())
+def test_shape_only_commands_exit_cleanly(command, literal, as_json):
+    """`hull` and `quasiregular`: exit 0, 1 or 2 and never a traceback; a
+    JSON hull that succeeds lists its points sorted."""
+    code, out, _ = _run_cleanly((["--json"] if as_json else []) + [command, "--shape", literal])
+    if code == 0 and as_json and command == "hull":
+        points = json.loads(out)["points"]
+        assert points == sorted(points) and len(points) >= len(json.loads(out)["vertices"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["mh", "finewilf"]), WORDS, st.booleans(), INT_LITERALS, INT_LITERALS,
+       st.sampled_from([None, "one_sided", "two_sided", "both", ""]), st.booleans(), st.booleans())
+def test_word_commands_exit_cleanly(cli_dir, command, word, from_file, first, second, mode, as_json, strict):
+    """`mh` (`--word` or `--word-file`, `--n0`, `--mode`) and `finewilf`
+    (`--p`, `--q`): exit 0, 1 or 2 and never a traceback."""
+    argv = (["--json"] if as_json else []) + (["--strict"] if strict else []) + [command]
+    if from_file:
+        path = os.path.join(cli_dir, "word.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(word)
+        argv += ["--word-file", path]
+    else:
+        argv += [f"--word={word}"]
+    if command == "mh":
+        argv += [f"--n0={first}"] + ([] if mode is None else [f"--mode={mode}"])
+    else:
+        argv += [f"--p={first}", f"--q={second}"]
+    code, out, _ = _run_cleanly(argv)
+    if code == 0 and as_json and command == "finewilf":
+        payload = json.loads(out)
+        assert payload["applies"] is (payload["length"] >= payload["required_length"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(CONFIGS, SMALL_SHAPE_LITERALS, st.none() | BOUND_LITERALS, st.booleans(), st.booleans())
+def test_nivat_period_bound_exits_cleanly(cli_dir, spec, literal, bound, as_json, strict):
+    """`nivat --period-bound`: exit 0, 1 or 2 and never a traceback; a JSON
+    report that succeeds lists only periods within the bound it was given."""
+    argv = (["--json"] if as_json else []) + (["--strict"] if strict else [])
+    argv += ["nivat", "--config", _write_config(cli_dir, spec), "--shape", literal]
+    argv += [] if bound is None else [f"--period-bound={bound}"]
+    code, out, _ = _run_cleanly(argv)
+    payload = json.loads(out) if out and as_json else {}  # argparse errors print nothing on stdout
+    if bound is not None and "periods" in payload:
+        assert all(max(abs(x), abs(y)) <= int(bound) for x, y in payload["periods"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(CONFIGS, SMALL_SHAPE_LITERALS, LINE_LITERALS, st.integers(-1, 3), INT_LITERALS,
+       st.booleans(), st.booleans())
+def test_striplemma_window_exits_cleanly(cli_dir, spec, literal, line, p, window, as_json, strict):
+    """`striplemma --window`: exit 0, 1 or 2 and never a traceback."""
+    argv = (["--json"] if as_json else []) + (["--strict"] if strict else [])
+    argv += ["striplemma", "--config", _write_config(cli_dir, spec), "--shape", literal,
+             f"--line={line}", f"--p={p}", f"--window={window}"]
+    _run_cleanly(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(CONFIGS, SMALL_SHAPE_LITERALS, LINE_LITERALS, st.integers(0, 1), st.booleans())
+def test_balanced_shapes_and_lines_exit_cleanly(cli_dir, spec, literal, line, radius, as_json):
+    """`balanced` over shapes and lines: exit 0, 1 or 2 and never a
+    traceback; a JSON certificate keeps its drop within its bound."""
+    argv = (["--json"] if as_json else []) + ["balanced", "--config", _write_config(cli_dir, spec)]
+    argv += ["--shape", literal, f"--line={line}", f"--witness-radius={radius}"]
+    code, out, _ = _run_cleanly(argv)
+    payload = json.loads(out) if code == 0 and as_json else {"status": "no_claim"}
+    if payload.get("status") != "no_claim":
+        assert payload["drop"] <= payload["drop_bound"]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.booleans(), st.booleans(), st.sampled_from([[], ["extra"], ["--bogus"], ["-h"]]))
+def test_example_suite_exits_cleanly(as_json, strict, tail):
+    """`example-suite`: exit 0, 1 or 2 and never a traceback (it reports the
+    criterion 3 rows as mismatches, so a run that completes exits 1)."""
+    argv = (["--json"] if as_json else []) + (["--strict"] if strict else [])
+    code, out, _ = _run_cleanly(argv + ["example-suite"] + tail)
+    if not tail:
+        assert code == 1 and ("mismatches" in out or json.loads(out)["passed"] is False)
+
+
+TOKENS = st.sampled_from([
+    "--json", "--strict", "--js", "--st", "-h", "--help", "--version", "--", "--bogus", "-x",
+    "hull", "quasiregular", "mh", "finewilf", "example-suite", "nivat", "table", "bogus",
+    "--shape", "--sh", "--shape=rect:2,2", "rect:2,2", "points:0,0;1,1", "--word", "--word=ab",
+    "--n0", "--n0=2", "--mode", "--mode=two_sided", "--p", "--q", "--p=1", "--q=2", "--config",
+    "--max", "--max=2,2", "1", "x", "",
+]) | st.text(max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TOKENS, max_size=7))
+def test_malformed_argv_matches_full_parser(argv):
+    """Any argv at the argparse level: exit 0, 1 or 2 and never a traceback,
+    and cli_main prints and exits exactly as it would through the full parser."""
+    fast = _run_cleanly(argv)
+    with mock.patch.object(cli, "_parser_for", lambda argv: cli.build_parser()):
+        assert _run_cleanly(argv) == fast

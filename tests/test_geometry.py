@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nivatlab.configurations import as_points
 from nivatlab.errors import GeometryError
 from nivatlab.geometry import (
     ConvexLatticeSet,
@@ -25,6 +26,41 @@ from conftest import convex_subsets_of_box
 points_strategy = st.lists(
     st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=8
 )
+
+
+def _shapes_from_every_constructor(pts, n, k, u):
+    """block, convex_hull, translate, validated and unvalidated ConvexLatticeSet,
+    and both halves of every axis of symmetry."""
+    hull = convex_hull(pts)
+    shapes = [block(n, k), hull, hull.translate(u), block(n, k).translate(u),
+              ConvexLatticeSet(list(hull.points)), ConvexLatticeSet(reversed(list(hull)), _validated=True)]
+    for s in (block(n, k), hull):
+        if s.has_positive_area() and is_quasi_regular(s).quasi_regular:
+            shapes += [half for axis in axes_of_symmetry(s) for half in (axis.half_a, axis.half_b)]
+    return shapes
+
+
+class TestSortedCells:
+    """`cells` is the sorted point tuple, and what reads it is unchanged."""
+
+    @given(points_strategy, st.integers(1, 5), st.integers(1, 5),
+           st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+    @settings(max_examples=150, deadline=None)
+    def test_cells_sorted_on_every_constructor(self, pts, n, k, u):
+        for s in _shapes_from_every_constructor(pts, n, k, u):
+            assert s.cells == tuple(sorted(s.points))
+            assert list(s) == sorted(s.points)
+            assert repr(s) == f"ConvexLatticeSet({sorted(s.points)})"
+            assert as_points(s) == tuple(sorted(s.points))
+
+    @given(st.lists(st.tuples(st.integers(-4, 4) | st.floats(-4, 4, allow_nan=False) | st.booleans(),
+                              st.integers(-4, 4) | st.floats(-4, 4, allow_nan=False)), max_size=10))
+    def test_as_points_on_plain_iterables(self, pts):
+        """Int-cast, duplicates removed, sorted: from a list, an iterator or a list with repeats."""
+        expected = tuple(sorted({(int(x), int(y)) for x, y in pts}))
+        assert as_points(pts) == expected
+        assert as_points(iter(pts)) == expected
+        assert as_points(pts + pts[::-1]) == expected
 
 
 class TestConvexHull:
