@@ -13,10 +13,9 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-from operator import attrgetter
 
 from . import __version__
-from .complexity import complexity, complexity_table, language, table_to_csv
+from .complexity import _language_grids, complexity, complexity_table, table_to_csv
 from .configurations import (
     Alphabet,
     Configuration,
@@ -164,23 +163,19 @@ def cmd_quasiregular(args) -> int:
 def cmd_complexity(args) -> int:
     config = load_config(args.config)
     s = parse_shape(args.shape)
-    rep = complexity(config, s)
+    rep, grids = _language_grids(config, s) if args.dump else (complexity(config, s), None)
     tag = "exact" if rep.exact else "lower bound"
+    human = f"P = {rep.count} ({tag}, {rep.translates_examined} translates)"
     payload = {"count": rep.count, "exact": rep.exact, "translates": rep.translates_examined}
-    if args.dump:
-        pats = sorted(language(config, s), key=attrgetter("word"))  # shared offsets: the order of .cells
-        payload["patterns"] = [p.render() for p in pats]
+    if grids is not None:
+        payload["patterns"] = grids
         if not args.json:
-            print(f"P = {rep.count} ({tag}, {rep.translates_examined} translates)")
-            for i, p in enumerate(pats):
-                print(f"-- pattern {i}")
-                print(p.render())
+            lines = [human]
+            for i, grid in enumerate(grids):
+                lines += (f"-- pattern {i}", grid)
+            print("\n".join(lines))
             return EXIT_OK
-    emit(
-        args,
-        f"P = {rep.count} ({tag}, {rep.translates_examined} translates)",
-        payload,
-    )
+    emit(args, human, payload)
     return EXIT_OK
 
 

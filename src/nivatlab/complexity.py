@@ -49,7 +49,11 @@ built in any case.
 
 Languages wrap each key as a `Pattern` whose letter string is the key
 respelled in cell order, over one offsets tuple that every pattern of the
-call shares; no pattern is built cell by cell.
+call shares; no pattern is built cell by cell.  Patterns are built only
+where the API returns them: `complexity --dump` takes its count and its
+grids from one key read, sorting the respelled keys as strings and drawing
+every grid through one layout (`_language_grids`), and `extension_counts`
+groups the respelled keys by their restrictions before it wraps any of them.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from .configurations import (
     FiniteDefect,
     Pattern,
     WindowSample,
+    _grids,
     as_points,
 )
 from .errors import GeometryError, InexactDataError, SoundnessError
@@ -264,12 +269,17 @@ def _in_cell_order(keys: Iterable[str], index: Sequence[int]) -> Iterable[str]:
     return map("".join, map(itemgetter(*index), keys))
 
 
+def _offsets(cells: tuple[Point, ...]) -> tuple[Point, ...]:
+    """Sorted cells as a pattern's offsets, the least one at (0, 0)."""
+    return tuple(psub(g, cells[0]) for g in cells)
+
+
 def _patterns(cells: tuple[Point, ...], keys: Iterable[str]) -> list[Pattern]:
     """Canonical patterns of full letter strings read over sorted cells, in key order.
 
     The patterns share one offsets tuple and wrap each key as it is.
     """
-    return Pattern._over(tuple(psub(g, cells[0]) for g in cells), keys)
+    return Pattern._over(_offsets(cells), keys)
 
 
 def complexity(config: Configuration, shape: ConvexLatticeSet | Iterable[Point]) -> ComplexityReport:
@@ -294,6 +304,19 @@ def language_report(
         return frozenset([Pattern(())]), Exactness.EXACT
     keys, index, _ = _domain_keys(config, cells)
     return frozenset(_patterns(cells, _in_cell_order(keys, index))), config.exactness
+
+
+def _language_grids(config: Configuration, shape: ConvexLatticeSet) -> tuple[ComplexityReport, list[str]]:
+    """The shape's `complexity` report and the `render` grids of its
+    `language`, sorted by `Pattern.word`, from one key read.
+
+    The respelled keys are the patterns' words, and they are distinct, so
+    sorting them as strings gives the patterns' order; no pattern is built.
+    """
+    cells = as_points(shape)
+    keys, index, size = _domain_keys(config, cells)
+    words = sorted(_in_cell_order(keys, index))
+    return ComplexityReport(cells, len(keys), config.exactness, size), _grids(_offsets(cells), words)
 
 
 def _grown_column(
@@ -471,8 +494,13 @@ class ExtensionTable:
 def extension_counts(config: Configuration, shape: ConvexLatticeSet, line: Line) -> ExtensionTable:
     """Group the shape's language by restriction to shape minus its supporting line.
 
-    Validates, on exact data, that the summed extension excess equals the
-    complexity difference between the shape and its base.
+    The shape's respelled keys are sorted as strings and grouped by their
+    base words, so base patterns come in the order of their first extension
+    and each group in word order.  Patterns are built only once grouped: one
+    `Pattern._over` wraps the base words, and one more each group, all over
+    two shared offsets tuples.  Validates, on exact data, that the summed
+    extension excess equals the complexity difference between the shape and
+    its base, with the base counted on its own.
     """
     support = supporting_line(shape, line)
     on_line = line_section(shape, support)
@@ -484,13 +512,13 @@ def extension_counts(config: Configuration, shape: ConvexLatticeSet, line: Line)
     base_index = [i for i, g in enumerate(cells) if g in base_set]
     keys, index, _ = _domain_keys(config, cells)
     ordered = sorted(_in_cell_order(keys, index))
-    restricted = _patterns(base_cells, _in_cell_order(ordered, base_index))
-    grouped: dict[Pattern, list[Pattern]] = {}
-    for full, base_pattern in zip(_patterns(cells, ordered), restricted):
-        grouped.setdefault(base_pattern, []).append(full)
-    table = ExtensionTable(
-        cells, base_cells, {g: tuple(v) for g, v in grouped.items()}, config.exactness
-    )
+    grouped: dict[str, list[str]] = {}
+    for full, base_word in zip(ordered, _in_cell_order(ordered, base_index)):
+        grouped.setdefault(base_word, []).append(full)
+    offsets = _offsets(cells)
+    extensions = {base: tuple(Pattern._over(offsets, group))
+                  for base, group in zip(_patterns(base_cells, grouped), grouped.values())}
+    table = ExtensionTable(cells, base_cells, extensions, config.exactness)
     if config.exactness is Exactness.EXACT:
         base_count = complexity(config, base_cells).count
         if table.excess() != len(keys) - base_count:

@@ -137,9 +137,7 @@ class Pattern:
 
     def render(self, outside: str = ".") -> str:
         """Text grid, highest y first, with `outside` marking cells off the shape."""
-        if not self.offsets:
-            return ""
-        return "".join(_layout(self.offsets)([*self.word, outside, "\n"]))
+        return _grids(self.offsets, (self.word,), outside)[0]
 
 
 # The slot setters: they bypass the __setattr__ that keeps patterns immutable.
@@ -157,6 +155,15 @@ def _layout(offsets: tuple[Point, ...]) -> Callable:
     ys = range(max(y for _, y in offsets), min(y for _, y in offsets) - 1, -1)
     rows = [[at.get((x, y), n) for x in xs] for y in ys]
     return itemgetter(*[i for row in rows for i in row + [n + 1]][:-1])
+
+
+def _grids(offsets: tuple[Point, ...], words: Iterable[str], outside: str = ".") -> list[str]:
+    """The text grids of `Pattern.render` for words over one offsets tuple, in
+    word order: one `_layout` getter draws them all."""
+    if not offsets:
+        return ["" for _ in words]
+    grid = _layout(offsets)
+    return ["".join(grid([*word, outside, "\n"])) for word in words]
 
 
 class Configuration:

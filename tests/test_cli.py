@@ -1,14 +1,19 @@
 import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from operator import attrgetter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nivatlab
 from nivatlab import cli
-from nivatlab.cli import build_parser, cli_main
+from nivatlab.cli import build_parser, cli_main, parse_shape
 from nivatlab.complexity import language
 from nivatlab.configurations import config_from_dict
 from nivatlab.geometry import convex_hull
@@ -67,6 +72,15 @@ def run_separately(*argv):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_captured(*argv):
+    """cli_main in process with its output captured without a fixture: exit
+    code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def outcome(capsys, argv):
@@ -193,7 +207,66 @@ class TestNivatCommand:
         assert code2 == 0
 
 
+@st.composite
+def body_specs(draw):
+    """A JSON body of any of the four kinds, over two or three letters."""
+    kind = draw(st.sampled_from(["diagonal_family", "doubly_periodic", "finite_defect", "window"]))
+    if kind == "diagonal_family":
+        black, white = draw(st.permutations("bw"))
+        return {"type": kind, "black": black, "white": white}
+    letters = draw(st.sampled_from(["ab", "abc"]))
+    if kind == "finite_defect":
+        defects = draw(st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                                       st.sampled_from(letters[1:]), min_size=1, max_size=6))
+        return {"type": kind, "alphabet": sorted({letters[0], *defects.values()}), "background": letters[0],
+                "defects": [[x, y, a] for (x, y), a in defects.items()]}
+    width = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.text(letters, min_size=width, max_size=width), min_size=1, max_size=5))
+    alphabet = sorted(set("".join(rows)))
+    assume(len(alphabet) >= 2)
+    spec = {"type": kind, "alphabet": alphabet, "rows": rows}
+    if kind == "window":
+        spec["origin"] = [draw(st.integers(-4, 4)), draw(st.integers(-4, 4))]
+    return spec
+
+
+SHAPE_LITERALS = (
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).map(lambda nk: f"rect:{nk[0]},{nk[1]}")
+    | st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=4)
+    .map(lambda pts: "points:" + ";".join(f"{x},{y}" for x, y in pts))
+)
+
+
 class TestComplexityCommand:
+    @settings(max_examples=120, deadline=None)
+    @given(body_specs(), SHAPE_LITERALS)
+    def test_dump_lists_the_sorted_language(self, tmp_path_factory, spec, literal):
+        """`--dump --json` lists the renders of the language sorted by word,
+        with the count, exactness and translates of the run without `--dump`,
+        and the plain listing shows the same grids; a shape that fits nowhere
+        fails alike with and without `--dump`."""
+        path = tmp_path_factory.getbasetemp() / "dump_body.json"
+        path.write_text(json.dumps(spec))
+        argv = ["complexity", "--config", str(path), "--shape", literal]
+        plain, dumped = run_captured(*argv), run_captured(*argv, "--dump")
+        as_json, dumped_json = run_captured("--json", *argv), run_captured("--json", *argv, "--dump")
+        if plain[0] != 0:
+            assert dumped == plain and dumped_json == as_json == plain
+            assert plain[0] == 1 and plain[1] == "" and plain[2].count("\n") == 1
+            return
+        body = config_from_dict(spec)
+        renders = [p.render() for p in sorted(language(body, parse_shape(literal)), key=attrgetter("word"))]
+        payload = json.loads(dumped_json[1])
+        assert payload.pop("patterns") == renders and payload == json.loads(as_json[1])
+        listed = "".join(f"-- pattern {i}\n{r}\n" for i, r in enumerate(renders))
+        assert dumped == (0, plain[1] + listed, "")
+
+    def test_window_too_small_fails_alike_with_and_without_dump(self, configs, capsys):
+        for flags in ([], ["--json"]):
+            argv = [*flags, "complexity", "--config", configs["window"], "--shape", "rect:5,2"]
+            plain, dumped = run(capsys, *argv), run(capsys, *argv, "--dump")
+            assert plain == dumped == (1, "", "error: the 4x4 window cannot fit the shape anywhere\n")
+
     @pytest.mark.parametrize("kind", ["window", "defect_pair", "checker", "diag", "window3"])
     @pytest.mark.parametrize("literal, cells", [
         ("rect:3,2", [(x, y) for x in range(3) for y in range(2)]),

@@ -1,6 +1,7 @@
 import importlib
 import random
 from math import gcd
+from operator import attrgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +24,7 @@ from nivatlab.configurations import (
     DoublyPeriodic,
     Exactness,
     FiniteDefect,
+    Pattern,
     WindowSample,
     extract_pattern,
 )
@@ -423,6 +425,26 @@ class TestPeriodQuotient:
             assert [p.letters for p in v] == sorted(p.letters for p in v)
         firsts = [v[0].letters for v in table.extensions.values()]
         assert firsts == sorted(firsts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bodies, st.sampled_from(CONVEX[1:]), st.sampled_from(LINES))
+    def test_extension_order_follows_language(self, body, shape, line):
+        """The base patterns and every group come in the order of a reference
+        grouped from `language` sorted by word, by each full pattern's
+        restriction to the base, and with the same offsets."""
+        cfg = _body(*body)
+        try:
+            table = extension_counts(cfg, shape, line)
+        except GeometryError:
+            return
+        (x0, y0), base = table.shape[0], set(table.base)
+        reference: dict = {}
+        for full in sorted(language(cfg, table.shape), key=attrgetter("word")):
+            restricted = {(x + x0, y + y0): a for (x, y), a in full.cells if (x + x0, y + y0) in base}
+            reference.setdefault(Pattern.from_cells(restricted), []).append(full)
+        assert [g.cells for g in table.extensions] == [g.cells for g in reference]
+        assert ([[p.cells for p in v] for v in table.extensions.values()]
+                == [[p.cells for p in v] for v in reference.values()])
 
 
 def _naive_count(cfg, cells) -> int:

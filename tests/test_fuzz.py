@@ -241,11 +241,24 @@ def test_table_command_exits_cleanly(cli_dir, spec, literal, as_json, to_csv, jo
        SHAPE_LITERALS, st.booleans(), st.booleans())
 def test_shape_commands_exit_cleanly(cli_dir, spec, command, literal, as_json, strict):
     """`complexity` and `nivat`: exit 0, 1 or 2 and never a traceback; a JSON
-    report that succeeds is exact unless the body is a window sample."""
+    report that succeeds is exact unless the body is a window sample, and a
+    JSON dump lists `count` distinct patterns, sorted by their words."""
     argv = (["--json"] if as_json else []) + (["--strict"] if strict else [])
     code, out, _ = _run_cleanly(argv + command + ["--config", _write_config(cli_dir, spec), "--shape", literal])
     if code == 0 and as_json:
-        assert json.loads(out)["exact"] is (spec["type"] != "window")
+        payload = json.loads(out)
+        assert payload["exact"] is (spec["type"] != "window")
+        if "--dump" in command:
+            words = _dumped_words(payload["patterns"], literal)
+            assert len(words) == payload["count"] and words == sorted(set(words))
+
+
+def _dumped_words(grids: list[str], literal: str) -> list[str]:
+    """Each dumped grid's letters read back in sorted cell order, the order of
+    `Pattern.word`: a grid's rows run from the highest y down, from the least x."""
+    cells = sorted(cli.parse_shape(literal).points)
+    top, left = max(y for _, y in cells), min(x for x, _ in cells)
+    return ["".join(rows[top - y][x - left] for x, y in cells) for rows in (g.split("\n") for g in grids)]
 
 
 BOUND_LITERALS = st.integers(-2, 12).map(str) | st.sampled_from(["", "x", "1.5", "1e3", " 3", "-0"])
