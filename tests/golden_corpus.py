@@ -1,5 +1,6 @@
-"""The same-results corpus: CLI `complexity` runs and `extension_counts` groups
-on a fixed set of small bodies, recorded as JSON under `tests/golden/`.
+"""The same-results corpus, recorded as JSON under `tests/golden/`: CLI
+`complexity` runs and `extension_counts` groups on a fixed set of small bodies,
+and every other subcommand's outputs, exit codes, CSV files and diagnostics.
 
     PYTHONPATH=src python tests/golden_corpus.py
 
@@ -78,6 +79,160 @@ def cli_records() -> dict[str, dict]:
     return records
 
 
+# Input files of `command_records`, by the relative name its argvs use: a JSON
+# spec, or raw text.  missing.json and missing.txt are never written.
+COMMAND_FILES = {
+    "diag.json": {"type": "diagonal_family"},
+    "checker.json": {"type": "doubly_periodic", "alphabet": ["a", "b"], "rows": ["ab", "ba"]},
+    "sheared.json": BODIES["sheared_torus"],
+    "torus3.json": BODIES["torus_3_letters"],
+    "defect.json": BODIES["defect_1"],
+    "defect_pair.json": {"type": "finite_defect", "alphabet": ["w", "b"], "background": "w",
+                         "defects": [[0, 0, "b"], [1, 0, "b"]]},
+    "window.json": {"type": "window", "alphabet": ["a", "b"], "rows": ["abab", "baba", "abab", "baba"]},
+    "window_offset.json": BODIES["window_offset"],
+    "grid.txt": "abab\nbaba\nabab\n",
+    "bad.json": '{"type": "diagonal_family",',
+    "no_alphabet.json": {"type": "window", "rows": ["ab", "ba"]},
+    "bad_rows.json": {"type": "doubly_periodic", "alphabet": ["a", "b"], "rows": [1, 2]},
+    "bad_defects.json": {"type": "finite_defect", "alphabet": ["w", "b"], "background": "w",
+                         "defects": [[0, 0]]},
+    "not_object.json": [1, 2],
+    "mystery.json": {"type": "mystery"},
+    "stray_letter.json": {"type": "window", "alphabet": ["a", "b"], "rows": ["ac", "ba"]},
+    "triangle.txt": "0 0\n2 0\n\n0 2\n",
+    "two_faults.txt": "0 0\n1\n1 1 1\n",
+    "word.txt": "abc" * 9 + "\n",
+}
+
+# One argv per case, without global flags.  Each command has a case with two or
+# more bad inputs, which pins the error that wins.
+COMMAND_ARGVS = [
+    ["hull", "--shape", "rect:3,2"],
+    ["hull", "--shape", "points:0,0;2,0;0,2"],
+    ["hull", "--shape", "file:triangle.txt"],
+    ["hull", "--shape", "rect:1"],
+    ["hull", "--shape", "rect:2,3,4"],
+    ["hull", "--shape", "points:0,0;1"],
+    ["hull", "--shape", "circle:3"],
+    ["hull", "--shape", "file:two_faults.txt"],
+    ["hull", "--shape", "file:missing.txt"],
+    ["quasiregular", "--shape", "rect:3,2"],
+    ["quasiregular", "--shape", "points:0,0;2,0;0,2"],
+    ["quasiregular", "--shape", "points:0,0;2,0;1,2;3,1"],
+    ["quasiregular", "--shape", "rect:a,b"],
+    ["table", "--config", "diag.json", "--max", "3,4"],
+    ["table", "--config", "defect_pair.json", "--max", "3,3"],
+    ["table", "--config", "window.json", "--max", "2,3"],
+    ["table", "--config", "torus3.json", "--max", "2,2"],
+    ["table", "--config", "checker.json", "--max", "2,2", "--csv", "checker.csv"],
+    ["table", "--config", "window_offset.json", "--max", "3,2", "--csv", "window.csv"],
+    ["table", "--config", "diag.json", "--max", "3"],
+    ["table", "--config", "diag.json", "--max", "3,x"],
+    ["table", "--config", "missing.json", "--max", "3,x"],
+    ["table", "--config", "diag.json", "--max", "2,2", "--csv", "no_such_dir/out.csv"],
+    ["mh", "--word", "abababababab", "--n0", "2"],
+    ["mh", "--word", "abaababaab", "--n0", "3", "--mode", "two_sided"],
+    ["mh", "--word-file", "word.txt", "--n0", "3"],
+    ["mh", "--word", "abaab", "--n0", "3"],
+    ["mh", "--n0", "2"],
+    ["mh", "--word", "ab", "--n0", "0"],
+    ["mh", "--word-file", "missing.txt", "--n0", "0"],
+    ["finewilf", "--word", "ababababab", "--p", "4", "--q", "6"],
+    ["finewilf", "--word", "abaababaabaab", "--p", "5", "--q", "8"],
+    ["finewilf", "--word", "abab", "--p", "3", "--q", "2"],
+    ["finewilf", "--word", "aabaa", "--p", "3", "--q", "4"],
+    ["finewilf", "--word-file", "word.txt", "--p", "3", "--q", "6"],
+    ["finewilf", "--p", "0", "--q", "1"],
+    ["periods", "--config", "checker.json", "--bound", "2"],
+    ["periods", "--config", "sheared.json"],
+    ["periods", "--config", "window.json", "--bound", "2"],
+    ["periods", "--config", "defect.json", "--bound", "2"],
+    ["periods", "--config", "bad.json", "--bound", "0"],
+    ["generating", "--config", "checker.json", "--shape", "rect:2,2"],
+    ["generating", "--config", "diag.json", "--shape", "rect:3,3", "--line", "1,0"],
+    ["generating", "--config", "sheared.json", "--shape", "rect:2,2", "--line", "1,1"],
+    ["generating", "--config", "defect.json", "--shape", "rect:2,2"],
+    ["generating", "--config", "diag.json", "--shape", "rect:2,2", "--line", "1"],
+    ["generating", "--config", "diag.json", "--shape", "circle:1", "--line", "1"],
+    ["generating", "--config", "missing.json", "--shape", "rect:x", "--line", "1"],
+    ["mlc", "--config", "checker.json", "--shape", "rect:3,3"],
+    ["mlc", "--config", "diag.json", "--shape", "rect:3,4"],
+    ["mlc", "--config", "grid.txt", "--shape", "rect:2,2"],
+    ["mlc", "--config", "bad.json", "--shape", "rect:0,0"],
+    ["balanced", "--config", "diag.json", "--shape", "rect:3,4", "--line", "1,0"],
+    ["balanced", "--config", "diag.json", "--shape", "rect:3,3", "--line", "1,0", "--witness-radius", "0"],
+    ["balanced", "--config", "sheared.json", "--shape", "rect:2,2", "--line", "1,0"],
+    ["balanced", "--config", "checker.json", "--shape", "rect:2,3", "--line", "0,1,1"],
+    ["balanced", "--config", "window.json", "--shape", "rect:2,2", "--line", "1,0"],
+    ["balanced", "--config", "diag.json", "--shape", "rect:1", "--line", "1,a"],
+    ["balanced", "--config", "no_alphabet.json", "--shape", "rect:1", "--line", "1,a"],
+    ["phi", "--config", "diag.json", "--shape", "rect:2,2", "--line", "1,1", "--p", "0"],
+    ["phi", "--config", "diag.json", "--shape", "points:0,2;0,3;1,3;2,3", "--line", "1,0", "--p", "0"],
+    ["phi", "--config", "sheared.json", "--shape", "rect:2,2", "--line", "1,0", "--p", "2"],
+    ["phi", "--config", "diag.json", "--shape", "rect:3,3", "--line", "1,0", "--p", "1"],
+    ["phi", "--config", "defect_pair.json", "--shape", "rect:2,2", "--line", "0,1", "--p", "1"],
+    ["phi", "--config", "diag.json", "--shape", "rect:2,2", "--line", "1,a", "--p", "1"],
+    ["phi", "--config", "bad.json", "--shape", "rect:2,2", "--line", "1,a", "--p", "1"],
+    ["striplemma", "--config", "sheared.json", "--shape", "rect:2,2", "--line", "1,0", "--p", "2",
+     "--window", "20"],
+    ["striplemma", "--config", "sheared.json", "--shape", "rect:2,2", "--line", "1,0", "--p", "2",
+     "--window", "2"],
+    ["striplemma", "--config", "checker.json", "--shape", "rect:3,3", "--line", "1,0", "--p", "2",
+     "--window", "4"],
+    ["striplemma", "--config", "diag.json", "--shape", "points:0,2;0,3;1,3;2,3", "--line", "1,0",
+     "--p", "0"],
+    ["striplemma", "--config", "defect_pair.json", "--shape", "rect:2,2", "--line", "0,1", "--p", "1"],
+    ["striplemma", "--config", "diag.json", "--shape", "points:x", "--line", "x", "--p", "1"],
+    ["witness", "--config", "diag.json", "--line", "1,1", "--radius", "1"],
+    ["witness", "--config", "checker.json", "--line", "1,0", "--radius", "1"],
+    ["witness", "--config", "defect.json", "--line", "0,1"],
+    ["witness", "--config", "diag.json", "--line", "1,0,0,0"],
+    ["witness", "--config", "missing.json", "--line", "1"],
+    ["nivat", "--config", "diag.json", "--shape", "rect:3,4"],
+    ["nivat", "--config", "defect.json", "--shape", "rect:2,2"],
+    ["nivat", "--config", "window.json", "--shape", "rect:2,2"],
+    ["nivat", "--config", "checker.json", "--shape", "rect:2,2", "--period-bound", "2"],
+    ["nivat", "--config", "sheared.json", "--shape", "points:0,0;1,0;0,1"],
+    ["nivat", "--config", "grid.txt", "--shape", "rect:2,2"],
+    ["nivat", "--config", "bad.json", "--shape", "rect:2,2"],
+    ["nivat", "--config", "no_alphabet.json", "--shape", "rect:2,2"],
+    ["nivat", "--config", "bad_rows.json", "--shape", "rect:2,2"],
+    ["nivat", "--config", "bad_defects.json", "--shape", "rect:2,2"],
+    ["nivat", "--config", "not_object.json", "--shape", "rect:2,2"],
+    ["nivat", "--config", "mystery.json", "--shape", "rect:2,2"],
+    ["nivat", "--config", "stray_letter.json", "--shape", "rect:2,2"],
+    ["nivat", "--config", "missing.json", "--shape", "rect:2,2"],
+    ["nivat", "--config", "bad.json", "--shape", "circle:1"],
+    ["example-suite"],
+]
+COMMAND_VARIANTS = {"plain": [], "json": ["--json"], "strict": ["--strict"]}
+
+
+def command_records() -> dict[str, dict]:
+    """Every argv of COMMAND_ARGVS under each variant, run in a directory that
+    holds COMMAND_FILES; a run that writes a CSV file also records its text."""
+    records = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as root:
+        os.chdir(root)
+        try:
+            for name, content in COMMAND_FILES.items():
+                with open(name, "w", encoding="utf-8") as fh:
+                    fh.write(content if isinstance(content, str) else json.dumps(content))
+            for argv in COMMAND_ARGVS:
+                for variant, flags in COMMAND_VARIANTS.items():
+                    record = _run([*flags, *argv])
+                    if "--csv" in argv and os.path.exists(csv := argv[argv.index("--csv") + 1]):
+                        with open(csv, encoding="utf-8", newline="") as fh:
+                            record["csv"] = fh.read()
+                        os.remove(csv)
+                    records[" ".join([variant, *argv])] = record
+        finally:
+            os.chdir(cwd)
+    return records
+
+
 def _cells(pattern) -> str:
     """A pattern's cells, ((x, y), a) in order, spelled "x,ya" and joined by spaces."""
     return " ".join(f"{x},{y}{a}" for (x, y), a in pattern.cells)
@@ -109,7 +264,8 @@ def as_json(records: dict) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
-FILES = {"complexity_cli.json": cli_records, "extension_counts.json": extension_records}
+FILES = {"complexity_cli.json": cli_records, "extension_counts.json": extension_records,
+         "cli_commands.json": command_records}
 
 
 def main() -> int:
