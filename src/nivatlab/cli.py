@@ -1,5 +1,11 @@
 """Command-line interface.
 
+One table, `_COMMANDS`, says what each subcommand reads: `cli_main` reads its
+required `--config`, `--shape` and `--line` in the order the table lists them
+and passes them to the handler.  The handler returns its human text, JSON
+payload and exit code, and `cli_main` alone prints and picks the exit code,
+so a global flag is handled there once and not in every handler.
+
 Exit codes: 0 for success (including vacuous verdicts and no-claim results),
 1 for errors and soundness violations, 2 for inconclusive outcomes under
 --strict.  All output is deterministic; --json emits machine-readable reports
@@ -46,13 +52,13 @@ EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
 
-def _ints(text: str, count: int, malformed: str, sep: str | None = ",") -> tuple[int, ...]:
-    """Exactly count integers separated by sep; NivatlabError(malformed) otherwise."""
+def _ints(text: str, count: int, malformed: str, sep: str | None = ",", most: int = 0) -> tuple[int, ...]:
+    """count (up to most, if given) integers separated by sep; NivatlabError(malformed) otherwise."""
     try:
         values = tuple(int(v) for v in text.split(sep))
     except ValueError:
         values = ()
-    if len(values) != count:
+    if not count <= len(values) <= max(count, most):
         raise NivatlabError(malformed)
     return values
 
@@ -74,15 +80,7 @@ def parse_shape(text: str) -> ConvexLatticeSet:
 
 
 def parse_line(text: str) -> Line:
-    try:
-        parts = [int(v) for v in text.split(",")]
-    except ValueError:
-        parts = []
-    if len(parts) == 2:
-        return Line.make(parts[0], parts[1], 0)
-    if len(parts) == 3:
-        return Line.make(*parts)
-    raise NivatlabError(f"line literal must be DX,DY or DX,DY,C, got {text!r}")
+    return Line.make(*_ints(text, 2, f"line literal must be DX,DY or DX,DY,C, got {text!r}", most=3))
 
 
 def load_config(path: str) -> Configuration:
@@ -98,6 +96,10 @@ def load_config(path: str) -> Configuration:
             return WindowSample(Alphabet(letters), (0, 0), rows)
         raise NivatlabError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from None
     return config_from_dict(spec)
+
+
+# The reader of each required input a command lists in _COMMANDS, by its flag.
+_INPUTS = {"config": load_config, "shape": parse_shape, "line": parse_line}
 
 
 def parse_word(args) -> Word:
@@ -117,136 +119,101 @@ def emit(args, human: str, payload: dict) -> None:
         print(human)
 
 
-def _inconclusive_exit(args) -> int:
-    return EXIT_INCONCLUSIVE if args.strict else EXIT_OK
-
-
 # -- subcommand handlers -------------------------------------------------------
+#
+# Each takes the parsed args and then its required inputs, already read, in
+# the order _COMMANDS lists them.  It returns (human text, JSON payload, exit
+# code); cli_main prints one of the two and exits with the code.
+
+Output = tuple[str, dict, int]
 
 
-def cmd_hull(args) -> int:
-    s = parse_shape(args.shape)
-    emit(
-        args,
-        f"{len(s)} points, {len(s.vertices)} vertices, "
-        f"{len(s.edges)} edges, area {Fraction(s.twice_area(), 2)}",
-        {
-            "points": list(s.cells),
-            "vertices": list(s.vertices),
-            "edges": [
-                {"start": e.start, "end": e.end, "count": e.lattice_count} for e in s.edges
-            ],
-            "twice_area": s.twice_area(),
-        },
+def cmd_hull(args, shape) -> Output:
+    edges = [{"start": e.start, "end": e.end, "count": e.lattice_count} for e in shape.edges]
+    return (
+        f"{len(shape)} points, {len(shape.vertices)} vertices, "
+        f"{len(edges)} edges, area {Fraction(shape.twice_area(), 2)}",
+        {"points": list(shape.cells), "vertices": list(shape.vertices), "edges": edges,
+         "twice_area": shape.twice_area()},
+        EXIT_OK,
     )
-    return EXIT_OK
 
 
-def cmd_quasiregular(args) -> int:
-    s = parse_shape(args.shape)
-    rep = is_quasi_regular(s)
-    emit(
-        args,
+def cmd_quasiregular(args, shape) -> Output:
+    rep = is_quasi_regular(shape)
+    edge = None if rep.violating_edge is None else [rep.violating_edge.start, rep.violating_edge.end]
+    return (
         f"quasi-regular: {rep.quasi_regular}"
-        + ("" if rep.quasi_regular else f" (edge {rep.violating_edge.start}->{rep.violating_edge.end} unmatched)"),
-        {
-            "quasi_regular": rep.quasi_regular,
-            "pairing": list(rep.pairing),
-            "violating_edge": None
-            if rep.violating_edge is None
-            else [rep.violating_edge.start, rep.violating_edge.end],
-        },
+        + ("" if rep.quasi_regular else f" (edge {edge[0]}->{edge[1]} unmatched)"),
+        {"quasi_regular": rep.quasi_regular, "pairing": list(rep.pairing), "violating_edge": edge},
+        EXIT_OK,
     )
-    return EXIT_OK
 
 
-def cmd_complexity(args) -> int:
-    config = load_config(args.config)
-    s = parse_shape(args.shape)
-    rep, grids = _language_grids(config, s) if args.dump else (complexity(config, s), None)
+def cmd_complexity(args, config, shape) -> Output:
+    rep, grids = _language_grids(config, shape) if args.dump else (complexity(config, shape), None)
     tag = "exact" if rep.exact else "lower bound"
     human = f"P = {rep.count} ({tag}, {rep.translates_examined} translates)"
     payload = {"count": rep.count, "exact": rep.exact, "translates": rep.translates_examined}
     if grids is not None:
         payload["patterns"] = grids
-        if not args.json:
-            lines = [human]
-            for i, grid in enumerate(grids):
-                lines += (f"-- pattern {i}", grid)
-            print("\n".join(lines))
-            return EXIT_OK
-    emit(args, human, payload)
-    return EXIT_OK
+        human = "\n".join([human, *(f"-- pattern {i}\n{grid}" for i, grid in enumerate(grids))])
+    return human, payload, EXIT_OK
 
 
-def cmd_table(args) -> int:
-    config = load_config(args.config)
+def cmd_table(args, config) -> Output:
     n_max, k_max = _ints(args.max, 2, f"--max literal {args.max!r} is not of the form N,K")
     table = complexity_table(config, n_max, k_max)
     csv_text = table_to_csv(table)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
-        emit(args, f"wrote {len(table)} rows to {args.csv}", {"rows": len(table), "path": args.csv})
-    else:
-        if args.json:
-            emit(args, "", {"rows": [
-                {"n": n, "k": k, "count": r.count, "exact": r.exact}
-                for (n, k), r in sorted(table.items())
-            ]})
-        else:
-            sys.stdout.write(csv_text)
-    return EXIT_OK
+        return f"wrote {len(table)} rows to {args.csv}", {"rows": len(table), "path": args.csv}, EXIT_OK
+    # The plain text is the CSV itself, less the final newline that printing adds back.
+    return csv_text[:-1], {"rows": [
+        {"n": n, "k": k, "count": r.count, "exact": r.exact} for (n, k), r in sorted(table.items())
+    ]}, EXIT_OK
 
 
-def cmd_mh(args) -> int:
-    word = parse_word(args)
-    rep = mh_check(word, args.n0, mode=args.mode)
+def cmd_mh(args) -> Output:
+    rep = mh_check(parse_word(args), args.n0, mode=args.mode)
     human = (
         f"P({args.n0}) = {rep.factor_count}, bound {rep.predicted_period_bound}: {rep.status.value}"
         + (f", period {rep.period}" if rep.period is not None else "")
     )
-    emit(args, human, {
+    code = {MHStatus.VIOLATION: EXIT_ERROR, MHStatus.WINDOW_TOO_SHORT: EXIT_INCONCLUSIVE}
+    return human, {
         "n0": rep.n0, "alphabet_size": rep.alphabet_size, "factor_count": rep.factor_count,
         "bound": rep.predicted_period_bound, "hypothesis_holds": rep.hypothesis_holds,
         "status": rep.status.value, "period": rep.period, "mode": rep.mode,
-    })
-    if rep.status is MHStatus.VIOLATION:
-        return EXIT_ERROR
-    if rep.status is MHStatus.WINDOW_TOO_SHORT:
-        return _inconclusive_exit(args)
-    return EXIT_OK
+    }, code.get(rep.status, EXIT_OK)
 
 
-def cmd_finewilf(args) -> int:
-    word = parse_word(args)
-    rep = fine_wilf(word, args.p, args.q)
+def cmd_finewilf(args) -> Output:
+    rep = fine_wilf(parse_word(args), args.p, args.q)
     human = (
         f"combined period {rep.combined_period}"
         if rep.applies
         else f"window too short ({rep.length} < {rep.required_length}); no combined-period claim"
     )
-    emit(args, human, {
+    return human, {
         "p": rep.p, "q": rep.q, "length": rep.length,
         "required_length": rep.required_length, "applies": rep.applies,
         "combined_period": rep.combined_period,
-    })
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_periods(args) -> int:
-    config = load_config(args.config)
+def cmd_periods(args, config) -> Output:
     rep = detect_periods_2d(config, args.bound)
     tag = "certified" if rep.certified else "window-verified only"
-    emit(args, f"{len(rep.periods)} periods within {args.bound} ({tag}): {list(rep.periods)}",
-         {"periods": [list(h) for h in rep.periods], "certified": rep.certified,
-          "bound": rep.search_bound})
-    return EXIT_OK
+    return (f"{len(rep.periods)} periods within {args.bound} ({tag}): {list(rep.periods)}",
+            {"periods": [list(h) for h in rep.periods], "certified": rep.certified,
+             "bound": rep.search_bound},
+            EXIT_OK)
 
 
-def _emit_generating(args, result) -> None:
-    emit(
-        args,
+def _generating_output(result) -> Output:
+    return (
         f"set {list(result.set.cells)}; {result.bound_check}; "
         f"vertices generated: {all(c.generated for c in result.certificates)}",
         {
@@ -263,31 +230,21 @@ def _emit_generating(args, result) -> None:
             "peeling": list(result.peeling_trace),
             "subsets_examined": result.subsets_examined,
         },
+        EXIT_OK,
     )
 
 
-def cmd_generating(args) -> int:
-    config = load_config(args.config)
-    s = parse_shape(args.shape)
+def cmd_generating(args, config, shape) -> Output:
     if args.line is not None:
-        result = find_directional_generating_set(config, s, parse_line(args.line))
-    else:
-        result = find_generating_set(config, s)
-    _emit_generating(args, result)
-    return EXIT_OK
+        return _generating_output(find_directional_generating_set(config, shape, parse_line(args.line)))
+    return _generating_output(find_generating_set(config, shape))
 
 
-def cmd_mlc(args) -> int:
-    config = load_config(args.config)
-    s = parse_shape(args.shape)
-    _emit_generating(args, find_mlc_set(config, s))
-    return EXIT_OK
+def cmd_mlc(args, config, shape) -> Output:
+    return _generating_output(find_mlc_set(config, shape))
 
 
-def cmd_balanced(args) -> int:
-    config = load_config(args.config)
-    s = parse_shape(args.shape)
-    line = parse_line(args.line)
+def cmd_balanced(args, config, shape, line) -> Output:
     witness_absent = True
     witness_payload = None
     if args.witness_radius != 0:
@@ -297,9 +254,8 @@ def cmd_balanced(args) -> int:
             "found": w.found,
             "set": list(w.witness.cells) if w.witness else None,
         }
-    cert = construct_balanced_set(config, s, line, witness_absent=witness_absent)
-    emit(
-        args,
+    cert = construct_balanced_set(config, shape, line, witness_absent=witness_absent)
+    return (
         f"balanced set {list(cert.set.cells)}, p = {cert.p}, "
         f"drop {cert.drop} <= {cert.drop_bound}, "
         f"sections {len(cert.support_section)}/{len(cert.antiparallel_section)}, "
@@ -317,28 +273,22 @@ def cmd_balanced(args) -> int:
             "expansive_witness": witness_payload,
             "scope": cert.scope,
         },
+        EXIT_OK,
     )
-    return EXIT_OK
 
 
-def cmd_phi(args) -> int:
-    config = load_config(args.config)
-    s = parse_shape(args.shape)
-    line = parse_line(args.line)
-    rep = phi(config, s, line, args.p)
-    emit(args, f"phi = {rep.value} ({rep.case}; empirical over {len(rep.classes)} classes)",
-         {"phi": rep.value, "case": rep.case, "diff": rep.diff,
-          "classes": len(rep.classes), "scope": rep.scope})
-    return EXIT_OK
+def cmd_phi(args, config, shape, line) -> Output:
+    rep = phi(config, shape, line, args.p)
+    return (f"phi = {rep.value} ({rep.case}; empirical over {len(rep.classes)} classes)",
+            {"phi": rep.value, "case": rep.case, "diff": rep.diff,
+             "classes": len(rep.classes), "scope": rep.scope},
+            EXIT_OK)
 
 
-def cmd_striplemma(args) -> int:
-    config = load_config(args.config)
-    s = parse_shape(args.shape)
-    line = parse_line(args.line)
-    rep = verify_strip_lemma(config, s, line, args.p, args.window)
-    emit(
-        args,
+def cmd_striplemma(args, config, shape, line) -> Output:
+    rep = verify_strip_lemma(config, shape, line, args.p, args.window)
+    code = {"fail": EXIT_ERROR, "inconclusive": EXIT_INCONCLUSIVE}
+    return (
         f"strip lemma: {rep.status.value}"
         + (" (vacuous: no ambiguous-extension classes)" if rep.vacuous else ""),
         {
@@ -351,56 +301,42 @@ def cmd_striplemma(args) -> int:
             ],
             "scope": rep.scope,
         },
+        code.get(rep.status.value, EXIT_OK),
     )
-    if rep.status.value == "fail":
-        return EXIT_ERROR
-    if rep.status.value == "inconclusive":
-        return _inconclusive_exit(args)
-    return EXIT_OK
 
 
-def cmd_witness(args) -> int:
-    config = load_config(args.config)
-    line = parse_line(args.line)
+def cmd_witness(args, config, line) -> Output:
     rep = expansive_witness(config, line, args.radius)
     human = (
         f"witness {list(rep.witness.cells)} with generated point {rep.point}"
         if rep.found
         else f"no witness within radius {args.radius} ({rep.sets_examined} sets examined); not a nonexpansiveness proof"
     )
-    emit(args, human, {
+    return human, {
         "found": rep.found,
         "witness": list(rep.witness.cells) if rep.witness else None,
         "point": rep.point,
         "sets_examined": rep.sets_examined,
         "radius": rep.radius,
-    })
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_nivat(args) -> int:
-    config = load_config(args.config)
-    s = parse_shape(args.shape)
-    rep = nivat_check(config, s, period_bound=args.period_bound)
-    emit(
-        args,
+def cmd_nivat(args, config, shape) -> Output:
+    rep = nivat_check(config, shape, period_bound=args.period_bound)
+    code = {Verdict.VIOLATION: EXIT_ERROR, Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE}
+    return (
         f"{rep.verdict.value.upper()}: P = {rep.complexity.count}"
         f"{'' if rep.complexity.exact else '+'} vs bound {rep.bound}; "
         f"quasi-regular {rep.quasi_regular}; periods {list(rep.periods.periods)}",
         rep.to_dict(),
+        code.get(rep.verdict, EXIT_OK),
     )
-    if rep.verdict is Verdict.VIOLATION:
-        return EXIT_ERROR
-    if rep.verdict is Verdict.INCONCLUSIVE:
-        return _inconclusive_exit(args)
-    return EXIT_OK
 
 
-def cmd_example_suite(args) -> int:
+def cmd_example_suite(args) -> Output:
     result = example_suite()
     failures = result.failures()
-    emit(
-        args,
+    return (
         f"{len(result.rows)} closed-form rows + {len(result.cyr_kra_rows)} strict-bound rows; "
         + ("all match" if result.passed else f"{len(failures)} mismatches: "
            + ", ".join(f"({r.n},{r.k}) got {r.count} expected {r.expected}" for r in failures[:6])),
@@ -411,8 +347,8 @@ def cmd_example_suite(args) -> int:
                 {"n": r.n, "k": r.k, "count": r.count, "expected": r.expected} for r in failures
             ],
         },
+        EXIT_OK if result.passed else EXIT_ERROR,
     )
-    return EXIT_OK if result.passed else EXIT_ERROR
 
 
 # name: (handler, help, required --flags in order, further (flag, add_argument options))
@@ -480,9 +416,8 @@ def _top_parser(**subparsers) -> tuple[argparse.ArgumentParser, argparse._SubPar
 
 
 def _add_command(sub: argparse._SubParsersAction, name: str) -> None:
-    fn, help, required, options = _COMMANDS[name]
+    _, help, required, options = _COMMANDS[name]
     p = sub.add_parser(name, help=help)
-    p.set_defaults(fn=fn)
     for flag in required:
         p.add_argument(f"--{flag}", required=True)
     for flag, kwargs in options:
@@ -531,17 +466,20 @@ def _parser_for(argv: list[str]) -> argparse.ArgumentParser:
 def cli_main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser_for(argv).parse_args(argv)
+    fn, _, required, _ = _COMMANDS[args.command]
     try:
-        return args.fn(args)
+        try:
+            human, payload, code = fn(args, **{name: _INPUTS[name](getattr(args, name)) for name in required})
+        except HypothesisNotMet as exc:
+            human, payload, code = f"no claim: {exc}", {"status": "no_claim", "reason": str(exc)}, EXIT_OK
+        emit(args, human, payload)
     except (ConstructionError, SoundnessError) as exc:
         print(f"soundness failure: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except HypothesisNotMet as exc:
-        emit(args, f"no claim: {exc}", {"status": "no_claim", "reason": str(exc)})
-        return EXIT_OK
     except (NivatlabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return EXIT_OK if code == EXIT_INCONCLUSIVE and not args.strict else code
 
 
 def main() -> None:

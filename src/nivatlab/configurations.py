@@ -24,11 +24,6 @@ class Exactness(enum.Enum):
     EXACT = "exact"
     LOWER_BOUND = "lower_bound"
 
-    def __and__(self, other: "Exactness") -> "Exactness":
-        if self is Exactness.EXACT and other is Exactness.EXACT:
-            return Exactness.EXACT
-        return Exactness.LOWER_BOUND
-
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -720,7 +715,13 @@ def _field(spec: Mapping, name: str, read: Callable = lambda v: v, default=_REQU
         raise ConfigurationError(f"malformed field {name!r} in configuration spec: {exc}") from None
 
 
-def _pair(value, read: Callable = int) -> tuple:
+def _coordinate(value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _pair(value, read: Callable = _coordinate) -> tuple:
     """Exactly two values, each passed through read (by default an integer coordinate)."""
     x, y = value
     return (read(x), read(y))
@@ -733,6 +734,8 @@ def _letter(value) -> str:
 
 
 def _strings(value) -> list[str]:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected an array, got {value!r}")
     return [_letter(v) for v in value]
 
 

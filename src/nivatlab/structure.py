@@ -360,10 +360,6 @@ class SubsetAudit:
         return self.drop <= self.allowed
 
 
-def _ceil_half(n: int) -> int:
-    return (n + 1) // 2
-
-
 def audit_mlc_inequality(config: Configuration, result: GeneratingSetResult) -> tuple[SubsetAudit, ...]:
     """Check the half-difference inequality on every maximal proper convex subset.
 
@@ -379,7 +375,8 @@ def audit_mlc_inequality(config: Configuration, result: GeneratingSetResult) -> 
         if not child:
             continue
         drop = total - counter.count(child)
-        audits.append(SubsetAudit((g,), drop, _ceil_half(1) - 1))
+        # The bound ceil(|R|/2) - 1 for the removed set R = {g}: (1 + 1) // 2 - 1 = 0.
+        audits.append(SubsetAudit((g,), drop, 0))
     return tuple(audits)
 
 

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import io
 import json
 import os
@@ -173,6 +174,26 @@ class TestParser:
         ]
         in_process = [run(capsys, *argv) for argv in argvs]
         assert in_process == [run_separately(*argv) for argv in argvs]
+
+
+class TestCommandTable:
+    def test_handlers_take_their_required_inputs_in_order(self):
+        """cli_main passes a handler the inputs `_COMMANDS` lists, by name and in order."""
+        for name, (fn, _, required, _) in cli._COMMANDS.items():
+            assert list(inspect.signature(fn).parameters) == ["args", *required], name
+
+    @pytest.mark.parametrize("argv", [
+        ["hull", "--shape", "rect:2,2"],
+        ["generating", "--config", "DEFECT", "--shape", "rect:2,2"],
+    ])
+    def test_closed_stdout_is_an_error(self, configs, argv):
+        """Printing a result or a no-claim to a closed stdout is an `error:` with exit code 1."""
+        out, err = io.StringIO(), io.StringIO()
+        out.close()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli_main([configs["defect"] if a == "DEFECT" else a for a in argv])
+        lines = err.getvalue().splitlines()
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestNivatCommand:

@@ -504,6 +504,21 @@ class TestConfigFromDict:
           "defects": [[0, 0, "b"]]}, "'background'"),
         ({"type": "diagonal_family", "white": None}, "'white'"),
         ({"type": "window", "alphabet": ["a", "b"], "origin": 3, "rows": ["ab"]}, "'origin'"),
+        # Coordinates are JSON integers only, and rows and alphabets arrays only:
+        # nothing is truncated, converted or split into letters.
+        ({"type": "finite_defect", "alphabet": ["w", "b"], "background": "w",
+          "defects": [[0.9, 0, "b"]]}, "'defects'"),
+        ({"type": "finite_defect", "alphabet": ["w", "b"], "background": "w",
+          "defects": [[0, True, "b"]]}, "'defects'"),
+        ({"type": "doubly_periodic", "alphabet": ["a", "b"], "basis": [[2.5, 0], [0, 1]],
+          "table": [[[0, 0], "a"], [[1, 0], "b"]]}, "'basis'"),
+        ({"type": "doubly_periodic", "alphabet": ["a", "b"], "basis": [[2, 0], [0, 1]],
+          "table": [[[0, 0.0], "a"], [[1, 0], "b"]]}, "'table'"),
+        ({"type": "window", "alphabet": ["a", "b"], "origin": [True, "7"], "rows": ["ab"]}, "'origin'"),
+        ({"type": "window", "alphabet": ["a", "b"], "origin": "12", "rows": ["ab"]}, "'origin'"),
+        ({"type": "doubly_periodic", "alphabet": ["a", "b"], "rows": "ab"}, "'rows'"),
+        ({"type": "window", "alphabet": ["a", "b"], "rows": "ab"}, "'rows'"),
+        ({"type": "window", "alphabet": "ab", "rows": ["ab"]}, "'alphabet'"),
     ])
     def test_malformed_field_is_named(self, spec, field):
         with pytest.raises(ConfigurationError, match=field):

@@ -14,6 +14,7 @@ from nivatlab.configurations import (
     Configuration,
     DiagonalFamily,
     DoublyPeriodic,
+    Exactness,
     FiniteDefect,
     Pattern,
     WindowSample,
@@ -417,7 +418,8 @@ def _reference_m_classes(cfg, shape, line, p):
         key = (base_lang.patterns, alpha.patterns)
         if key not in seen:
             seen.add(key)
-            out.append(MClass(u, *key, base_lang.exactness & alpha.exactness))
+            exact = base_lang.exactness is alpha.exactness is Exactness.EXACT
+            out.append(MClass(u, *key, Exactness.EXACT if exact else Exactness.LOWER_BOUND))
     return tuple(out), diff
 
 
