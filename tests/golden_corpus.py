@@ -1,6 +1,8 @@
 """The same-results corpus, recorded as JSON under `tests/golden/`: CLI
 `complexity` runs and `extension_counts` groups on a fixed set of small bodies,
-and every other subcommand's outputs, exit codes, CSV files and diagnostics.
+every other subcommand's outputs, exit codes, CSV files and diagnostics, and
+the sorted `repr`s of library results (block tables, m-classes, directional
+languages and the example suite).
 
     PYTHONPATH=src python tests/golden_corpus.py
 
@@ -19,10 +21,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from nivatlab.cli import cli_main
-from nivatlab.complexity import extension_counts
+from nivatlab.complexity import complexity_table, directional_language, extension_counts
 from nivatlab.configurations import config_from_dict
 from nivatlab.errors import NivatlabError
 from nivatlab.geometry import Line, block, convex_hull
+from nivatlab.structure import m_classes
+from nivatlab.verifier import example_suite
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -43,6 +47,19 @@ BODIES = {
     "window_offset": {"type": "window", "alphabet": ["a", "b", "c"], "origin": [-2, 3],
                       "rows": ["abcabca", "ccbaabc", "bacbbca", "aacbcab", "cbabcca", "abbcaac"]},
     "window_small": {"type": "window", "alphabet": ["a", "b"], "rows": ["ab", "ba"]},
+}
+# Bodies whose given basis is coarser than their period lattice: an axis torus
+# given as four copies of one 4x3 tile, the same tile under a sheared basis,
+# and diagonal stripes (period lattice x + y = 0 mod 3) under a sheared basis.
+_TILE = ["baba", "bbbb", "babb"]
+TILED_BODIES = {
+    "tiled_axis_torus": {"type": "doubly_periodic", "alphabet": ["a", "b"],
+                         "rows": [row * 2 for row in _TILE] * 2},
+    "tiled_sheared_torus": {"type": "doubly_periodic", "alphabet": ["a", "b"], "basis": [[8, 0], [4, 6]],
+                            "table": [[[x, y], _TILE[y % 3][x % 4]] for x in range(8) for y in range(6)]},
+    "striped_sheared_torus": {"type": "doubly_periodic", "alphabet": ["a", "b", "c"],
+                              "basis": [[6, 0], [1, 5]],
+                              "table": [[[x, y], "abc"[(x + y) % 3]] for x in range(6) for y in range(5)]},
 }
 SHAPE_LITERALS = ["rect:2,2", "rect:3,2", "rect:1,3", "rect:3,3", "points:0,0;2,0;1,2;3,1"]
 VARIANTS = {"plain": [], "json": ["--json"]}
@@ -258,6 +275,52 @@ def extension_records() -> dict[str, object]:
     return records
 
 
+def sorted_repr(value) -> str:
+    """`repr` with every set's members sorted by their own sorted `repr`, so
+    the text does not follow hashing; dataclasses spell their fields."""
+    if isinstance(value, (set, frozenset)):
+        return f"{type(value).__name__}({{{', '.join(sorted(map(sorted_repr, value)))}}})"
+    if isinstance(value, dict):
+        items = sorted(f"{sorted_repr(k)}: {sorted_repr(v)}" for k, v in value.items())
+        return "{" + ", ".join(items) + "}"
+    if isinstance(value, (tuple, list)):
+        inner = ", ".join(map(sorted_repr, value))
+        return f"({inner},)" if isinstance(value, tuple) and len(value) == 1 else (
+            f"({inner})" if isinstance(value, tuple) else f"[{inner}]")
+    if hasattr(value, "__dataclass_fields__"):
+        fields = ", ".join(f"{name}={sorted_repr(getattr(value, name))}" for name in value.__dataclass_fields__)
+        return f"{type(value).__name__}({fields})"
+    return repr(value)
+
+
+def _outcome(call) -> str:
+    """sorted_repr of call(), or the library error it raises."""
+    try:
+        return sorted_repr(call())
+    except NivatlabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def library_records() -> dict[str, str]:
+    """Sorted `repr`s of `complexity_table`, `m_classes` and `directional_language`
+    on every body (the tiled ones too), and of `example_suite`."""
+    records = {f"example_suite{args}": _outcome(lambda args=args: example_suite(*args))
+               for args in [(), (8, 6)]}
+    for name, spec in {**BODIES, **TILED_BODIES}.items():
+        body = config_from_dict(spec)
+        records[f"{name} complexity_table 4x4"] = _outcome(lambda: complexity_table(body, 4, 4))
+        records[f"{name} complexity_table 2x5"] = _outcome(lambda: complexity_table(body, 2, 5))
+        for shape_name, shape in SHAPES.items():
+            for line_name, line in LINES.items():
+                for p in (1, 2):
+                    records[f"{name} m_classes {shape_name} {line_name} p={p}"] = _outcome(
+                        lambda: m_classes(body, shape, line, p))
+                for base in [(0, 0), (1, 2), (-3, 1)]:
+                    records[f"{name} directional_language {shape_name} {line_name} at {base}"] = _outcome(
+                        lambda: directional_language(body, shape, line, base))
+    return records
+
+
 def as_json(records: dict) -> str:
     """The recorded form: one JSON object, keys sorted, one record per line."""
     lines = [f"{json.dumps(key)}: {json.dumps(records[key], sort_keys=True)}" for key in sorted(records)]
@@ -265,7 +328,7 @@ def as_json(records: dict) -> str:
 
 
 FILES = {"complexity_cli.json": cli_records, "extension_counts.json": extension_records,
-         "cli_commands.json": command_records}
+         "cli_commands.json": command_records, "library.json": library_records}
 
 
 def main() -> int:
