@@ -157,7 +157,8 @@ def cmd_complexity(args, config, shape) -> Output:
     payload = {"count": rep.count, "exact": rep.exact, "translates": rep.translates_examined}
     if grids is not None:
         payload["patterns"] = grids
-        human = "\n".join([human, *(f"-- pattern {i}\n{grid}" for i, grid in enumerate(grids))])
+        if not args.json:
+            human = "\n".join([human, *(f"-- pattern {i}\n{grid}" for i, grid in enumerate(grids))])
     return human, payload, EXIT_OK
 
 

@@ -16,8 +16,10 @@ back, read in slices rather than cell by cell:
   runs along each row.  Each body row the translates reach is read once and
   cut by one `itemgetter` of slices per distinct run (offset, length), so a
   run's pieces over every translate come out in C; one `zip` joins the runs'
-  piece lists into keys.  A doubly periodic body counts over its torus
-  (`DoublyPeriodic.translate_box`).
+  piece lists into keys.  A doubly periodic body counts over the torus of
+  its period lattice (`DoublyPeriodic.translate_box`), which may be smaller
+  than its fundamental domain; its reports still give the fundamental
+  domain's size, |det| of the given basis, as `translates_examined`.
 - Band words (`DiagonalFamily`): a letter depends only on x - y, so a key is
   one factor of the band word per maximal run of the cells' x - y values.
   The translates' x - y shifts form a `range` (the sweep's offsets, or a
@@ -331,25 +333,29 @@ def _grown_column(
     translate, block(n, k)'s key is block(n, k - 1)'s plus the piece of the
     row k - 1 above it: one `map(add, ...)` of the keys and the pieces from
     row k - 1 on.  On a torus the rows go on past d through `row`, so every
-    block keeps all d rows of translates (|det| keys); in a window the map
-    stops a row of translates sooner each step, where block(n, k) leaves the
-    window.  Once a block's keys are all distinct, so are every taller
-    block's (its translates are the same or fewer, and its patterns restrict
-    to distinct ones), and the column stops growing: each taller block
-    counts its own translates.
+    block keeps all d rows of translates (a * d keys, one per point of the
+    torus of the period lattice); in a window the map stops a row of
+    translates sooner each step, where block(n, k) leaves the window.  Once
+    a block's keys are all distinct, so are every taller block's (its
+    translates are the same or fewer, and its patterns restrict to distinct
+    ones), and the column stops growing: each taller block counts its own
+    translates.  A torus block reports |det| of the given basis as its
+    translates examined, the size of the fundamental domain it stands for,
+    as `complexity` does.
     """
     xs, ys = config.translate_box(((0, 0), (n - 1, 0)))
     top = config.translate_box(((0, 0), (n - 1, k_max - 1)))[1][-1] + k_max
     cut = _cutter(len(xs), 0, n)
     pieces = list(chain.from_iterable(cut(config.row(y, xs[0], xs[-1] + n)) for y in range(ys[0], top)))
     keys, distinct = pieces[:len(xs) * len(ys)], False
+    examined = abs(config._det) if isinstance(config, DoublyPeriodic) else 0
     for k in range(1, k_max + 1):
         if k > 1 and not distinct:
             keys = list(map(add, keys, islice(pieces, (k - 1) * len(xs), None)))
         size = min(len(keys), len(pieces) - (k - 1) * len(xs))
         count = size if distinct else len(set(keys))
         distinct = count == size
-        yield count, size
+        yield count, examined or size
 
 
 def _factor_counts(config: DiagonalFamily, longest: int) -> list[tuple[int, int]]:
@@ -398,11 +404,12 @@ def complexity_table(
     k, and no domain is built per block.  Row-slice bodies (doubly periodic
     and window samples) grow each column's keys row by row
     (`_grown_column`): every block is counted over all of its own
-    translates, the torus on a doubly periodic body and the in-window ones
-    on a window.  On the diagonal family a letter depends only on x - y, and
-    block(n, k)'s x - y values are the one run -(k - 1), ..., n - 1, so its
-    patterns are the band word's factors of length n + k - 1 over the same
-    sweep: one count per length serves every block (`_factor_counts`).
+    translates, the torus of the period lattice on a doubly periodic body
+    and the in-window ones on a window.  On the diagonal family a letter
+    depends only on x - y, and block(n, k)'s x - y values are the one run
+    -(k - 1), ..., n - 1, so its patterns are the band word's factors of
+    length n + k - 1 over the same sweep: one count per length serves every
+    block (`_factor_counts`).
     Defect bodies read the keys of block(n_max, k_max) once and count every
     block as their distinct projections (`_projected_column`).
     """

@@ -232,7 +232,10 @@ class DoublyPeriodic(Configuration):
     """A configuration invariant under two independent translations.
 
     The table assigns letters on one fundamental domain of the lattice
-    spanned by the basis; every lattice point reduces into it.
+    spanned by the basis; every lattice point reduces into it.  The body
+    keeps its letters a second time, as the rows of the torus of its period
+    lattice: the lattice of all its periods, which holds the basis lattice
+    and may be finer, found once from the table.
     """
 
     def __init__(
@@ -248,16 +251,17 @@ class DoublyPeriodic(Configuration):
         self.alphabet = alphabet
         self.basis = (b1, b2)
         self._det = det
-        self._hnf = _hnf(b1, b2)
+        a, b, d = _hnf(b1, b2)
         reduced: dict[Point, str] = {}
-        for g, a in table.items():
-            g = (int(g[0]), int(g[1]))
-            if a not in alphabet:
-                raise ConfigurationError(f"letter {a!r} not in alphabet")
-            r = self.reduce(g)
-            if r in reduced and reduced[r] != a:
-                raise ConfigurationError(f"table assigns two letters to the coset of {g}")
-            reduced[r] = a
+        torus = [""] * (a * d)  # the letter at (x, y), 0 <= x < a and 0 <= y < d, at y * a + x
+        letters, reduce = alphabet.letters, self.reduce
+        for g, letter in table.items():
+            x, y = int(g[0]), int(g[1])
+            if letter not in letters:
+                raise ConfigurationError(f"letter {letter!r} not in alphabet")
+            if reduced.setdefault(reduce((x, y)), letter) != letter:
+                raise ConfigurationError(f"table assigns two letters to the coset of {(x, y)}")
+            torus[y % d * a + (x - y // d * b) % a] = letter  # (x, y) minus (y // d) * (b, d)
         if len(reduced) != abs(det):
             raise ConfigurationError(
                 f"table covers {len(reduced)} cosets, fundamental domain has {abs(det)}"
@@ -265,11 +269,13 @@ class DoublyPeriodic(Configuration):
         if set(reduced.values()) != set(alphabet.letters):
             raise ConfigurationError("every alphabet letter must occur in the fundamental domain")
         self._table = reduced
+        rows = ["".join(torus[y * a:(y + 1) * a]) for y in range(d)]
         # Set here rather than added on first use: an attribute added to the
         # instance later materialises its __dict__ and slows every attribute
         # read in reduce() and letter_at().
+        self._hnf = _period_lattice((b1, b2), (a, b, d), rows)  # (a', b', d') of the period lattice
+        self._rows = tuple(row[:self._hnf[0]] for row in rows[:self._hnf[2]])  # torus row y, x < a'
         self._domain: tuple[Point, ...] = ()  # sorted(self._table), filled on first use
-        self._rows: dict[int, str] = {}  # r -> letters at (x, r) for 0 <= x < a
         self._orbit_bases: dict[Point, tuple[int, int, int]] = {}  # v -> _orbit_basis(v)
 
     @classmethod
@@ -306,54 +312,36 @@ class DoublyPeriodic(Configuration):
     def row(self, y: int, lo: int, hi: int) -> str:
         """The letters at (x, y) for lo <= x < hi.
 
-        Row y is torus row y mod d rotated by (y // d) * b: (x, y) minus the
-        lattice vector (y // d) * (b, d) is (x - (y // d) * b, y mod d).
+        Row y is torus row y mod d rotated by (y // d) * b, where (a, 0),
+        (b, d) is the HNF of the period lattice: (x, y) minus the period
+        (y // d) * (b, d) is (x - (y // d) * b, y mod d).
         """
         a, b, d = self._hnf
         q, r = divmod(y, d)
-        word = self._rows.get(r)
-        if word is None:
-            table, reduce = self._table, self.reduce
-            word = self._rows[r] = "".join([table[reduce((x, r))] for x in range(a)])
+        word = self._rows[r]
         s, n = (lo - q * b) % a, hi - lo
         return (word * _ceil_div(s + n, a))[s:s + n]
 
     def translate_box(self, shape: Iterable[Point]) -> tuple[range, range]:
-        """The torus [0, a) x [0, d), where (a, 0), (b, d) is the HNF of the basis.
+        """The torus [0, a) x [0, d), where (a, 0), (b, d) is the HNF of the period lattice.
 
-        Contract: the torus, like the fundamental domain, holds one point of
-        each class modulo the basis lattice, whose vectors are certified
-        periods.  So every translate of enumeration_domain is congruent to a
-        torus point modulo the certified periods, and every torus point to a
-        domain translate: the kernel may count over the torus instead.
+        Contract: the torus holds one point of each class modulo the period
+        lattice, whose vectors are all periods and which holds the basis
+        lattice.  So every translate of enumeration_domain is congruent to a
+        torus point modulo a period, and every torus point to a domain
+        translate: the kernel may count over the torus instead.  The torus
+        has |det| / (a * d) times fewer points than the fundamental domain.
         """
         a, _, d = self._hnf
         return range(a), range(d)
 
     def is_period(self, h: Point) -> bool:
-        # Compare each torus row with the row h[1] above it, shifted by h[0].
-        a, _, d = self._hnf
-        return h != (0, 0) and all(
-            self.row(y + h[1], h[0], h[0] + a) == self.row(y, 0, a) for y in range(d)
-        )
+        """Whether h is a nonzero vector of the period lattice."""
+        return h != (0, 0) and _in_lattice(h, self._hnf)
 
     def periods_within(self, bound: int) -> tuple[Point, ...]:
-        """The periods h != 0 with sup-norm at most bound, listed from the period lattice.
-
-        A period h carries torus row 0 onto row h[1] shifted by h[0], so only
-        the occurrences of row 0 in the doubled torus rows take the full
-        test; the survivors and the basis span the lattice of all periods.
-        """
-        a, _, d = self._hnf
-        first, survivors = self.row(0, 0, a), []
-        for y in range(d):
-            doubled = self.row(y, 0, 2 * a - 1)
-            x = doubled.find(first)
-            while x >= 0:
-                if self.is_period((x, y)):
-                    survivors.append((x, y))
-                x = doubled.find(first, x + 1)
-        a, b, d = _hnf(*self.basis, *survivors)
+        """The periods h != 0 with sup-norm at most bound, listed from the period lattice."""
+        a, b, d = self._hnf
         found = []
         for j in range(-(bound // d), bound // d + 1):
             first = -bound + (j * b + bound) % a  # the least x >= -bound with x = j*b mod a
@@ -449,6 +437,36 @@ def _clear_y(p: Point, g: Point) -> tuple[Point, Point]:
         q = p[1] // g[1]
         p, g = g, (p[0] - q * g[0], p[1] - q * g[1])
     return p, g
+
+
+def _period_lattice(basis: tuple[Point, Point], hnf: tuple[int, int, int], rows: list[str]) -> tuple[int, int, int]:
+    """The HNF (a', b', d') of the lattice of all periods of the body whose
+    torus rows, over the HNF (a, b, d) of its basis lattice, are `rows`.
+
+    A period (x, y) carries torus row 0 onto row y shifted by x, so only the
+    occurrences of row 0 in the doubled torus rows take the full test, and
+    those already in the lattice found so far are periods without one.  The
+    basis and the torus points that pass span every period.
+    """
+    a, b, d = hnf
+    doubled = [row * 2 for row in rows]
+    lattice, survivors = hnf, []
+    for y in range(d):
+        x = doubled[y].find(rows[0], 0, 2 * a - 1)
+        while x >= 0:
+            if not _in_lattice((x, y), lattice) and all(
+                doubled[(r + y) % d].startswith(rows[r], (x - (r + y) // d * b) % a) for r in range(d)
+            ):
+                survivors.append((x, y))
+                lattice = _hnf(*basis, *survivors)
+            x = doubled[y].find(rows[0], x + 1, 2 * a - 1)
+    return lattice
+
+
+def _in_lattice(h: Point, hnf: tuple[int, int, int]) -> bool:
+    """Whether h lies in the lattice spanned by (a, 0) and (b, d), given as (a, b, d)."""
+    a, b, d = hnf
+    return h[1] % d == 0 and (h[0] - h[1] // d * b) % a == 0
 
 
 def _hnf(p: Point, g: Point, *more: Point) -> tuple[int, int, int]:
@@ -712,7 +730,11 @@ def _field(spec: Mapping, name: str, read: Callable = lambda v: v, default=_REQU
     try:
         return read(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed field {name!r} in configuration spec: {exc}") from None
+        raise _malformed(name, exc) from None
+
+
+def _malformed(name: str, reason: object) -> ConfigurationError:
+    return ConfigurationError(f"malformed field {name!r} in configuration spec: {reason}")
 
 
 def _coordinate(value) -> int:
@@ -739,6 +761,16 @@ def _strings(value) -> list[str]:
     return [_letter(v) for v in value]
 
 
+def _lettered(entries: Iterable[tuple[Point, str]]) -> dict[Point, str]:
+    """(coordinate, letter) entries as a dict; a coordinate named twice is an error."""
+    out: dict[Point, str] = {}
+    for g, a in entries:
+        if g in out:
+            raise ValueError(f"coordinate {g} is listed twice")
+        out[g] = a
+    return out
+
+
 def config_from_dict(spec: Mapping) -> Configuration:
     """Build a configuration from its JSON description.
 
@@ -751,13 +783,16 @@ def config_from_dict(spec: Mapping) -> Configuration:
     if kind == "doubly_periodic":
         alphabet = Alphabet(tuple(_field(spec, "alphabet", _strings)))
         if "rows" in spec:
+            for name in ("basis", "table"):
+                if name in spec:
+                    raise _malformed(name, "a spec with 'rows' takes no basis or table")
             return DoublyPeriodic.from_rows(alphabet, _field(spec, "rows", _strings))
         basis = _field(spec, "basis", lambda v: _pair(v, _pair))
-        table = _field(spec, "table", lambda v: {_pair(g): _letter(a) for g, a in v})
+        table = _field(spec, "table", lambda v: _lettered((_pair(g), _letter(a)) for g, a in v))
         return DoublyPeriodic(alphabet, basis, table)
     if kind == "finite_defect":
         alphabet = Alphabet(tuple(_field(spec, "alphabet", _strings)))
-        defects = _field(spec, "defects", lambda v: {_pair((x, y)): _letter(a) for x, y, a in v})
+        defects = _field(spec, "defects", lambda v: _lettered((_pair((x, y)), _letter(a)) for x, y, a in v))
         return FiniteDefect(alphabet, _field(spec, "background", _letter), defects)
     if kind == "diagonal_family":
         return DiagonalFamily(_field(spec, "black", _letter, "b"), _field(spec, "white", _letter, "w"))

@@ -158,6 +158,41 @@ def sheared_doubly_periodic(rng: random.Random, p: int, q: int, shear: int) -> D
     return DoublyPeriodic(Alphabet(("a", "b")), ((p, 0), (shear, q)), table)
 
 
+def tiled_doubly_periodic(rng: random.Random, sheared: bool) -> DoublyPeriodic:
+    """A random body given by a basis coarser than the lattice of its tile.
+
+    The tile is a random two-letter table on the box [0, a) x [0, d), and the
+    body repeats it under (a, 0) and (b, d).  Unsheared (b = 0), the body is
+    given as rows holding i x j copies of the tile; sheared, its basis is
+    two random independent integer combinations of (a, 0) and (b, d), and
+    its table lists the tile's letters on coset representatives of that
+    basis.  The tile itself may have more periods.
+    """
+    while True:
+        a, d = rng.randint(1, 4), rng.randint(1, 3)
+        tile = ["".join(rng.choice("ab") for _ in range(a)) for _ in range(d)]
+        if not sheared:
+            i, j = rng.randint(1, 3), rng.randint(1, 3)
+            if {"a", "b"} <= set("".join(tile)) and i * j > 1:
+                return DoublyPeriodic.from_rows(Alphabet(("a", "b")), [row * i for row in tile] * j)
+            continue
+        b = rng.randrange(a)
+        (i1, j1), (i2, j2) = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(2)]
+        if not 1 < abs(i1 * j2 - i2 * j1) <= 4:
+            continue
+        b1, b2 = (i1 * a + j1 * b, j1 * d), (i2 * a + j2 * b, j2 * d)
+        det = b1[0] * b2[1] - b1[1] * b2[0]
+        # The letter at g: g minus the tile vector (g[1] // d) * (b, d) lies in row g[1] mod d.
+        table = {g: tile[g[1] % d][(g[0] - g[1] // d * b) % a] for g in coset_representatives(b1, b2, det)}
+        if set(table.values()) == {"a", "b"}:
+            return DoublyPeriodic(Alphabet(("a", "b")), (b1, b2), table)
+
+
+def brute_is_period(cfg: DoublyPeriodic, h: tuple[int, int]) -> bool:
+    """Whether h moves no letter, read with letter_at over the fundamental domain."""
+    return all(cfg.letter_at(g) == cfg.letter_at((g[0] + h[0], g[1] + h[1])) for g in cfg.fundamental_domain())
+
+
 def random_finite_defect(rng: random.Random, ab: Alphabet) -> FiniteDefect:
     count = rng.randint(1, 5)
     defects = {}

@@ -35,12 +35,14 @@ from conftest import (
     DIAGONAL,
     HORIZONTAL,
     VERTICAL,
+    brute_is_period,
     enumerate_convex_subsets,
     naive_complexity,
     naive_diagonal_language,
     random_doubly_periodic,
     random_finite_defect,
     sheared_doubly_periodic,
+    tiled_doubly_periodic,
 )
 
 complexity_module = importlib.import_module("nivatlab.complexity")  # the package binds the function
@@ -445,6 +447,61 @@ class TestPeriodQuotient:
         assert [g.cells for g in table.extensions] == [g.cells for g in reference]
         assert ([[p.cells for p in v] for v in table.extensions.values()]
                 == [[p.cells for p in v] for v in reference.values()])
+
+
+tiled_bodies = st.tuples(st.booleans(), st.integers(0, 10**6)).map(
+    lambda sheared_seed: tiled_doubly_periodic(random.Random(sheared_seed[1]), sheared_seed[0]))
+
+
+class TestPeriodLattice:
+    """Bodies given by a basis coarser than their period lattice count over the
+    smaller torus of that lattice; every result must match sweeps over the
+    fundamental domain of the given basis, which read every cell."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tiled_bodies, point_sets)
+    def test_complexity_and_language(self, cfg, cells):
+        brute = _brute_language(cfg, cells)
+        rep = complexity(cfg, cells)
+        assert rep.count == len(brute) == naive_complexity(cfg, cells, abs(cfg._det))
+        assert rep.translates_examined == abs(cfg._det)
+        assert language(cfg, cells) == brute
+
+    @settings(max_examples=40, deadline=None)
+    @given(tiled_bodies, st.integers(1, 5), st.integers(1, 5))
+    def test_table(self, cfg, n_max, k_max):
+        for (n, k), rep in complexity_table(cfg, n_max, k_max).items():
+            cells = tuple((x, y) for x in range(n) for y in range(k))
+            assert rep.count == _naive_count(cfg, cells)
+            assert rep.translates_examined == abs(cfg._det)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tiled_bodies, point_sets, st.sampled_from(LINES), st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    def test_directional_language(self, cfg, cells, line, base):
+        v = line.minimal_vector()
+        brute = {extract_pattern(cfg, cells, (base[0] + t * v[0], base[1] + t * v[1]))
+                 for t in range(-SWEEP, SWEEP + 1)}
+        assert directional_language(cfg, cells, line, base).patterns == frozenset(brute)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tiled_bodies, st.sampled_from(CONVEX[1:]), st.sampled_from(LINES))
+    def test_extension_counts(self, cfg, shape, line):
+        try:
+            table = extension_counts(cfg, shape, line)
+        except GeometryError:
+            return
+        grouped: dict = {}
+        for u in _brute_translates(cfg, table.shape):
+            base = extract_pattern(cfg, table.base, u)
+            grouped.setdefault(base, set()).add(extract_pattern(cfg, table.shape, u))
+        assert {g: set(v) for g, v in table.extensions.items()} == grouped
+
+    @settings(max_examples=30, deadline=None)
+    @given(tiled_bodies)
+    def test_is_period(self, cfg):
+        r = max(map(abs, (*cfg.basis[0], *cfg.basis[1]))) + 1
+        for h in ((x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)):
+            assert cfg.is_period(h) == (h != (0, 0) and brute_is_period(cfg, h)), (cfg.basis, h)
 
 
 def _naive_count(cfg, cells) -> int:

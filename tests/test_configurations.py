@@ -3,6 +3,7 @@ import pickle
 import random
 from collections.abc import Sequence
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -35,9 +36,11 @@ from conftest import (
     DIAGONAL,
     HORIZONTAL,
     VERTICAL,
+    brute_is_period,
     coset_representatives,
     random_doubly_periodic,
     random_finite_defect,
+    tiled_doubly_periodic,
 )
 
 
@@ -519,6 +522,14 @@ class TestConfigFromDict:
         ({"type": "doubly_periodic", "alphabet": ["a", "b"], "rows": "ab"}, "'rows'"),
         ({"type": "window", "alphabet": ["a", "b"], "rows": "ab"}, "'rows'"),
         ({"type": "window", "alphabet": "ab", "rows": ["ab"]}, "'alphabet'"),
+        # A spec that could mean two bodies is refused: a coordinate listed
+        # twice, or rows given beside a basis or a table.
+        ({"type": "finite_defect", "alphabet": ["w", "b", "c"], "background": "w",
+          "defects": [[0, 0, "b"], [0, 0, "c"], [1, 0, "b"]]}, "'defects'"),
+        ({"type": "doubly_periodic", "alphabet": ["a", "b"], "basis": [[2, 0], [0, 1]],
+          "table": [[[0, 0], "a"], [[1, 0], "b"], [[0, 0], "b"]]}, "'table'"),
+        ({"type": "doubly_periodic", "alphabet": ["a", "b"], "rows": ["ab", "ba"], "basis": "junk"},
+         "'basis'"),
     ])
     def test_malformed_field_is_named(self, spec, field):
         with pytest.raises(ConfigurationError, match=field):
@@ -539,18 +550,35 @@ class TestPeriods:
                 assert cfg.is_period(h) == brute, (cfg.basis, h)
 
     def test_torus_contract(self):
-        """The torus holds exactly one point of each class modulo the basis lattice."""
+        """The torus holds exactly one point of each class modulo the full
+        period lattice: that lattice holds the basis, every vector of it is a
+        period, and every period in a box is one of its vectors."""
         rng = random.Random(43)
         bodies = [random_doubly_periodic(rng) for _ in range(12)]
+        bodies += [tiled_doubly_periodic(rng, sheared) for sheared in (False, True) for _ in range(8)]
         bodies.append(DoublyPeriodic(Alphabet(("a", "b")), ((30, 0), (7, 20)),
                                      {(x, y): "ab"[(x * y + x) % 3 == 0]
                                       for x in range(30) for y in range(20)}))
+        finer = [cfg for cfg in bodies if len(cfg.fundamental_domain()) > prod(map(len, cfg.translate_box(())))]
+        assert len(finer) >= 8  # bodies whose period lattice is finer than their basis lattice
         for cfg in bodies:
+            domain = cfg.fundamental_domain()
             xs, ys = cfg.translate_box(block(2, 2))
             assert xs.start == ys.start == 0 and xs.step == ys.step == 1
-            reduced = [cfg.reduce((x, y)) for x in xs for y in ys]
-            assert sorted(reduced) == list(cfg.fundamental_domain()), cfg.basis
-            assert cfg.reduce((len(xs), 0)) == (0, 0)  # (a, 0) is a lattice vector
+            assert list(cfg._rows) == [cfg.row(y, 0, len(xs)) for y in ys]  # the body keeps this torus only
+            # The periods modulo the basis lattice, one per class of the domain.
+            periods = [h for h in domain if brute_is_period(cfg, h)]
+            assert len(xs) * len(ys) * len(periods) == len(domain), cfg.basis
+            # Two torus points never differ by a period: their classes are distinct.
+            classes = {min(cfg.reduce((x + h[0], y + h[1])) for h in periods) for x in xs for y in ys}
+            assert len(classes) == len(xs) * len(ys), cfg.basis
+            for b in cfg.basis:
+                assert cfg.is_period(b) and brute_is_period(cfg, b), (cfg.basis, b)
+            bound = max(len(xs), len(ys)) + 1
+            box = range(-bound, bound + 1)
+            scan = tuple((x, y) for x in box for y in box if (x or y) and brute_is_period(cfg, (x, y)))
+            assert cfg.periods_within(bound) == scan, cfg.basis
+            assert (len(xs), 0) in scan  # (a, 0) is a period
 
     def test_rows_match_letter_at(self, diagonal):
         """row(y, lo, hi) and band(lo, hi) read the same letters as letter_at."""

@@ -18,6 +18,7 @@ from nivatlab.configurations import (
     FiniteDefect,
     Pattern,
     WindowSample,
+    extract_pattern,
 )
 from nivatlab.errors import (
     ConstructionError,
@@ -57,6 +58,7 @@ from conftest import (
     random_doubly_periodic,
     random_finite_defect,
     sheared_doubly_periodic,
+    tiled_doubly_periodic,
 )
 
 complexity_module = importlib.import_module("nivatlab.complexity")  # the package binds the function
@@ -423,6 +425,33 @@ def _reference_m_classes(cfg, shape, line, p):
     return tuple(out), diff
 
 
+def _brute_m_classes(cfg: DoublyPeriodic, shape, line, p):
+    """m_classes from patterns read with letter_at alone: the shape's and its
+    base's languages over the fundamental domain, and each directional
+    language over |det| steps, after which every orbit repeats."""
+    section = line_section(shape, supporting_line(shape, line))
+    cells, base_cells = tuple(sorted(shape.points)), tuple(sorted(shape.points - section))
+    domain = cfg.enumeration_domain(shape.points)
+    n_of: dict = {}
+    for full in {extract_pattern(cfg, cells, u) for u in domain}:
+        base = Pattern.from_cells({g: a for g, a in zip(cells, full.letters) if g in base_cells})
+        n_of[base] = n_of.get(base, 0) + 1
+    diff = sum(n_of.values()) - len(n_of)
+    initials = directional_point_sets(shape, line, p).initials
+    v, steps = line.minimal_vector(), range(abs(cfg._det))
+
+    def along(part, u):
+        return frozenset(extract_pattern(cfg, part, (u[0] + t * v[0], u[1] + t * v[1])) for t in steps)
+
+    out, seen = [], set()
+    for u in domain:
+        key = (along(base_cells, u), along(initials, u))
+        if all(n_of.get(g, 0) > 1 for g in key[0]) and key not in seen:
+            seen.add(key)
+            out.append(MClass(u, *key, Exactness.EXACT))
+    return tuple(out), diff
+
+
 def _reference_px(cfg, shape, line, p, u, diff):
     for px in range(1, p + 1):
         initials = directional_point_sets(shape, line, px).initials
@@ -483,6 +512,15 @@ class TestOrbitSharing:
             assert isinstance(got, tuple) and got[0] is HypothesisNotMet
         else:
             assert got == ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.booleans(), st.integers(0, 10**6), st.sampled_from(ORBIT_SHAPES),
+           st.sampled_from(ORBIT_LINES), st.integers(1, 3))
+    def test_m_classes_over_the_period_lattice(self, sheared, seed, shape, line, p):
+        """On a body given by a basis coarser than its period lattice, m_classes
+        matches classes read with letter_at alone."""
+        cfg = tiled_doubly_periodic(random.Random(seed), sheared)
+        assert m_classes(cfg, shape, line, p) == _brute_m_classes(cfg, shape, line, p)
 
     @settings(max_examples=40, deadline=None)
     @given(orbit_bodies, st.sampled_from(ORBIT_SHAPES), st.sampled_from(ORBIT_LINES),
