@@ -233,9 +233,11 @@ class DoublyPeriodic(Configuration):
 
     The table assigns letters on one fundamental domain of the lattice
     spanned by the basis; every lattice point reduces into it.  The body
-    keeps its letters a second time, as the rows of the torus of its period
-    lattice: the lattice of all its periods, which holds the basis lattice
-    and may be finer, found once from the table.
+    keeps its letters once, as the rows of the torus of its period lattice:
+    the lattice of all its periods, which holds the basis lattice and may be
+    finer, found once from the table.  Letters, counts and every period
+    question read that lattice; the fundamental domain, `reduce` and the
+    translates a count reports stay those of the given basis.
     """
 
     def __init__(
@@ -252,30 +254,32 @@ class DoublyPeriodic(Configuration):
         self.basis = (b1, b2)
         self._det = det
         a, b, d = _hnf(b1, b2)
-        reduced: dict[Point, str] = {}
         torus = [""] * (a * d)  # the letter at (x, y), 0 <= x < a and 0 <= y < d, at y * a + x
+        domain: list[Point] = []  # one reduced cell per coset, in table order
         letters, reduce = alphabet.letters, self.reduce
         for g, letter in table.items():
             x, y = int(g[0]), int(g[1])
             if letter not in letters:
                 raise ConfigurationError(f"letter {letter!r} not in alphabet")
-            if reduced.setdefault(reduce((x, y)), letter) != letter:
-                raise ConfigurationError(f"table assigns two letters to the coset of {(x, y)}")
-            torus[y % d * a + (x - y // d * b) % a] = letter  # (x, y) minus (y // d) * (b, d)
-        if len(reduced) != abs(det):
+            i = y % d * a + (x - y // d * b) % a  # (x, y) minus (y // d) * (b, d)
+            if torus[i] != letter:
+                if torus[i]:
+                    raise ConfigurationError(f"table assigns two letters to the coset of {(x, y)}")
+                torus[i] = letter
+                domain.append(reduce((x, y)))
+        if len(domain) != abs(det):
             raise ConfigurationError(
-                f"table covers {len(reduced)} cosets, fundamental domain has {abs(det)}"
+                f"table covers {len(domain)} cosets, fundamental domain has {abs(det)}"
             )
-        if set(reduced.values()) != set(alphabet.letters):
+        if set(torus) != set(letters):
             raise ConfigurationError("every alphabet letter must occur in the fundamental domain")
-        self._table = reduced
         rows = ["".join(torus[y * a:(y + 1) * a]) for y in range(d)]
         # Set here rather than added on first use: an attribute added to the
         # instance later materialises its __dict__ and slows every attribute
         # read in reduce() and letter_at().
         self._hnf = _period_lattice((b1, b2), (a, b, d), rows)  # (a', b', d') of the period lattice
         self._rows = tuple(row[:self._hnf[0]] for row in rows[:self._hnf[2]])  # torus row y, x < a'
-        self._domain: tuple[Point, ...] = ()  # sorted(self._table), filled on first use
+        self._domain = tuple(sorted(domain))
         self._orbit_bases: dict[Point, tuple[int, int, int]] = {}  # v -> _orbit_basis(v)
 
     @classmethod
@@ -299,11 +303,11 @@ class DoublyPeriodic(Configuration):
         )
 
     def letter_at(self, g: Point) -> str:
-        return self._table[self.reduce(g)]
+        a, b, d = self._hnf
+        q, r = divmod(g[1], d)
+        return self._rows[r][(g[0] - q * b) % a]
 
     def fundamental_domain(self) -> tuple[Point, ...]:
-        if not self._domain:
-            self._domain = tuple(sorted(self._table))
         return self._domain
 
     def enumeration_domain(self, shape: Iterable[Point]) -> tuple[Point, ...]:
@@ -349,28 +353,26 @@ class DoublyPeriodic(Configuration):
         return tuple(sorted(found))
 
     def _orbit_basis(self, v: Point) -> tuple[int, int, int]:
-        """(a, b, d) with (a, 0) and (b, d) spanning L + Zv, a, d > 0 and 0 <= b < a.
+        """(a, b, d) with (a, 0) and (b, d) spanning P + Zv, a, d > 0 and 0 <= b < a.
 
-        This is the Hermite normal form of the basis and v, found once per v.
+        This is the Hermite normal form of the period lattice P and v, found once per v.
         """
         basis = self._orbit_bases.get(v)
         if basis is None:
-            basis = self._orbit_bases[v] = _hnf(*self.basis, v)
+            a, b, d = self._hnf
+            basis = self._orbit_bases[v] = _hnf((a, 0), (b, d), v)
         return basis
 
     def orbit_class(self, u: Point, v: Point) -> Point:
-        """u reduced modulo the lattice L + Zv: the canonical (x mod a, y mod d)."""
+        """u reduced modulo the lattice P + Zv: the canonical (x mod a, y mod d)."""
         a, b, d = self._orbit_basis(v)
         q = u[1] // d
         return ((u[0] - q * b) % a, u[1] - q * d)
 
-    def directional_period(self, v: Point) -> int:
-        """Smallest s >= 1 with s*v in the basis lattice: the index of L in L + Zv."""
-        a, _, d = self._orbit_basis(v)
-        return abs(self._det) // (a * d)
-
     def directional_translates(self, shape, base, v) -> range:
-        return range(self.directional_period(v))
+        """range(s), s >= 1 the least with s*v a period: the index of P in P + Zv."""
+        a, _, d = self._orbit_basis(v)
+        return range(self._hnf[0] * self._hnf[2] // (a * d))
 
 
 # ---------------------------------------------------------------------------
@@ -583,15 +585,17 @@ class DiagonalFamily(Configuration):
         return min(deltas), max(deltas)
 
     @staticmethod
-    def _reach(width: int) -> int:
-        """The reach m of the window-minimum sweep for cells whose x - y span `width`.
+    def _reach(width: int, k: int = 0) -> int:
+        """The reach m of a window-minimum sweep for cells whose x - y span `width`.
 
-        Beyond sigma(c0) consecutive offsets are further apart than the
-        window is wide, so sweeping the window minimum across [-m, m]
-        realizes every view: all multi-offset views, one full crossing of an
-        isolated offset, and an empty gap.
+        Beyond sigma(c0), c0 = max(6, width), consecutive offsets are further
+        apart than the window is wide.  So sweeping the window minimum across
+        [-m, m] in steps of k = vx - vy (k = 0 for the enumeration sweep, by 1)
+        realizes every view: all multi-offset views, full crossings of the
+        isolated offsets, and an empty gap.  Offsets mod |k| repeat with
+        period 2|k| in the index c, hence 2|k| more crossings past c0.
         """
-        return _sigma(max(6, width) + 2) + width + 1
+        return _sigma(max(6, width) + 2 * abs(k) + 2) + width + 1
 
     def enumeration_domain(self, shape: Iterable[Point]) -> Sweep:
         """The sweep (d, 0), -m - lo <= d <= m - lo, where lo is the least x - y of
@@ -610,14 +614,8 @@ class DiagonalFamily(Configuration):
             # Sliding along the period direction never changes the pattern.
             return [0]
         lo, hi = self._delta_span(shape)
-        width = hi - lo
         start = lo + (base[0] - base[1])  # window minimum at t = 0
-        # The window minimum moves by k per step.  Offsets mod |k| repeat with
-        # period 2|k| in the index c, so crossing 2|k|+2 isolated offsets past
-        # the last multi-offset region exhausts the reachable single views.
-        c0 = max(6, width)
-        period_c = 2 * abs(k) + 2
-        m = _sigma(c0 + period_c) + width + 1
+        m = self._reach(hi - lo, k)
         bounds = sorted((_ceil_div(-m - start, k), (m - start) // k))
         return range(bounds[0] - 1, bounds[1] + 2)
 

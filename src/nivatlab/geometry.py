@@ -237,6 +237,12 @@ def _hull_lattice_count(verts: Sequence[Point]) -> int:
     return (_twice_area(verts) + boundary) // 2 + 1
 
 
+def _is_convex(points: Iterable[Point]) -> bool:
+    """Whether the nonempty distinct points are all the lattice points of their hull (Pick's theorem)."""
+    pts = sorted(points)
+    return _hull_lattice_count(_hull_vertices(pts)) == len(pts)
+
+
 def _hull_points(verts: Sequence[Point]) -> frozenset[Point]:
     """Every lattice point of the hull of the vertices."""
     if len(verts) == 1:
@@ -263,17 +269,11 @@ def _hull_points(verts: Sequence[Point]) -> frozenset[Point]:
 
 
 def is_vertex(s: ConvexLatticeSet, g: Point) -> bool:
-    """Whether removing g leaves a convex set (the defining property of a vertex).
-
-    The rest is convex when its hull holds no other lattice point: Pick's
-    count of the hull equals the size of the rest.
-    """
+    """Whether removing g leaves a convex set (the defining property of a vertex)."""
     if g not in s.points:
         raise GeometryError(f"{g} is not a point of the set")
     rest = s.points - {g}
-    if not rest:
-        return True
-    return _hull_lattice_count(_hull_vertices(sorted(rest))) == len(rest)
+    return not rest or _is_convex(rest)
 
 
 # -- quasi-regularity -------------------------------------------------------

@@ -11,8 +11,11 @@ directional language of a shape at base u depends only on u + Zv modulo the
 certified periods: sliding the base by s*v reindexes the steps, and a period
 changes no letter.  `Configuration.orbit_class(u, v)` labels that orbit, so
 `m_classes` builds the base language and the induced alphabet once per label
-and skips a translate whose label it has met.  Bodies without certified
-periods label each translate by itself and keep one language per translate.
+and skips a translate whose label it has met.  A doubly periodic body
+certifies its whole period lattice P, so its labels are the classes of
+P + Zv, which can be coarser than those of its basis lattice.  Bodies without
+certified periods label each translate by itself and keep one language per
+translate.
 
 Each search counts convex subsets of one root shape: the start shape of the
 generating-set, mlc and balanced-set searches, or the radius box of the
@@ -55,6 +58,7 @@ from .geometry import (
     Point,
     _hull_lattice_count,
     _hull_vertices,
+    _is_convex,
     axes_of_symmetry,
     axis_intersection,
     is_quasi_regular,
@@ -66,12 +70,6 @@ from .words import smallest_window_period, strip_word
 
 def _vertices_of(points: frozenset[Point]) -> tuple[Point, ...]:
     return tuple(_hull_vertices(sorted(points)))
-
-
-def _is_convex(points: Iterable[Point]) -> bool:
-    """Whether the distinct points are all the lattice points of their hull (Pick's theorem)."""
-    pts = sorted(points)
-    return _hull_lattice_count(_hull_vertices(pts)) == len(pts)
 
 
 def is_generated(config: Configuration, shape: ConvexLatticeSet | Iterable[Point], g: Point) -> bool:

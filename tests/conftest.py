@@ -8,12 +8,17 @@ import random
 import weakref
 
 import pytest
+from hypothesis import Phase, settings
 
 from nivatlab.configurations import Alphabet, DiagonalFamily, DoublyPeriodic, FiniteDefect
 from nivatlab.errors import GeometryError
 from nivatlab.geometry import ConvexLatticeSet, Line, convex_hull
 
 LETTERS = "abcd"
+
+# `tests/mutants.py` runs under this profile: a mutant is killed by its first
+# failing example, so shrinking it would only add time.
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 
 @pytest.fixture(scope="session")
@@ -186,6 +191,33 @@ def tiled_doubly_periodic(rng: random.Random, sheared: bool) -> DoublyPeriodic:
         table = {g: tile[g[1] % d][(g[0] - g[1] // d * b) % a] for g in coset_representatives(b1, b2, det)}
         if set(table.values()) == {"a", "b"}:
             return DoublyPeriodic(Alphabet(("a", "b")), (b1, b2), table)
+
+
+# Doubly periodic tables over the alphabet ab, each with the diagnostic it
+# draws (None: the body is accepted).  Where a table has several faults the
+# first of these wins: a dependent basis; the first faulty cell in table
+# order, a foreign letter or a second letter for its coset; too few cosets
+# covered; a letter never used.  A coset listed twice with one letter is
+# accepted and covered once.
+PERIODIC_TABLES = [
+    (((2, 0), (0, 2)), [((0, 0), "a"), ((1, 0), "b"), ((0, 1), "b"), ((1, 1), "a"), ((2, 2), "a")], None),
+    (((2, 0), (1, 2)), [((0, 0), "a"), ((1, 0), "b"), ((0, 1), "b"), ((1, 1), "a"), ((-1, -2), "a")], None),
+    (((2, 0), (0, 2)), [((0, 0), "a"), ((1, 0), "b"), ((0, 1), "b"), ((1, 1), "a"), ((2, 0), "b")],
+     "table assigns two letters to the coset of (2, 0)"),
+    (((2, 0), (1, 2)), [((0, 0), "a"), ((1, 0), "b"), ((0, 1), "b"), ((0, 2), "a")],
+     "table assigns two letters to the coset of (0, 2)"),
+    (((2, 0), (0, 2)), [((0, 0), "a"), ((1, 0), "b"), ((0, 1), "b")],
+     "table covers 3 cosets, fundamental domain has 4"),
+    (((2, 0), (0, 2)), [((0, 0), "a"), ((1, 0), "b"), ((0, 1), "b"), ((2, 0), "a")],
+     "table covers 3 cosets, fundamental domain has 4"),
+    (((2, 0), (0, 2)), [((0, 0), "a"), ((2, 0), "b"), ((1, 0), "z")],
+     "table assigns two letters to the coset of (2, 0)"),
+    (((2, 0), (0, 2)), [((0, 0), "a"), ((1, 0), "z"), ((2, 0), "b")], "letter 'z' not in alphabet"),
+    (((2, 0), (0, 1)), [((0, 0), "a"), ((1, 0), "a"), ((3, 0), "a")],
+     "every alphabet letter must occur in the fundamental domain"),
+    (((2, 0), (0, 2)), [((0, 0), "a"), ((1, 0), "a")], "table covers 2 cosets, fundamental domain has 4"),
+    (((2, 0), (4, 0)), [((0, 0), "z"), ((1, 0), "a")], "basis vectors must be linearly independent"),
+]
 
 
 def brute_is_period(cfg: DoublyPeriodic, h: tuple[int, int]) -> bool:

@@ -6,7 +6,9 @@
 Each mutant is one exact text replacement in one library file.  It is applied
 to a fresh copy of `src/` and `tests/` in a temporary directory, and
 `pytest -x` runs there on the test modules the mutant names; criterion 3,
-red on purpose, is deselected.  A failing run kills the mutant.  Before any
+red on purpose, is deselected.  Hypothesis runs under the `mutants` profile
+of `tests/conftest.py`, which does not shrink: the first failing example
+already kills the mutant.  A failing run kills the mutant.  Before any
 mutant, the same modules run once on the unchanged copy, which must pass.
 
 Every mutant must be killed, except those in EQUIVALENT, which change no
@@ -72,6 +74,19 @@ MUTANTS = [
            "examined = abs(config._det) if", "examined = len(xs) * len(ys) if",
            ("tests/test_complexity.py",),
            "a torus table reports a' * d' translates instead of |det| of the given basis"),
+    Mutant("letter-rotation-flipped", "src/nivatlab/configurations.py",
+           "return self._rows[r][(g[0] - q * b) % a]", "return self._rows[r][(g[0] + q * b) % a]",
+           ("tests/test_configurations.py",),
+           "a sheared body reads row y off torus row y mod d' rotated the wrong way"),
+    Mutant("coset-collision-unchecked", "src/nivatlab/configurations.py",
+           "                if torus[i]:\n                    raise", "                if False:\n                    raise",
+           ("tests/test_configurations.py",),
+           "a table that gives one coset two letters loads, with the later letter"),
+    Mutant("orbit-basis-from-given-basis", "src/nivatlab/configurations.py",
+           "_hnf((a, 0), (b, d), v)", "_hnf(*self.basis, v)",
+           ("tests/test_structure.py::TestOrbitSharing::test_periodic_labels_are_exactly_the_orbits",),
+           "orbit labels split P + Zv into the finer classes of L + Zv on a body whose basis is coarser "
+           "than its period lattice"),
 ]
 
 # Mutants that no test can kill, with the reason each changes no result.
@@ -94,7 +109,7 @@ def _pytest(root: Path, tests: tuple[str, ...]) -> tuple[bool, float]:
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
     start = perf_counter()
     run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                          "--deselect", CRITERION_3, *tests],
+                          "--hypothesis-profile=mutants", "--deselect", CRITERION_3, *tests],
                          cwd=root, env=env, capture_output=True, text=True)
     return run.returncode == 0, perf_counter() - start
 

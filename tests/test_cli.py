@@ -19,6 +19,8 @@ from nivatlab.complexity import language
 from nivatlab.configurations import config_from_dict
 from nivatlab.geometry import convex_hull
 
+from conftest import PERIODIC_TABLES
+
 
 @pytest.fixture(scope="module")
 def configs(tmp_path_factory):
@@ -482,6 +484,17 @@ class TestShapesAndErrors:
         assert code == 1 and out == ""
         assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("basis, entries, message", PERIODIC_TABLES)
+    def test_periodic_table_diagnostic(self, capsys, tmp_path, basis, entries, message):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"type": "doubly_periodic", "alphabet": ["a", "b"],
+                                    "basis": basis, "table": entries}))
+        code, out, err = run(capsys, "complexity", "--config", str(path), "--shape", "rect:1,1")
+        if message is None:
+            assert (code, out, err) == (0, "P = 2 (exact, 4 translates)\n", "")
+        else:
+            assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv,literal,form", [
         (["hull", "--shape", "rect:1"], "'rect:1'", "rect:N,K"),

@@ -35,6 +35,7 @@ from nivatlab.geometry import Line, block, convex_hull
 from conftest import (
     DIAGONAL,
     HORIZONTAL,
+    PERIODIC_TABLES,
     VERTICAL,
     brute_is_period,
     coset_representatives,
@@ -107,6 +108,41 @@ class TestValidation:
         with pytest.raises(ConfigurationError) as exc:
             WindowSample(ab, (0, 0), ["abz", "xab", "zxa"])
         assert str(exc.value) == "letter 'z' not in alphabet"
+
+
+class TestPeriodicTableDiagnostics:
+    """Each table of PERIODIC_TABLES loads, or draws its one diagnostic, both
+    from the constructor and from its JSON spec."""
+
+    @pytest.mark.parametrize("basis, entries, message", PERIODIC_TABLES)
+    def test_constructor(self, ab, basis, entries, message):
+        if message is not None:
+            with pytest.raises(ConfigurationError) as exc:
+                DoublyPeriodic(ab, basis, dict(entries))
+            assert str(exc.value) == message
+            return
+        cfg = DoublyPeriodic(ab, basis, dict(entries))
+        # A coset listed twice is one coset: the body is the one its first
+        # cells give, which list each coset once.
+        once = DoublyPeriodic(ab, basis, dict(entries[:-1]))
+        assert cfg.fundamental_domain() == once.fundamental_domain()
+        assert len(cfg.fundamental_domain()) == len(entries) - 1
+        box = [(x, y) for x in range(-5, 6) for y in range(-5, 6)]
+        assert [cfg.letter_at(g) for g in box] == [once.letter_at(g) for g in box]
+        assert all(cfg.letter_at(g) == a for g, a in entries)
+
+    @pytest.mark.parametrize("basis, entries, message", PERIODIC_TABLES)
+    def test_spec(self, basis, entries, message):
+        spec = {"type": "doubly_periodic", "alphabet": ["a", "b"], "basis": [list(b) for b in basis],
+                "table": [[list(g), a] for g, a in entries]}
+        if message is None:
+            cfg = config_from_dict(spec)
+            assert cfg.fundamental_domain() == DoublyPeriodic(cfg.alphabet, basis, dict(entries)).fundamental_domain()
+            assert all(cfg.letter_at(g) == a for g, a in entries)
+        else:
+            with pytest.raises(ConfigurationError) as exc:
+                config_from_dict(spec)
+            assert str(exc.value) == message
 
 
 class TestEvaluation:

@@ -54,6 +54,7 @@ from conftest import (
     DIAGONAL,
     HORIZONTAL,
     VERTICAL,
+    brute_is_period,
     convex_subsets_of_box,
     random_doubly_periodic,
     random_finite_defect,
@@ -552,21 +553,31 @@ class TestOrbitSharing:
                         == directional_language(cfg, shape, line, base=other).patterns)
 
     def test_periodic_labels_are_exactly_the_orbits(self):
-        # u and u2 share a label exactly when u2 - u lies in the lattice plus Zv.
+        # u and u2 share a label exactly when u2 - u lies in P + Zv, where P,
+        # the lattice of all periods, is found by brute force.  P holds the
+        # lattice L of the given basis, so it is a union of cosets of L, each
+        # named by its point in the fundamental domain; tiled bodies have P != L.
+        # A slide along v takes the least s >= 1 steps with s*v in P.
         rng = random.Random(11)
+        bodies = [random_doubly_periodic(rng) for _ in range(8)]
+        bodies += [tiled_doubly_periodic(rng, sheared) for sheared in (False, True) for _ in range(8)]
         box = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
-        for _ in range(8):
-            cfg = random_doubly_periodic(rng)
+        finer = 0
+        for cfg in bodies:
+            domain = cfg.fundamental_domain()
+            periods = {h for h in domain if brute_is_period(cfg, h)}
+            finer += len(periods) > 1
             for line in ORBIT_LINES:
                 v = line.minimal_vector()
-                order = cfg.directional_period(v)
-                zero = cfg.reduce((0, 0))
+                steps = next(s for s in range(1, len(domain) + 1) if cfg.reduce((s * v[0], s * v[1])) in periods)
+                assert len(cfg.directional_translates((), (0, 0), v)) == steps
+                orbit = {cfg.reduce((h[0] + t * v[0], h[1] + t * v[1]))
+                         for h in periods for t in range(len(domain))}
                 for u in box[::7]:
                     for u2 in box:
-                        d = (u2[0] - u[0], u2[1] - u[1])
-                        same = any(cfg.reduce((d[0] - t * v[0], d[1] - t * v[1])) == zero
-                                   for t in range(order))
-                        assert (cfg.orbit_class(u, v) == cfg.orbit_class(u2, v)) == same
+                        same = cfg.reduce((u2[0] - u[0], u2[1] - u[1])) in orbit
+                        assert (cfg.orbit_class(u, v) == cfg.orbit_class(u2, v)) == same, (cfg.basis, v, u, u2)
+        assert finer >= 8
 
     def test_window_labels_never_merge(self):
         w = WindowSample(AB, (0, 0), ["abba", "baab", "abab"])
