@@ -47,7 +47,8 @@ every block of that length (`_factor_counts`).  Defect bodies project: the
 keys of block(n_max, k_max) are read once, every block is counted from its
 positions in them, and each column grows one set of met translates row by
 row for the translate counts (`_projected_column`).  No per-block domain is
-built in any case.
+built for these four kinds; any other body counts each block over its own
+domain.
 
 Languages wrap each key as a `Pattern` whose letter string is the key
 respelled in cell order, over one offsets tuple that every pattern of the
@@ -411,7 +412,8 @@ def complexity_table(
     length n + k - 1 over the same sweep: one count per length serves every
     block (`_factor_counts`).
     Defect bodies read the keys of block(n_max, k_max) once and count every
-    block as their distinct projections (`_projected_column`).
+    block as their distinct projections (`_projected_column`).  Any other
+    body counts each block over its own domain, as `complexity` does.
     """
     if n_max < 1 or k_max < 1:
         raise ValueError("table dimensions must be positive")
@@ -423,9 +425,13 @@ def complexity_table(
     elif isinstance(config, DiagonalFamily):
         by_length = _factor_counts(config, n_max + k_max - 1)
         columns = (by_length[n - 1:n - 1 + k_max] for n in range(1, n_max + 1))
-    else:
+    elif isinstance(config, FiniteDefect):
         keys = _domain_keys(config, heights[k_max])[0]
         columns = (_projected_column(config, keys, n, k_max) for n in range(1, n_max + 1))
+    else:
+        columns = ([(len(keys), size) for keys, _, size in
+                    (_domain_keys(config, heights[k][:n * k]) for k in heights)]
+                   for n in range(1, n_max + 1))
     exactness = config.exactness
     return {(n, k): ComplexityReport(heights[k][:n * k], count, exactness, size)
             for n, column in enumerate(columns, 1)

@@ -73,11 +73,7 @@ class Line:
     @classmethod
     def through(cls, point: Point, dx: int, dy: int) -> "Line":
         """The oriented line with direction (dx, dy) passing through a lattice point."""
-        if (dx, dy) == (0, 0):
-            raise GeometryError("line direction must be nonzero")
-        g = gcd(abs(dx), abs(dy))
-        dx, dy = dx // g, dy // g
-        return cls(dx, dy, dx * point[1] - dy * point[0])
+        return cls.make(dx, dy, dx * point[1] - dy * point[0])
 
     def value(self, g: Point) -> int:
         """The linear functional dx*y - dy*x; equals c exactly on the line."""
@@ -311,22 +307,19 @@ def is_quasi_regular(s: ConvexLatticeSet) -> QuasiRegularityReport:
 # -- supporting lines -------------------------------------------------------
 
 
-def supporting_line(s: ConvexLatticeSet, line: Line) -> Line:
-    """The line parallel to `line` touching s with s inside its half plane."""
-    c = min(line.value(g) for g in s.points)
-    return Line(line.dx, line.dy, c)
+def supporting_line(s: Iterable[Point], line: Line) -> Line:
+    """The line parallel to `line` touching the points with all of them inside its half plane."""
+    return Line(line.dx, line.dy, min(map(line.value, s)))
 
 
-def line_section(s: ConvexLatticeSet | frozenset[Point], line: Line) -> frozenset[Point]:
-    """The lattice points of s lying on the line."""
-    pts = s.points if isinstance(s, ConvexLatticeSet) else s
-    return frozenset(g for g in pts if line.contains(g))
+def line_section(s: Iterable[Point], line: Line) -> frozenset[Point]:
+    """The points of s lying on the line."""
+    return frozenset(g for g in s if line.contains(g))
 
 
-def diameter_along(s: ConvexLatticeSet | Iterable[Point], line: Line) -> int:
+def diameter_along(s: Iterable[Point], line: Line) -> int:
     """Number of distinct lines parallel to `line` meeting the point set."""
-    pts = s.points if isinstance(s, ConvexLatticeSet) else s
-    return len({line.value(g) for g in pts})
+    return len({line.value(g) for g in s})
 
 
 # -- axes of symmetry -------------------------------------------------------

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import enum
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -244,11 +245,6 @@ def find_generating_set(config: Configuration, shape: ConvexLatticeSet) -> Gener
     )
 
 
-def _peel(points: frozenset[Point], line: Line) -> frozenset[Point]:
-    support = supporting_line(ConvexLatticeSet(points, _validated=True), line)
-    return points - line_section(points, support)
-
-
 def find_directional_generating_set(
     config: Configuration, shape: ConvexLatticeSet, line: Line
 ) -> GeneratingSetResult:
@@ -270,18 +266,16 @@ def _directional_generating_set(
     """`find_directional_generating_set` on `start`, counting with a counter whose root holds it."""
     bound = _generating_bound(len(counter.config.alphabet))
     _require_bound(counter, start, bound, "|U|+|A|-2")
-    stages = [start]
-    while stages[-1]:
-        stages.append(_peel(stages[-1], line))
-    stages.pop()  # drop the empty stage
+    # Peeling S_i's supporting section leaves the points of S_i above its least
+    # line value, so the stages are the upper level sets of the line's functional.
+    stages = [frozenset(g for g in start if line.value(g) >= c)
+              for c in sorted({line.value(g) for g in start})]
     trace = tuple((len(s), counter.count(s)) for s in stages)
     big_i = max(i for i, s in enumerate(stages) if counter.count(s) <= bound(len(s)))
     s_i = stages[big_i]
-    s_next = _peel(s_i, line)
-
-    support = supporting_line(ConvexLatticeSet(s_i, _validated=True), line)
+    s_next = (stages[big_i + 1:] or [frozenset()])[0]
     v = line.minimal_vector()
-    top = sorted(line_section(s_i, support), key=lambda g: g[0] * v[0] + g[1] * v[1])
+    top = sorted(s_i - s_next, key=lambda g: g[0] * v[0] + g[1] * v[1])
     chosen: frozenset[Point] | None = None
     examined = 0
     for length in range(1, len(top) + 1):
@@ -437,19 +431,18 @@ class DirectionalPointSets:
 def directional_point_sets(shape: ConvexLatticeSet, line: Line, p: int) -> DirectionalPointSets:
     """Initial/final points of sections parallel to the line with at least p points.
 
-    The supporting section itself is excluded; a null-area shape has no other
-    sections, so its point sets are empty.
+    The supporting section itself is excluded; a shape on one line parallel to
+    `line` has no other sections, so its point sets are empty.
     """
     if p < 1:
         raise ValueError("p must be positive")
-    support = supporting_line(shape, line)
     v = line.minimal_vector()
     groups: dict[int, list[Point]] = {}
-    for g in shape.points:
+    for g in shape:
         groups.setdefault(line.value(g), []).append(g)
     initials, finals, qualifying = [], [], []
-    for c in sorted(groups):
-        if c == support.c or len(groups[c]) < p:
+    for c in sorted(groups)[1:]:  # the least value is the supporting line
+        if len(groups[c]) < p:
             continue
         row = sorted(groups[c], key=lambda g: g[0] * v[0] + g[1] * v[1])
         initials.append(row[0])
@@ -461,21 +454,9 @@ def directional_point_sets(shape: ConvexLatticeSet, line: Line, p: int) -> Direc
 def thickness_ok(shape: ConvexLatticeSet, line: Line, p: int) -> tuple[bool, tuple[tuple[int, int], ...]]:
     """Condition: every lattice line parallel to `line`, other than the
     supporting one, that meets the hull must carry at least p shape points."""
-    support = supporting_line(shape, line)
-    values = [line.value(g) for g in shape.points]
-    counts: dict[int, int] = {}
-    for c in values:
-        counts[c] = counts.get(c, 0) + 1
-    witness = []
-    ok = True
-    for c in range(min(values), max(values) + 1):
-        if c == support.c:
-            continue
-        size = counts.get(c, 0)
-        witness.append((c, size))
-        if size < p:
-            ok = False
-    return ok, tuple(witness)
+    counts = Counter(line.value(g) for g in shape)
+    witness = tuple((c, counts[c]) for c in range(min(counts) + 1, max(counts) + 1))
+    return all(size >= p for _, size in witness), witness
 
 
 # -- empirical orbit classes ---------------------------------------------------

@@ -87,6 +87,22 @@ MUTANTS = [
            ("tests/test_structure.py::TestOrbitSharing::test_periodic_labels_are_exactly_the_orbits",),
            "orbit labels split P + Zv into the finer classes of L + Zv on a body whose basis is coarser "
            "than its period lattice"),
+    Mutant("level-set-strict", "src/nivatlab/structure.py",
+           "if line.value(g) >= c)", "if line.value(g) > c)",
+           ("tests/test_structure.py::TestLevelSets",),
+           "each peeling stage drops its own supporting section, so the trace starts one peel late"),
+    Mutant("next-stage-skipped", "src/nivatlab/structure.py",
+           "(stages[big_i + 1:] or", "(stages[big_i + 2:] or",
+           ("tests/test_structure.py::TestLevelSets",),
+           "the directional search minimizes between S_{I+2} and S_I instead of S_{I+1} and S_I"),
+    Mutant("thickness-witness-from-support", "src/nivatlab/structure.py",
+           "range(min(counts) + 1,", "range(min(counts),",
+           ("tests/test_structure.py::TestLevelSets",),
+           "the thickness witness lists the supporting line, which the condition leaves out"),
+    Mutant("point-sets-keep-support", "src/nivatlab/structure.py",
+           "sorted(groups)[1:]", "sorted(groups)",
+           ("tests/test_structure.py::TestLevelSets",),
+           "the directional point sets take the supporting section's first and last points too"),
 ]
 
 # Mutants that no test can kill, with the reason each changes no result.

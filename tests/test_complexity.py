@@ -20,6 +20,7 @@ from nivatlab.complexity import (
 )
 from nivatlab.configurations import (
     Alphabet,
+    Configuration,
     DiagonalFamily,
     DoublyPeriodic,
     Exactness,
@@ -559,6 +560,32 @@ class TestTable:
             assert rep == complexity(cfg, cells)
             if n <= 4 and k <= 4:
                 assert rep.count == _naive_count(cfg, cells)
+
+    def test_any_other_body_counts_block_by_block(self):
+        """A body outside the four built-in kinds gets the table of its
+        per-block `complexity` reports."""
+
+        class VerticalStripes(Configuration):
+            alphabet = Alphabet(("a", "b"))
+
+            def letter_at(self, g):
+                return "ab"[g[0] % 2]
+
+            def enumeration_domain(self, shape):
+                return ((0, 0), (1, 0))
+
+            def is_period(self, h):
+                return h[0] % 2 == 0
+
+            def directional_translates(self, shape, base, v):
+                return range(2)
+
+        cfg = VerticalStripes()
+        table = complexity_table(cfg, 3, 2)
+        assert list(table) == [(n, k) for n in range(1, 4) for k in range(1, 3)]
+        for (n, k), rep in table.items():
+            assert rep == complexity(cfg, tuple((x, y) for x in range(n) for y in range(k)))
+            assert (rep.count, rep.translates_examined) == (2, 2)
 
     def test_defect_table_reads_one_root(self, monkeypatch):
         """A defect table reads the keys of block(n_max, k_max) once and counts

@@ -17,6 +17,7 @@ from nivatlab.geometry import (
     diameter_along,
     is_quasi_regular,
     is_vertex,
+    line_section,
     strip_points,
     supporting_line,
 )
@@ -238,6 +239,26 @@ class TestLines:
             Line(4, 6, 0)  # non-primitive direct construction
         with pytest.raises(GeometryError):
             Line.make(4, 6, 1)  # no lattice point after normalization
+
+    @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-5, 5), st.integers(-5, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_through_keeps_orientation_and_the_point(self, x, y, dx, dy):
+        if (dx, dy) == (0, 0):
+            with pytest.raises(GeometryError, match="line direction must be nonzero"):
+                Line.through((x, y), dx, dy)
+            return
+        ell = Line.through((x, y), dx, dy)
+        g = gcd(abs(dx), abs(dy))
+        assert (ell.dx, ell.dy) == (dx // g, dy // g)
+        assert ell.contains((x, y))
+
+    def test_line_queries_read_any_point_collection(self):
+        s = convex_hull([(0, 0), (4, 1), (1, 3)])
+        line = Line(2, -1, 0)
+        for pts in (s, s.points, list(s.cells)):
+            assert supporting_line(pts, line) == supporting_line(s, line)
+            assert line_section(pts, Line(2, -1, 3)) == line_section(s, Line(2, -1, 3))
+            assert diameter_along(pts, line) == diameter_along(s, line)
 
     @given(
         st.integers(-5, 5), st.integers(-5, 5), st.integers(-10, 10)

@@ -206,6 +206,85 @@ class TestDirectionalPointSets:
         assert ok2
 
 
+# -- peeling and thickness off the axes ---------------------------------------
+
+LEVEL_LINES = [HORIZONTAL, VERTICAL, DIAGONAL, Line(1, 2, 0), Line(2, -1, 0), Line(1, -1, 0), Line(-1, 3, 0)]
+# (w, e) with det(w, e) = +-1, so t*w + s*e are all the lattice points of their hull.
+SHEARS = [((1, 3), (0, 1)), ((2, -3), (1, -1)), ((3, 1), (1, 0)), ((-1, 3), (0, 1)), ((3, 2), (1, 1))]
+
+
+def _level_shapes(seed: int):
+    """A random hull, and a thin sheared one: a segment or a two-wide strip
+    along w, which some line of LEVEL_LINES crosses with empty lattice lines
+    between its support and its far side."""
+    rng = random.Random(seed)
+    hull = convex_hull([(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(2, 6))])
+    (w, e), length, width = rng.choice(SHEARS), rng.randint(1, 4), rng.randint(1, 2)
+    ox, oy = rng.randint(-3, 3), rng.randint(-3, 3)
+    sheared = convex_hull([(ox + t * w[0] + s * e[0], oy + t * w[1] + s * e[1])
+                           for t in range(length + 1) for s in range(width)])
+    assert len(sheared) == (length + 1) * width
+    return hull, sheared
+
+
+def _sections(shape, line):
+    """(c, section) for every lattice line parallel to `line` from past the
+    support to the far side, empty ones included."""
+    low = supporting_line(shape, line).c
+    high = -supporting_line(shape, line.reverse()).c
+    return [(c, line_section(shape, Line(line.dx, line.dy, c))) for c in range(low + 1, high + 1)]
+
+
+class TestLevelSets:
+    """The peeling stages, thickness witness and directional point sets
+    against the definitions they are computed without, on every line."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_peeling_trace_is_the_successive_peels(self, seed, diagonal, checkerboard):
+        searched = 0
+        for shape in _level_shapes(seed):
+            for body in (diagonal, checkerboard):
+                for line in LEVEL_LINES:
+                    try:
+                        r = find_directional_generating_set(body, shape, line)
+                    except HypothesisNotMet:
+                        continue
+                    searched += 1
+                    stages = [frozenset(shape.points)]
+                    while stages[-1]:
+                        stage = stages[-1]
+                        stages.append(stage - line_section(stage, supporting_line(stage, line)))
+                    counts = [complexity(body, s).count for s in stages[:-1]]
+                    assert r.peeling_trace == tuple(zip(map(len, stages), counts))
+                    # the linear bound |S| + |A| - 2 is |S| on these two-letter bodies
+                    big_i = max(i for i, s in enumerate(stages[:-1]) if counts[i] <= len(s))
+                    assert stages[big_i + 1] <= r.set.points <= stages[big_i]
+        assert searched
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_thickness_and_point_sets_scan_every_line(self, seed):
+        gaps = 0
+        for shape in _level_shapes(seed):
+            for line in LEVEL_LINES:
+                sections = _sections(shape, line)
+                gaps += any(not s for _, s in sections)
+                v = line.minimal_vector()
+
+                def along(g):
+                    return g[0] * v[0] + g[1] * v[1]
+
+                for p in (1, 2, 3):
+                    ok, witness = thickness_ok(shape, line, p)
+                    assert witness == tuple((c, len(s)) for c, s in sections)
+                    assert ok == all(len(s) >= p for _, s in sections)
+                    thick = [(c, s) for c, s in sections if len(s) >= p]
+                    d = directional_point_sets(shape, line, p)
+                    assert d.initials == tuple(min(s, key=along) for _, s in thick)
+                    assert d.finals == tuple(max(s, key=along) for _, s in thick)
+                    assert d.qualifying_lines == tuple((c, len(s)) for c, s in thick)
+        assert gaps
+
+
 class TestBalancedSet:
     def test_diagonal_certificate(self, diagonal):
         w = expansive_witness(diagonal, HORIZONTAL, 1)
