@@ -10,7 +10,7 @@ import weakref
 import pytest
 from hypothesis import Phase, settings
 
-from nivatlab.configurations import Alphabet, DiagonalFamily, DoublyPeriodic, FiniteDefect
+from nivatlab.configurations import Alphabet, DiagonalFamily, DoublyPeriodic, FiniteDefect, WindowSample
 from nivatlab.errors import GeometryError
 from nivatlab.geometry import ConvexLatticeSet, Line, convex_hull
 
@@ -217,6 +217,26 @@ PERIODIC_TABLES = [
      "every alphabet letter must occur in the fundamental domain"),
     (((2, 0), (0, 2)), [((0, 0), "a"), ((1, 0), "a")], "table covers 2 cosets, fundamental domain has 4"),
     (((2, 0), (4, 0)), [((0, 0), "z"), ((1, 0), "a")], "basis vectors must be linearly independent"),
+]
+
+
+# Bodies other than periodic tables that each draw one diagnostic: the
+# constructor and its arguments, the same body as a JSON spec, and the
+# diagnostic.
+_AB = Alphabet(("a", "b"))
+_DEFECT = {"type": "finite_defect", "alphabet": ["a", "b"], "background": "a", "defects": [[0, 0, "b"]]}
+_RAGGED = "rows must be nonempty and rectangular"
+BODY_DIAGNOSTICS = [
+    (FiniteDefect, (_AB, "c", {(0, 0): "b"}), {**_DEFECT, "background": "c"}, "background 'c' not in alphabet"),
+    (FiniteDefect, (_AB, "a", {(0, 0): "c"}), {**_DEFECT, "defects": [[0, 0, "c"]]}, "letter 'c' not in alphabet"),
+    (FiniteDefect, (Alphabet(("a", "b", "c")), "a", {(0, 0): "b"}), {**_DEFECT, "alphabet": ["a", "b", "c"]},
+     "every alphabet letter must occur"),
+    (DoublyPeriodic.from_rows, (_AB, []), {"type": "doubly_periodic", "alphabet": ["a", "b"], "rows": []}, _RAGGED),
+    (DoublyPeriodic.from_rows, (_AB, ["ab", "b"]), {"type": "doubly_periodic", "alphabet": ["a", "b"],
+                                                   "rows": ["ab", "b"]}, _RAGGED),
+    (WindowSample, (_AB, (0, 0), []), {"type": "window", "alphabet": ["a", "b"], "rows": []}, _RAGGED),
+    (WindowSample, (_AB, (0, 0), ["ab", "abb"]), {"type": "window", "alphabet": ["a", "b"], "rows": ["ab", "abb"]},
+     _RAGGED),
 ]
 
 

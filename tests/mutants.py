@@ -103,6 +103,18 @@ MUTANTS = [
            "sorted(groups)[1:]", "sorted(groups)",
            ("tests/test_structure.py::TestLevelSets",),
            "the directional point sets take the supporting section's first and last points too"),
+    Mutant("box-level-pick-loose", "src/nivatlab/structure.py",
+           "_hull_lattice_count(hull) == size", "_hull_lattice_count(hull) >= size",
+           ("tests/test_structure.py::TestWitnessEnumeration",),
+           "a box level keeps a set whose hull holds lattice points it leaves out, so nonconvex sets are examined"),
+    Mutant("box-level-every-point", "src/nivatlab/structure.py",
+           "for g in above[cells[-1]]:", "for g in box:",
+           ("tests/test_structure.py::TestWitnessEnumeration",),
+           "a box level extends each set by points at or below its maximum too, so sets repeat or come out unsorted"),
+    Mutant("box-level-hull-unsorted", "src/nivatlab/structure.py",
+           "hulls_out.append(tuple(sorted(hull)))", "hulls_out.append(tuple(hull))",
+           ("tests/test_structure.py::TestWitnessEnumeration",),
+           "the next level's hull test reads its vertices out of order, so the monotone chain misses points"),
 ]
 
 # Mutants that no test can kill, with the reason each changes no result.

@@ -17,9 +17,10 @@ from nivatlab import cli
 from nivatlab.cli import build_parser, cli_main, parse_shape
 from nivatlab.complexity import language
 from nivatlab.configurations import config_from_dict
+from nivatlab.errors import ConstructionError, SoundnessError
 from nivatlab.geometry import convex_hull
 
-from conftest import PERIODIC_TABLES
+from conftest import BODY_DIAGNOSTICS, PERIODIC_TABLES
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +184,22 @@ class TestCommandTable:
         """cli_main passes a handler the inputs `_COMMANDS` lists, by name and in order."""
         for name, (fn, _, required, _) in cli._COMMANDS.items():
             assert list(inspect.signature(fn).parameters) == ["args", *required], name
+
+    @pytest.mark.parametrize("error", [
+        ConstructionError("half-count", "cut keeps 1 point"),
+        SoundnessError("a verified theorem failed"),
+    ])
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_soundness_failure(self, capsys, monkeypatch, error, flags):
+        """A handler that raises ConstructionError or SoundnessError gives one
+        `soundness failure:` line on stderr, nothing on stdout, and exit code 1."""
+        def failing(args, shape):
+            raise error
+
+        _, help, required, options = cli._COMMANDS["hull"]
+        monkeypatch.setitem(cli._COMMANDS, "hull", (failing, help, required, options))
+        code, out, err = run(capsys, *flags, "hull", "--shape", "rect:2,2")
+        assert (code, out, err) == (1, "", f"soundness failure: {error}\n")
 
     @pytest.mark.parametrize("argv", [
         ["hull", "--shape", "rect:2,2"],
@@ -495,6 +512,13 @@ class TestShapesAndErrors:
             assert (code, out, err) == (0, "P = 2 (exact, 4 translates)\n", "")
         else:
             assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("spec, message", [(spec, message) for _, _, spec, message in BODY_DIAGNOSTICS])
+    def test_body_diagnostic(self, capsys, tmp_path, spec, message):
+        path = tmp_path / "body.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "complexity", "--config", str(path), "--shape", "rect:1,1")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv,literal,form", [
         (["hull", "--shape", "rect:1"], "'rect:1'", "rect:N,K"),

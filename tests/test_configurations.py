@@ -33,6 +33,7 @@ from nivatlab.errors import ConfigurationError, UnknownLetterError
 from nivatlab.geometry import Line, block, convex_hull
 
 from conftest import (
+    BODY_DIAGNOSTICS,
     DIAGONAL,
     HORIZONTAL,
     PERIODIC_TABLES,
@@ -143,6 +144,28 @@ class TestPeriodicTableDiagnostics:
             with pytest.raises(ConfigurationError) as exc:
                 config_from_dict(spec)
             assert str(exc.value) == message
+
+
+class TestBodyDiagnostics:
+    """Each body of BODY_DIAGNOSTICS draws its one diagnostic, both from the
+    constructor and from its JSON spec."""
+
+    @pytest.mark.parametrize("build, args, spec, message", BODY_DIAGNOSTICS)
+    def test_constructor_and_spec(self, build, args, spec, message):
+        with pytest.raises(ConfigurationError) as exc:
+            build(*args)
+        assert str(exc.value) == message
+        with pytest.raises(ConfigurationError) as exc:
+            config_from_dict(spec)
+        assert str(exc.value) == message
+
+    def test_window_row_stays_inside_the_window(self, ab):
+        w = WindowSample(ab, (-2, -1), ["abbab", "babba", "abaab"])  # x in -2..2, y in -1..1
+        assert [w.row(y, -2, 3) for y in (1, 0, -1)] == ["abbab", "babba", "abaab"]
+        for y, lo, hi in [(2, -2, 3), (-2, 0, 1), (0, -3, 1), (0, 0, 4)]:
+            with pytest.raises(UnknownLetterError) as exc:
+                w.row(y, lo, hi)
+            assert str(exc.value) == f"row {y} from {lo} to {hi} leaves the sampled window"
 
 
 class TestEvaluation:

@@ -819,8 +819,8 @@ class TestWitnessEnumeration:
         assert not rep.found and rep.witness is None and rep.point is None
         assert rep.sets_examined == 33341
 
-    # The levels of convex subsets are memoised per radius for the process;
-    # each test below starts from an emptied memo and restores the old one.
+    # The levels of convex subsets are cached per (radius, size) for the
+    # process; each test below starts from an emptied cache.
     @staticmethod
     def _levels_by_size(radius):
         by_size: dict[int, list] = {}
@@ -828,39 +828,52 @@ class TestWitnessEnumeration:
             by_size.setdefault(len(c), []).append(tuple(sorted(c)))
         return [sorted(by_size[n]) for n in sorted(by_size)]
 
-    @pytest.mark.parametrize("radius", [0, 1])
-    def test_levels_are_the_convex_subsets_by_size(self, radius, monkeypatch):
-        monkeypatch.setattr(structure, "_BOX_LEVELS", {})
-        expected = self._levels_by_size(radius)
-        assert list(structure._convex_levels(radius)) == expected
-        assert list(structure._convex_levels(radius)) == expected  # read again, not regrown
+    @staticmethod
+    def _levels(radius):
+        levels, size = [], 1
+        while level := structure._box_level(radius, size)[0]:
+            levels.append(level)
+            size += 1
+        return levels
 
-    def test_a_search_that_stops_early_leaves_the_levels_whole(self, monkeypatch):
-        monkeypatch.setattr(structure, "_BOX_LEVELS", {})
+    @pytest.mark.parametrize("radius", [0, 1])
+    def test_levels_are_the_convex_subsets_by_size(self, radius):
+        structure._box_level.cache_clear()
+        expected = self._levels_by_size(radius)
+        assert self._levels(radius) == expected
+        assert all(level == sorted(level) for level in self._levels(radius))
+        hits = structure._box_level.cache_info().hits
+        assert self._levels(radius) == expected  # read again, not regrown
+        assert structure._box_level.cache_info().hits == hits + len(expected) + 1
+        for cells, hulls in (structure._box_level(radius, n) for n in range(1, len(expected) + 1)):
+            assert hulls == [tuple(sorted(convex_hull(c).vertices)) for c in cells]
+
+    def test_a_search_that_stops_early_leaves_the_levels_whole(self):
+        structure._box_level.cache_clear()
         early = expansive_witness(DiagonalFamily(), HORIZONTAL, 2)
         assert early.found and early.sets_examined == 3
-        assert [len(level) for level in structure._BOX_LEVELS[2].levels] == [25, 200]  # nothing past pairs
+        assert structure._box_level.cache_info().currsize == 2  # the box and its pairs, nothing past
         full = expansive_witness(THREE_DEFECTS, HORIZONTAL, 2)
         assert not full.found and full.sets_examined == 33341
-        monkeypatch.setattr(structure, "_BOX_LEVELS", {})
+        structure._box_level.cache_clear()
         assert expansive_witness(THREE_DEFECTS, HORIZONTAL, 2) == full
-        monkeypatch.setattr(structure, "_BOX_LEVELS", {})
+        structure._box_level.cache_clear()
         assert expansive_witness(DiagonalFamily(), HORIZONTAL, 2) == early
 
-    def test_an_inexact_body_leaves_the_levels_usable(self, monkeypatch):
-        monkeypatch.setattr(structure, "_BOX_LEVELS", {})
+    def test_an_inexact_body_leaves_the_levels_usable(self):
+        structure._box_level.cache_clear()
         w = WindowSample(AB, (-2, -1), ["abbab", "babba", "abaab", "bbaba", "aabab"])
         with pytest.raises(InexactDataError):
             expansive_witness(w, Line(1, 3, 0), 1)
         after_error = expansive_witness(THREE_DEFECTS, Line(1, 3, 0), 1)
-        monkeypatch.setattr(structure, "_BOX_LEVELS", {})
+        structure._box_level.cache_clear()
         assert expansive_witness(THREE_DEFECTS, Line(1, 3, 0), 1) == after_error
 
-    def test_threads_grow_each_level_once(self, monkeypatch):
-        monkeypatch.setattr(structure, "_BOX_LEVELS", {})
+    def test_threads_grow_each_level_once(self):
+        structure._box_level.cache_clear()
         bodies = [THREE_DEFECTS, DiagonalFamily(), FiniteDefect(AB, "a", {(0, 0): "b"})] * 4
         expected = [expansive_witness(body, Line(1, 3, 0), 1) for body in bodies]
-        monkeypatch.setattr(structure, "_BOX_LEVELS", {})
+        structure._box_level.cache_clear()
         reports: list = [None] * len(bodies)
 
         def search(i):
@@ -878,4 +891,4 @@ class TestWitnessEnumeration:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert reports == expected
-        assert list(structure._convex_levels(1)) == self._levels_by_size(1)  # no level twice
+        assert self._levels(1) == self._levels_by_size(1)  # every level whole
