@@ -1,8 +1,9 @@
 """The same-results corpus, recorded as JSON under `tests/golden/`: CLI
 `complexity` runs and `extension_counts` groups on a fixed set of small bodies,
-every other subcommand's outputs, exit codes, CSV files and diagnostics, and
-the sorted `repr`s of library results (block tables, m-classes, directional
-languages and the example suite).
+every other subcommand's outputs, exit codes, CSV files and diagnostics, CLI
+`--json` runs on the bodies whose basis is coarser than their period lattice,
+and the sorted `repr`s of library results (block tables, m-classes,
+directional languages and the example suite).
 
     PYTHONPATH=src python tests/golden_corpus.py
 
@@ -250,6 +251,30 @@ def command_records() -> dict[str, dict]:
     return records
 
 
+# Argvs of `tiled_records`, without `--json` and `--config`.
+TILED_ARGVS = [
+    *(["complexity", "--shape", literal] for literal in SHAPE_LITERALS),
+    ["nivat", "--shape", "rect:2,2"],
+    ["nivat", "--shape", "rect:3,3"],
+    ["table", "--max", "3,3"],
+    ["striplemma", "--shape", "rect:3,2", "--line", "1,0", "--p", "1"],
+    ["striplemma", "--shape", "rect:3,3", "--line", "1,0", "--p", "2"],
+]
+
+
+def tiled_records() -> dict[str, dict]:
+    """Every argv of TILED_ARGVS under `--json` on each of TILED_BODIES."""
+    records = {}
+    with tempfile.TemporaryDirectory() as root:
+        for name, spec in TILED_BODIES.items():
+            path = os.path.join(root, f"{name}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(spec, fh)
+            for command, *args in TILED_ARGVS:
+                records[" ".join([name, command, *args])] = _run(["--json", command, "--config", path, *args])
+    return records
+
+
 def _cells(pattern) -> str:
     """A pattern's cells, ((x, y), a) in order, spelled "x,ya" and joined by spaces."""
     return " ".join(f"{x},{y}{a}" for (x, y), a in pattern.cells)
@@ -328,7 +353,8 @@ def as_json(records: dict) -> str:
 
 
 FILES = {"complexity_cli.json": cli_records, "extension_counts.json": extension_records,
-         "cli_commands.json": command_records, "library.json": library_records}
+         "cli_commands.json": command_records, "library.json": library_records,
+         "tiled_cli.json": tiled_records}
 
 
 def main() -> int:
