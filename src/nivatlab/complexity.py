@@ -17,9 +17,8 @@ back, read in slices rather than cell by cell:
   cut by one `itemgetter` of slices per distinct run (offset, length), so a
   run's pieces over every translate come out in C; one `zip` joins the runs'
   piece lists into keys.  A doubly periodic body counts over the torus of
-  its period lattice (`DoublyPeriodic.translate_box`), which may be smaller
-  than its fundamental domain; its reports still give the fundamental
-  domain's size, |det| of the given basis, as `translates_examined`.
+  its period lattice (`DoublyPeriodic.translate_box`), its enumeration
+  domain, and reports that torus's size as `translates_examined`.
 - Band words (`DiagonalFamily`): a letter depends only on x - y, so a key is
   one factor of the band word per maximal run of the cells' x - y values.
   The translates' x - y shifts form a `range` (the sweep's offsets, or a
@@ -340,23 +339,21 @@ def _grown_column(
     a block's keys are all distinct, so are every taller block's (its
     translates are the same or fewer, and its patterns restrict to distinct
     ones), and the column stops growing: each taller block counts its own
-    translates.  A torus block reports |det| of the given basis as its
-    translates examined, the size of the fundamental domain it stands for,
-    as `complexity` does.
+    translates.  Each block reports its own translates as translates
+    examined: a * d on a torus, as `complexity` does.
     """
     xs, ys = config.translate_box(((0, 0), (n - 1, 0)))
     top = config.translate_box(((0, 0), (n - 1, k_max - 1)))[1][-1] + k_max
     cut = _cutter(len(xs), 0, n)
     pieces = list(chain.from_iterable(cut(config.row(y, xs[0], xs[-1] + n)) for y in range(ys[0], top)))
     keys, distinct = pieces[:len(xs) * len(ys)], False
-    examined = abs(config._det) if isinstance(config, DoublyPeriodic) else 0
     for k in range(1, k_max + 1):
         if k > 1 and not distinct:
             keys = list(map(add, keys, islice(pieces, (k - 1) * len(xs), None)))
         size = min(len(keys), len(pieces) - (k - 1) * len(xs))
         count = size if distinct else len(set(keys))
         distinct = count == size
-        yield count, examined or size
+        yield count, size
 
 
 def _factor_counts(config: DiagonalFamily, longest: int) -> list[tuple[int, int]]:

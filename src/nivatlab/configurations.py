@@ -232,12 +232,12 @@ class DoublyPeriodic(Configuration):
     """A configuration invariant under two independent translations.
 
     The table assigns letters on one fundamental domain of the lattice
-    spanned by the basis; every lattice point reduces into it.  The body
-    keeps its letters once, as the rows of the torus of its period lattice:
-    the lattice of all its periods, which holds the basis lattice and may be
-    finer, found once from the table.  Letters, counts and every period
-    question read that lattice; the fundamental domain, `reduce` and the
-    translates a count reports stay those of the given basis.
+    spanned by the given basis.  The basis is input only: the constructor
+    checks the table against it, then keeps the letters once, as the rows of
+    the torus of the period lattice: the lattice of all the body's periods,
+    which holds the basis lattice and may be finer, found once from the
+    table.  Letters, counts, the enumeration domain and every period
+    question read that lattice; `basis` stays as the record of the input.
     """
 
     def __init__(
@@ -252,11 +252,9 @@ class DoublyPeriodic(Configuration):
             raise ConfigurationError("basis vectors must be linearly independent")
         self.alphabet = alphabet
         self.basis = (b1, b2)
-        self._det = det
         a, b, d = _hnf(b1, b2)
         torus = [""] * (a * d)  # the letter at (x, y), 0 <= x < a and 0 <= y < d, at y * a + x
-        domain: list[Point] = []  # one reduced cell per coset, in table order
-        letters, reduce = alphabet.letters, self.reduce
+        letters = alphabet.letters
         for g, letter in table.items():
             x, y = int(g[0]), int(g[1])
             if letter not in letters:
@@ -266,20 +264,19 @@ class DoublyPeriodic(Configuration):
                 if torus[i]:
                     raise ConfigurationError(f"table assigns two letters to the coset of {(x, y)}")
                 torus[i] = letter
-                domain.append(reduce((x, y)))
-        if len(domain) != abs(det):
-            raise ConfigurationError(
-                f"table covers {len(domain)} cosets, fundamental domain has {abs(det)}"
-            )
+        covered = a * d - torus.count("")
+        if covered != abs(det):
+            raise ConfigurationError(f"table covers {covered} cosets, fundamental domain has {abs(det)}")
         if set(torus) != set(letters):
             raise ConfigurationError("every alphabet letter must occur in the fundamental domain")
         rows = ["".join(torus[y * a:(y + 1) * a]) for y in range(d)]
         # Set here rather than added on first use: an attribute added to the
         # instance later materialises its __dict__ and slows every attribute
-        # read in reduce() and letter_at().
+        # read in letter_at() and row().
         self._hnf = _period_lattice((b1, b2), (a, b, d), rows)  # (a', b', d') of the period lattice
-        self._rows = tuple(row[:self._hnf[0]] for row in rows[:self._hnf[2]])  # torus row y, x < a'
-        self._domain = tuple(sorted(domain))
+        a, _, d = self._hnf
+        self._rows = tuple(row[:a] for row in rows[:d])  # torus row y, x < a'
+        self._domain = tuple(product(range(a), range(d)))  # the torus [0, a') x [0, d'), x-major
         self._orbit_bases: dict[Point, tuple[int, int, int]] = {}  # v -> _orbit_basis(v)
 
     @classmethod
@@ -291,27 +288,14 @@ class DoublyPeriodic(Configuration):
         table = {(x, k - 1 - y): rows[y][x] for y in range(k) for x in range(n)}
         return cls(alphabet, ((n, 0), (0, k)), table)
 
-    def reduce(self, g: Point) -> Point:
-        (b1x, b1y), (b2x, b2y) = self.basis
-        det = self._det
-        # Floor of the exact rational coordinates of g in the basis.
-        qs = (g[0] * b2y - g[1] * b2x) // det
-        qt = (b1x * g[1] - b1y * g[0]) // det
-        return (
-            g[0] - qs * b1x - qt * b2x,
-            g[1] - qs * b1y - qt * b2y,
-        )
-
     def letter_at(self, g: Point) -> str:
         a, b, d = self._hnf
         q, r = divmod(g[1], d)
         return self._rows[r][(g[0] - q * b) % a]
 
-    def fundamental_domain(self) -> tuple[Point, ...]:
-        return self._domain
-
     def enumeration_domain(self, shape: Iterable[Point]) -> tuple[Point, ...]:
-        return self.fundamental_domain()
+        """The torus [0, a) x [0, d) of the period lattice, x-major (see translate_box)."""
+        return self._domain
 
     def row(self, y: int, lo: int, hi: int) -> str:
         """The letters at (x, y) for lo <= x < hi.
@@ -329,12 +313,10 @@ class DoublyPeriodic(Configuration):
     def translate_box(self, shape: Iterable[Point]) -> tuple[range, range]:
         """The torus [0, a) x [0, d), where (a, 0), (b, d) is the HNF of the period lattice.
 
-        Contract: the torus holds one point of each class modulo the period
-        lattice, whose vectors are all periods and which holds the basis
-        lattice.  So every translate of enumeration_domain is congruent to a
-        torus point modulo a period, and every torus point to a domain
-        translate: the kernel may count over the torus instead.  The torus
-        has |det| / (a * d) times fewer points than the fundamental domain.
+        Contract: the torus is the enumeration domain.  It holds one point of
+        each class modulo the period lattice, whose vectors are all periods,
+        so the patterns at its points are every pattern of the body, and no
+        two of its points differ by a period.
         """
         a, _, d = self._hnf
         return range(a), range(d)

@@ -3,7 +3,9 @@ convex-subset enumeration used across the suite."""
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 import weakref
 
@@ -94,14 +96,42 @@ def random_doubly_periodic(rng: random.Random, max_det: int = 16) -> DoublyPerio
     return DoublyPeriodic(alpha, (b1, b2), dict(zip(reps, letters)))
 
 
+def basis_reduce(basis, g) -> tuple[int, int]:
+    """g reduced modulo the lattice of `basis`: the unique point of g's coset
+    with both rational basis coordinates in [0, 1)."""
+    (b1x, b1y), (b2x, b2y) = basis
+    det = b1x * b2y - b1y * b2x
+    qs = (g[0] * b2y - g[1] * b2x) // det
+    qt = (b1x * g[1] - b1y * g[0]) // det
+    return g[0] - qs * b1x - qt * b2x, g[1] - qs * b1y - qt * b2y
+
+
+def basis_det(cfg: DoublyPeriodic) -> int:
+    """|det| of a doubly periodic body's given basis: the number of its cosets."""
+    (b1x, b1y), (b2x, b2y) = cfg.basis
+    return abs(b1x * b2y - b1y * b2x)
+
+
+@functools.cache
+def basis_domain(basis) -> tuple[tuple[int, int], ...]:
+    """The fundamental domain of `basis`: one reduced point per coset, sorted.
+
+    The y of a lattice vector is a multiple of d = gcd(b1y, b2y), and the
+    lattice vectors with y = 0 are the multiples of (|det| / d, 0), so the
+    box [0, |det| / d) x [0, d) meets every coset once.
+    """
+    (b1x, b1y), (b2x, b2y) = basis
+    d = math.gcd(b1y, b2y)
+    width = abs(b1x * b2y - b1y * b2x) // d
+    return tuple(sorted(basis_reduce(basis, (x, y)) for x in range(width) for y in range(d)))
+
+
 def coset_representatives(b1, b2, det) -> list:
-    probe = DoublyPeriodic.__new__(DoublyPeriodic)
-    probe.basis = (b1, b2)
-    probe._det = det
+    """One point of each coset of the lattice of b1, b2, reduced, in order of discovery."""
     reps, seen = [], set()
     for x in range(abs(det)):
         for y in range(abs(det)):
-            r = probe.reduce((x, y))
+            r = basis_reduce((b1, b2), (x, y))
             if r not in seen:
                 seen.add(r)
                 reps.append(r)
@@ -241,8 +271,17 @@ BODY_DIAGNOSTICS = [
 
 
 def brute_is_period(cfg: DoublyPeriodic, h: tuple[int, int]) -> bool:
-    """Whether h moves no letter, read with letter_at over the fundamental domain."""
-    return all(cfg.letter_at(g) == cfg.letter_at((g[0] + h[0], g[1] + h[1])) for g in cfg.fundamental_domain())
+    """Whether h moves no letter, read with letter_at over the fundamental
+    domain of the given basis (not the body's own enumeration domain, which
+    a wrong period lattice would shrink along with the periods it claims)."""
+    return all(cfg.letter_at(g) == cfg.letter_at((g[0] + h[0], g[1] + h[1])) for g in basis_domain(cfg.basis))
+
+
+def brute_torus_size(cfg: DoublyPeriodic) -> int:
+    """The index of the period lattice P, by brute force: P is a union of cosets
+    of the given basis lattice, one per point of its fundamental domain that is
+    a period (the origin among them)."""
+    return basis_det(cfg) // sum(brute_is_period(cfg, h) for h in basis_domain(cfg.basis))
 
 
 def random_finite_defect(rng: random.Random, ab: Alphabet) -> FiniteDefect:

@@ -67,13 +67,25 @@ MUTANTS = [
            ("tests/test_configurations.py", "tests/test_complexity.py"),
            "the first period found outside the basis lattice is left out of the period lattice"),
     Mutant("torus-rows-not-cut", "src/nivatlab/configurations.py",
-           "tuple(row[:self._hnf[0]] for row", "tuple(row for row",
+           "tuple(row[:a] for row", "tuple(row for row",
            ("tests/test_configurations.py",),
            "the body keeps the torus rows of its basis lattice, a / a' times longer than it counts over"),
-    Mutant("table-translates-from-torus", "src/nivatlab/complexity.py",
-           "examined = abs(config._det) if", "examined = len(xs) * len(ys) if",
+    Mutant("table-translates-from-basis", "src/nivatlab/complexity.py",
+           "yield count, size",
+           "yield count, abs(config.basis[0][0] * config.basis[1][1] - config.basis[0][1] * config.basis[1][0]) "
+           "if isinstance(config, DoublyPeriodic) else size",
            ("tests/test_complexity.py",),
-           "a torus table reports a' * d' translates instead of |det| of the given basis"),
+           "a torus table reports |det| of the given basis as translates instead of the a' * d' it reads"),
+    Mutant("domain-over-basis-torus", "src/nivatlab/configurations.py",
+           "tuple(product(range(a), range(d)))", "tuple(product(*map(range, _hnf(b1, b2)[::2])))",
+           ("tests/test_configurations.py",),
+           "the enumeration domain is the torus [0, a) x [0, d) of the given basis, where some points differ "
+           "by a period, and counts report its size"),
+    Mutant("coverage-one-slot-short", "src/nivatlab/configurations.py",
+           'covered = a * d - torus.count("")', 'covered = a * d - torus[:-1].count("")',
+           ("tests/test_configurations.py",),
+           "a table that leaves the last torus slot empty passes the coverage check and draws the wrong "
+           "diagnostic"),
     Mutant("letter-rotation-flipped", "src/nivatlab/configurations.py",
            "return self._rows[r][(g[0] - q * b) % a]", "return self._rows[r][(g[0] + q * b) % a]",
            ("tests/test_configurations.py",),

@@ -30,6 +30,7 @@ from conftest import (
     HORIZONTAL,
     VERTICAL,
     DIAGONAL,
+    basis_det,
     enumerate_convex_subsets,
     naive_complexity,
     random_doubly_periodic,
@@ -178,7 +179,7 @@ def test_criterion_8_engine_vs_oracle():
     mismatches = 0
     for _ in range(50):
         cfg = random_doubly_periodic(rng)
-        box = abs(cfg._det)
+        box = basis_det(cfg)
         for pts in shapes:
             cells = tuple(sorted(pts))
             if complexity(cfg, cells).count != naive_complexity(cfg, cells, box):

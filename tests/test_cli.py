@@ -509,7 +509,10 @@ class TestShapesAndErrors:
                                     "basis": basis, "table": entries}))
         code, out, err = run(capsys, "complexity", "--config", str(path), "--shape", "rect:1,1")
         if message is None:
-            assert (code, out, err) == (0, "P = 2 (exact, 4 translates)\n", "")
+            # The first accepted table is a checkerboard: its period lattice (2,0),(1,1)
+            # has index 2.  The second has no period outside its basis lattice.
+            translates = {((2, 0), (0, 2)): 2, ((2, 0), (1, 2)): 4}[basis]
+            assert (code, out, err) == (0, f"P = 2 (exact, {translates} translates)\n", "")
         else:
             assert (code, out, err) == (1, "", f"error: {message}\n")
 

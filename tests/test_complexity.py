@@ -36,7 +36,9 @@ from conftest import (
     DIAGONAL,
     HORIZONTAL,
     VERTICAL,
+    basis_det,
     brute_is_period,
+    brute_torus_size,
     enumerate_convex_subsets,
     naive_complexity,
     naive_diagonal_language,
@@ -67,7 +69,7 @@ class TestComplexity:
         rng = random.Random(7)
         for _ in range(5):
             cfg = random_doubly_periodic(rng)
-            m = abs(cfg._det)
+            m = basis_det(cfg)
             for shape in (block(2, 2), block(3, 4), block(4, 1)):
                 assert complexity(cfg, shape).count <= m
 
@@ -105,7 +107,7 @@ class TestOracleEquivalence:
         shapes = enumerate_convex_subsets(3, 3, canonical=True)
         for _ in range(4):
             cfg = random_doubly_periodic(rng)
-            box = abs(cfg._det)
+            box = basis_det(cfg)
             for pts in shapes:
                 cells = tuple(sorted(pts))
                 assert complexity(cfg, cells).count == naive_complexity(cfg, cells, box)
@@ -297,7 +299,7 @@ def _brute_translates(cfg, cells):
     elif isinstance(cfg, DoublyPeriodic):
         (p, zero), (_, q) = cfg.basis
         if zero != 0 or p < 0 or q < 0:
-            p = q = abs(cfg._det)
+            p = q = basis_det(cfg)
         us = [(x, y) for x in range(p) for y in range(q)]
     else:  # defects lie in [-4, 4]^2 and windows in [-3, 9]^2; cells lie in [-9, 4]^2
         us = [(x, y) for x in range(-18, 19) for y in range(-18, 19)]
@@ -398,7 +400,7 @@ class TestPeriodQuotient:
         assert rep.exact == (not isinstance(cfg, WindowSample))
         assert language(cfg, cells) == brute
         if isinstance(cfg, DoublyPeriodic):
-            assert rep.count == naive_complexity(cfg, cells, abs(cfg._det))
+            assert rep.count == naive_complexity(cfg, cells, basis_det(cfg))
 
     @settings(max_examples=80, deadline=None)
     @given(bodies, point_sets, st.sampled_from(LINES),
@@ -456,25 +458,27 @@ tiled_bodies = st.tuples(st.booleans(), st.integers(0, 10**6)).map(
 
 class TestPeriodLattice:
     """Bodies given by a basis coarser than their period lattice count over the
-    smaller torus of that lattice; every result must match sweeps over the
-    fundamental domain of the given basis, which read every cell."""
+    smaller torus of that lattice and report its size as translates examined;
+    every result must match sweeps over the fundamental domain of the given
+    basis, which read every cell."""
 
     @settings(max_examples=60, deadline=None)
     @given(tiled_bodies, point_sets)
     def test_complexity_and_language(self, cfg, cells):
         brute = _brute_language(cfg, cells)
         rep = complexity(cfg, cells)
-        assert rep.count == len(brute) == naive_complexity(cfg, cells, abs(cfg._det))
-        assert rep.translates_examined == abs(cfg._det)
+        assert rep.count == len(brute) == naive_complexity(cfg, cells, basis_det(cfg))
+        assert rep.translates_examined == brute_torus_size(cfg)
         assert language(cfg, cells) == brute
 
     @settings(max_examples=40, deadline=None)
     @given(tiled_bodies, st.integers(1, 5), st.integers(1, 5))
     def test_table(self, cfg, n_max, k_max):
+        torus = brute_torus_size(cfg)
         for (n, k), rep in complexity_table(cfg, n_max, k_max).items():
             cells = tuple((x, y) for x in range(n) for y in range(k))
             assert rep.count == _naive_count(cfg, cells)
-            assert rep.translates_examined == abs(cfg._det)
+            assert rep.translates_examined == torus
 
     @settings(max_examples=40, deadline=None)
     @given(tiled_bodies, point_sets, st.sampled_from(LINES), st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
@@ -510,7 +514,7 @@ def _naive_count(cfg, cells) -> int:
     if isinstance(cfg, WindowSample):
         return len(_brute_language(cfg, cells))
     if isinstance(cfg, DoublyPeriodic):
-        return naive_complexity(cfg, cells, abs(cfg._det))
+        return naive_complexity(cfg, cells, basis_det(cfg))
     if isinstance(cfg, DiagonalFamily):
         return naive_complexity(cfg, cells, 60)
     # Defects lie in [-4, 4]^2: cells moved by (-14, -14) sweep the translates [-14, 15)^2.
@@ -654,7 +658,7 @@ class TestTable:
         table = complexity_table(cfg, 4, 3)
         assert reads == [(y, 0, a - 1 + n) for n in range(1, 5) for y in range(d + 2)]
         assert len(table) == 12 and all(rep.exact for rep in table.values())
-        assert {rep.translates_examined for rep in table.values()} == {abs(cfg._det)}
+        assert {rep.translates_examined for rep in table.values()} == {a * d}
 
     def test_columns_stop_growing_once_distinct(self, monkeypatch):
         """A column whose first block has distinct keys at every translate grows no key."""
@@ -698,7 +702,7 @@ class TestTable:
             if isinstance(cfg, WindowSample):
                 assert rep.translates_examined == (cfg.width - n + 1) * (cfg.height - k + 1)
             else:
-                assert rep.translates_examined == abs(cfg._det)
+                assert rep.translates_examined == brute_torus_size(cfg)
 
     def test_window_table_counts_every_block(self):
         """Every (n, k) of a window table equals an in-window sweep that reads each cell.

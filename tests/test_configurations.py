@@ -3,6 +3,7 @@ import pickle
 import random
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 import pytest
@@ -30,7 +31,7 @@ from nivatlab.configurations import (
     extract_pattern,
 )
 from nivatlab.errors import ConfigurationError, UnknownLetterError
-from nivatlab.geometry import Line, block, convex_hull
+from nivatlab.geometry import Line, block, convex_hull, psub
 
 from conftest import (
     BODY_DIAGNOSTICS,
@@ -38,10 +39,15 @@ from conftest import (
     HORIZONTAL,
     PERIODIC_TABLES,
     VERTICAL,
+    basis_det,
+    basis_domain,
+    basis_reduce,
     brute_is_period,
+    brute_torus_size,
     coset_representatives,
     random_doubly_periodic,
     random_finite_defect,
+    sheared_doubly_periodic,
     tiled_doubly_periodic,
 )
 
@@ -126,8 +132,10 @@ class TestPeriodicTableDiagnostics:
         # A coset listed twice is one coset: the body is the one its first
         # cells give, which list each coset once.
         once = DoublyPeriodic(ab, basis, dict(entries[:-1]))
-        assert cfg.fundamental_domain() == once.fundamental_domain()
-        assert len(cfg.fundamental_domain()) == len(entries) - 1
+        assert basis_det(cfg) == len(entries) - 1
+        # The domain is the torus of the period lattice, whose index is read by brute force.
+        assert cfg.enumeration_domain(()) == once.enumeration_domain(())
+        assert len(cfg.enumeration_domain(())) == brute_torus_size(cfg)
         box = [(x, y) for x in range(-5, 6) for y in range(-5, 6)]
         assert [cfg.letter_at(g) for g in box] == [once.letter_at(g) for g in box]
         assert all(cfg.letter_at(g) == a for g, a in entries)
@@ -138,7 +146,7 @@ class TestPeriodicTableDiagnostics:
                 "table": [[list(g), a] for g, a in entries]}
         if message is None:
             cfg = config_from_dict(spec)
-            assert cfg.fundamental_domain() == DoublyPeriodic(cfg.alphabet, basis, dict(entries)).fundamental_domain()
+            assert cfg.enumeration_domain(()) == DoublyPeriodic(cfg.alphabet, basis, dict(entries)).enumeration_domain(())
             assert all(cfg.letter_at(g) == a for g, a in entries)
         else:
             with pytest.raises(ConfigurationError) as exc:
@@ -256,7 +264,7 @@ def _contract_body(kind: str, rng: random.Random):
     if kind == "periodic":
         # A lattice of index d holds (d, 0) and (0, d), so [0, d)^2 holds a residue system.
         cfg = random_doubly_periodic(rng)
-        d = abs(cfg._det)
+        d = basis_det(cfg)
         return cfg, [(x, y) for x in range(d) for y in range(d)]
     if kind == "defect":  # defects lie in [-4, 4]^2
         cfg = random_finite_defect(rng, Alphabet(("a", "b")))
@@ -356,12 +364,15 @@ class TestEnumerationDomains:
     """
 
     def test_doubly_periodic_domain_size(self, ab):
-        cfg = DoublyPeriodic.from_rows(ab, ["ab", "ba"])  # basis (2,0),(0,2)
-        assert list(cfg.enumeration_domain(block(3, 3).points)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        # The checkerboard's basis is (2,0),(0,2), its period lattice (2,0),(1,1).
+        cfg = DoublyPeriodic.from_rows(ab, ["ab", "ba"])
+        assert list(cfg.enumeration_domain(block(3, 3).points)) == [(0, 0), (1, 0)]
+        # Basis (3,1),(-1,2), of prime index 7 and with no period but its own lattice,
+        # whose Hermite normal form is (7,0),(b,1): the torus is one row of 7.
         sheared = EXACTNESS_BODIES["doubly_periodic"]
         for cells in [block(3, 3).points, [(5, -2)]]:
-            assert list(sheared.enumeration_domain(cells)) == _parallelogram((3, 1), (-1, 2))
-        assert len(_parallelogram((3, 1), (-1, 2))) == 7
+            assert list(sheared.enumeration_domain(cells)) == [(x, 0) for x in range(7)]
+        assert len(_parallelogram((3, 1), (-1, 2))) == brute_torus_size(sheared) == 7
 
     def test_finite_defect_domain(self, one_defect):
         dom = one_defect.enumeration_domain(block(2, 2).points)
@@ -600,8 +611,8 @@ class TestPeriods:
         rng = random.Random(41)
         for _ in range(12):
             cfg = random_doubly_periodic(rng)
-            domain = cfg.fundamental_domain()
-            r = 2 * abs(cfg._det)
+            domain = basis_domain(cfg.basis)
+            r = 2 * basis_det(cfg)
             for h in ((x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)):
                 brute = h != (0, 0) and all(
                     cfg.letter_at(g) == cfg.letter_at((g[0] + h[0], g[1] + h[1])) for g in domain
@@ -618,18 +629,19 @@ class TestPeriods:
         bodies.append(DoublyPeriodic(Alphabet(("a", "b")), ((30, 0), (7, 20)),
                                      {(x, y): "ab"[(x * y + x) % 3 == 0]
                                       for x in range(30) for y in range(20)}))
-        finer = [cfg for cfg in bodies if len(cfg.fundamental_domain()) > prod(map(len, cfg.translate_box(())))]
+        finer = [cfg for cfg in bodies if basis_det(cfg) > prod(map(len, cfg.translate_box(())))]
         assert len(finer) >= 8  # bodies whose period lattice is finer than their basis lattice
         for cfg in bodies:
-            domain = cfg.fundamental_domain()
+            domain = basis_domain(cfg.basis)
             xs, ys = cfg.translate_box(block(2, 2))
             assert xs.start == ys.start == 0 and xs.step == ys.step == 1
+            assert cfg.enumeration_domain(block(2, 2)) == tuple((x, y) for x in xs for y in ys)
             assert list(cfg._rows) == [cfg.row(y, 0, len(xs)) for y in ys]  # the body keeps this torus only
             # The periods modulo the basis lattice, one per class of the domain.
             periods = [h for h in domain if brute_is_period(cfg, h)]
             assert len(xs) * len(ys) * len(periods) == len(domain), cfg.basis
             # Two torus points never differ by a period: their classes are distinct.
-            classes = {min(cfg.reduce((x + h[0], y + h[1])) for h in periods) for x in xs for y in ys}
+            classes = {min(basis_reduce(cfg.basis, (x + h[0], y + h[1])) for h in periods) for x in xs for y in ys}
             assert len(classes) == len(xs) * len(ys), cfg.basis
             for b in cfg.basis:
                 assert cfg.is_period(b) and brute_is_period(cfg, b), (cfg.basis, b)
@@ -638,6 +650,30 @@ class TestPeriods:
             scan = tuple((x, y) for x in box for y in box if (x or y) and brute_is_period(cfg, (x, y)))
             assert cfg.periods_within(bound) == scan, cfg.basis
             assert (len(xs), 0) in scan  # (a, 0) is a period
+
+    def test_torus_domain_contract(self):
+        """The enumeration domain is the sorted torus [0, a) x [0, d) of the
+        period lattice, with (a, 0) and (b, d) its Hermite basis found by brute
+        force; it is a residue system modulo the periods, it meets every coset
+        of the given basis, and every count reports its size as translates."""
+        rng = random.Random(61)
+        bodies = [random_doubly_periodic(rng) for _ in range(12)]
+        bodies += [tiled_doubly_periodic(rng, sheared) for sheared in (False, True) for _ in range(8)]
+        bodies += [sheared_doubly_periodic(rng, p, q, rng.randint(-4, 4)) for p, q in [(3, 2), (2, 3), (4, 1)]]
+        finer = 0
+        for cfg in bodies:
+            cosets, det = basis_domain(cfg.basis), basis_det(cfg)
+            a = next(x for x in range(1, det + 1) if brute_is_period(cfg, (x, 0)))
+            d = next(y for y in range(1, det + 1) if any(brute_is_period(cfg, (x, y)) for x in range(a)))
+            finer += a * d < det
+            domain = cfg.enumeration_domain(HEXAGON.points)
+            assert domain == tuple(sorted((x, y) for x in range(a) for y in range(d))), cfg.basis
+            assert not any(brute_is_period(cfg, psub(u2, u)) for u, u2 in combinations(domain, 2)), cfg.basis
+            for g in cosets:
+                assert sum(brute_is_period(cfg, psub(g, u)) for u in domain) == 1, (cfg.basis, g)
+            assert complexity(cfg, HEXAGON).translates_examined == len(domain)
+            assert {rep.translates_examined for rep in complexity_table(cfg, 3, 3).values()} == {len(domain)}
+        assert finer >= 8  # bodies whose period lattice is finer than their basis lattice
 
     def test_rows_match_letter_at(self, diagonal):
         """row(y, lo, hi) and band(lo, hi) read the same letters as letter_at."""
@@ -669,7 +705,7 @@ class TestPeriods:
                                          {(x, y): rows[y][x] for x in range(p) for y in range(q)}))
         found = 0
         for cfg in bodies:
-            for bound in (5, 10, 60) if abs(cfg._det) >= 100 else (5, 10):
+            for bound in (5, 10, 60) if basis_det(cfg) >= 100 else (5, 10):
                 scan = Configuration.periods_within(cfg, bound)
                 assert cfg.periods_within(bound) == scan, (cfg.basis, bound)
                 found += len(scan)

@@ -54,6 +54,9 @@ from conftest import (
     DIAGONAL,
     HORIZONTAL,
     VERTICAL,
+    basis_det,
+    basis_domain,
+    basis_reduce,
     brute_is_period,
     convex_subsets_of_box,
     random_doubly_periodic,
@@ -518,7 +521,7 @@ def _brute_m_classes(cfg: DoublyPeriodic, shape, line, p):
         n_of[base] = n_of.get(base, 0) + 1
     diff = sum(n_of.values()) - len(n_of)
     initials = directional_point_sets(shape, line, p).initials
-    v, steps = line.minimal_vector(), range(abs(cfg._det))
+    v, steps = line.minimal_vector(), range(basis_det(cfg))
 
     def along(part, u):
         return frozenset(extract_pattern(cfg, part, (u[0] + t * v[0], u[1] + t * v[1])) for t in steps)
@@ -643,18 +646,18 @@ class TestOrbitSharing:
         box = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
         finer = 0
         for cfg in bodies:
-            domain = cfg.fundamental_domain()
+            domain = basis_domain(cfg.basis)
             periods = {h for h in domain if brute_is_period(cfg, h)}
             finer += len(periods) > 1
             for line in ORBIT_LINES:
                 v = line.minimal_vector()
-                steps = next(s for s in range(1, len(domain) + 1) if cfg.reduce((s * v[0], s * v[1])) in periods)
+                steps = next(s for s in range(1, len(domain) + 1) if basis_reduce(cfg.basis, (s * v[0], s * v[1])) in periods)
                 assert len(cfg.directional_translates((), (0, 0), v)) == steps
-                orbit = {cfg.reduce((h[0] + t * v[0], h[1] + t * v[1]))
+                orbit = {basis_reduce(cfg.basis, (h[0] + t * v[0], h[1] + t * v[1]))
                          for h in periods for t in range(len(domain))}
                 for u in box[::7]:
                     for u2 in box:
-                        same = cfg.reduce((u2[0] - u[0], u2[1] - u[1])) in orbit
+                        same = basis_reduce(cfg.basis, (u2[0] - u[0], u2[1] - u[1])) in orbit
                         assert (cfg.orbit_class(u, v) == cfg.orbit_class(u2, v)) == same, (cfg.basis, v, u, u2)
         assert finer >= 8
 
