@@ -28,14 +28,17 @@ directional search on its cut.  The witness search builds a
 
 The convex subsets of a radius box depend on neither the body nor the line,
 so `_box_level(radius, size)` caches them with `functools.cache` for the life
-of the process: the sorted cell tuples of one size, with the sorted hull
-vertices of each set, from which Pick's theorem grows the next size when a
-search first reaches it.  A search that stops at size L builds nothing past
-L.  Two threads that first ask for one level together can at worst build it
-twice, with equal results, so no lock is needed.  Measured with tracemalloc,
-the cache holds about 0.07 MB after the radius-1 and early radius-2 searches
-of the benchmark (which re-imports the library, and so empties the cache,
-before every pass) and 7.6 MB once a radius-2 search has run to the end.
+of the process: the sorted cell tuples of one size, with the hull vertices
+of each set counterclockwise from the least, whose chains and Pick's theorem
+grow the next size when a search first reaches it.  A search that stops at
+size L builds nothing past L.  Two threads that first ask for one level
+together can at worst build it twice, with equal results, so no lock is
+needed.  Measured with tracemalloc, the cache holds about 0.07 MB after the
+radius-1 and early radius-2 searches of the benchmark (which re-imports the
+library, and so empties the cache, before every pass) and 7.6 MB once a
+radius-2 search has run to the end.  A search that finds no witness still
+grows every level, to count its sets, but on an EXACT body it scans only the
+levels it needs: see `expansive_witness`.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import gcd
 from typing import Callable, Iterable
 
 from .complexity import _Counter, _require_exact, complexity, directional_language, extension_counts
@@ -59,7 +63,6 @@ from .geometry import (
     ConvexLatticeSet,
     Line,
     Point,
-    _hull_lattice_count,
     _hull_vertices,
     _is_convex,
     axes_of_symmetry,
@@ -858,13 +861,19 @@ class WitnessReport:
 @cache
 def _box_level(radius: int, size: int) -> tuple[list[tuple[Point, ...]], list[tuple[Point, ...]]]:
     """The convex subsets of size `size` of the box [-r, r]^2, as sorted cell
-    tuples in sorted order, and the sorted hull vertices of each.
+    tuples in sorted order, and the hull vertices of each, counterclockwise
+    from the least: `convex_hull(cells).vertices`.
 
-    The lexicographic maximum of a convex lattice set is a hull vertex, so
+    The lexicographic maximum m of a convex lattice set is a hull vertex, so
     growing sets only by points above their maximum enumerates every convex
     subset exactly once, and children of sorted parents come out sorted.
-    C + g is convex exactly when the hull of C's vertices and g holds |C| + 1
-    lattice points (Pick's theorem).
+    Such a point g is the new maximum, so it extends both chains of the hull
+    at m's end: the lower chain (the vertices from the least to m) and the
+    upper chain (from the least to m the other way round), each after the
+    monotone chain step pops the vertices g hides.  For a convex set C, twice
+    the hull's area plus its boundary lattice count is 2|C| - 2 (Pick's
+    theorem), so C + g is convex exactly when the two new edges raise that sum
+    by 2 over the edges they replace.
     """
     if size == 1:
         box = [((x, y),) for x in range(-radius, radius + 1) for y in range(-radius, radius + 1)]
@@ -873,11 +882,34 @@ def _box_level(radius: int, size: int) -> tuple[list[tuple[Point, ...]], list[tu
     above = {g: box[i + 1:] for i, g in enumerate(box)}
     cells_out, hulls_out = [], []
     for cells, verts in zip(*_box_level(radius, size - 1)):
-        for g in above[cells[-1]]:
-            hull = _hull_vertices((*verts, g))
-            if _hull_lattice_count(hull) == size:
+        m = cells[-1]
+        i = verts.index(m)
+        lower = verts[:i + 1]
+        upper = verts[:1] + verts[:i - 1:-1] if i else verts
+        for g in above[m]:
+            gx, gy = g
+            # Each edge's share of twice the area plus the boundary count:
+            # a x b + gcd(b - a) for the edge a -> b.
+            gain = 0
+            k = len(lower)
+            while k > 1:
+                (ax, ay), (bx, by) = lower[k - 2], lower[k - 1]
+                if (bx - ax) * (gy - ay) - (by - ay) * (gx - ax) > 0:
+                    break
+                gain -= ax * by - ay * bx + gcd(bx - ax, by - ay)
+                k -= 1
+            j = len(upper)
+            while j > 1:
+                (ax, ay), (bx, by) = upper[j - 2], upper[j - 1]
+                if (bx - ax) * (gy - ay) - (by - ay) * (gx - ax) < 0:
+                    break
+                gain -= bx * ay - by * ax + gcd(bx - ax, by - ay)
+                j -= 1
+            (ax, ay), (bx, by) = lower[k - 1], upper[j - 1]
+            gain += ax * gy - ay * gx + gcd(gx - ax, gy - ay) + gx * by - gy * bx + gcd(bx - gx, by - gy)
+            if gain == 2:
                 cells_out.append((*cells, g))
-                hulls_out.append(tuple(sorted(hull)))
+                hulls_out.append((*lower[:k], g, *upper[j - 1:0:-1]))
     return cells_out, hulls_out
 
 
@@ -887,25 +919,48 @@ def expansive_witness(config: Configuration, line: Line, radius: int) -> Witness
     A convex set whose supporting section for the line is a single generated
     point certifies one-sided expansiveness.  Sets within the radius box are
     scanned in size order; absence of a witness proves nothing.
+
+    On an EXACT body a point generated in T is generated in every T' that
+    holds T: two T'-patterns that agree off g restrict to T-patterns that
+    agree off g, so they agree at g too.  Every set whose lone lowest point
+    is g0 lies in U(g0) = {g0} + {g in the box : value(g) > value(g0)}, so g0
+    is tested once, in U(g0), when the first such set comes up.  A set whose
+    g0 fails is examined but not counted, and once every point below the
+    box's top value has failed, each remaining level adds its length
+    unscanned.  On any other body the first count refuses, on the first set
+    with a lone lowest point.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     box = [g for (g,) in _box_level(radius, 1)[0]]
     value = {g: line.value(g) for g in box}
     counter = _Counter(config, box)
+    exact = config.exactness is Exactness.EXACT
+    top = max(value.values())
+    below = sum(v < top for v in value.values())  # the points that can be a lone lowest point
+    tested: dict[Point, bool] = {}  # g0 -> whether g0 is generated in U(g0)
     examined = 0
     size = 2
     while level := _box_level(radius, size)[0]:
+        size += 1
+        if exact and len(tested) == below and not any(tested.values()):
+            examined += len(level)  # no set left can witness
+            continue
         for cells in level:
             examined += 1
             values = [value[g] for g in cells]
             low = min(values)
-            if values.count(low) == 1:
-                g0 = cells[values.index(low)]
-                s = frozenset(cells)
-                if counter.count(s) == counter.count(s - {g0}):
-                    return WitnessReport(
-                        True, ConvexLatticeSet(s, _validated=True), g0, examined, radius
-                    )
-        size += 1
+            if values.count(low) != 1:
+                continue
+            g0 = cells[values.index(low)]
+            if exact:
+                if g0 not in tested:
+                    tested[g0] = _generated(counter, frozenset(g for g in box if value[g] > low) | {g0}, g0)
+                if not tested[g0]:
+                    continue
+            s = frozenset(cells)
+            if counter.count(s) == counter.count(s - {g0}):
+                return WitnessReport(
+                    True, ConvexLatticeSet(s, _validated=True), g0, examined, radius
+                )
     return WitnessReport(False, None, None, examined, radius)

@@ -171,6 +171,17 @@ def naive_complexity(config, cells, box: int) -> int:
     return len(seen)
 
 
+def naive_exact_count(config, cells) -> int:
+    """`naive_complexity` over a box holding every pattern of a small shape on
+    a torus, the diagonal family, or a defect body with its defects in [-4, 4]^2."""
+    if isinstance(config, DoublyPeriodic):
+        return naive_complexity(config, cells, basis_det(config))
+    if isinstance(config, DiagonalFamily):
+        return naive_complexity(config, cells, 60)
+    # Cells moved by (-14, -14) sweep the translates [-14, 15)^2.
+    return naive_complexity(config, [(x - 14, y - 14) for x, y in cells], 29)
+
+
 def naive_diagonal_language(config, cells, reach: int) -> set[tuple[str, ...]]:
     """The letters, in cell order, of cells + (d, 0) for every |d| <= reach.
 

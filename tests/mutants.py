@@ -116,17 +116,31 @@ MUTANTS = [
            ("tests/test_structure.py::TestLevelSets",),
            "the directional point sets take the supporting section's first and last points too"),
     Mutant("box-level-pick-loose", "src/nivatlab/structure.py",
-           "_hull_lattice_count(hull) == size", "_hull_lattice_count(hull) >= size",
+           "if gain == 2:", "if gain >= 2:",
            ("tests/test_structure.py::TestWitnessEnumeration",),
            "a box level keeps a set whose hull holds lattice points it leaves out, so nonconvex sets are examined"),
     Mutant("box-level-every-point", "src/nivatlab/structure.py",
-           "for g in above[cells[-1]]:", "for g in box:",
+           "for g in above[m]:", "for g in box:",
            ("tests/test_structure.py::TestWitnessEnumeration",),
            "a box level extends each set by points at or below its maximum too, so sets repeat or come out unsorted"),
     Mutant("box-level-hull-unsorted", "src/nivatlab/structure.py",
-           "hulls_out.append(tuple(sorted(hull)))", "hulls_out.append(tuple(hull))",
+           "*upper[j - 1:0:-1])", "*upper[1:j])",
            ("tests/test_structure.py::TestWitnessEnumeration",),
-           "the next level's hull test reads its vertices out of order, so the monotone chain misses points"),
+           "a stored hull lists its upper chain clockwise, so the next level splits its chains at the wrong "
+           "vertices"),
+    Mutant("witness-precheck-skips-next-line", "src/nivatlab/structure.py",
+           "if value[g] > low)", "if value[g] > low + 1)",
+           ("tests/test_structure.py::TestWitnessEnumeration", "tests/test_structure.py::TestWitnessOracle"),
+           "U(g0) leaves out the line just above g0, so a g0 that fails there skips sets that use that line"),
+    Mutant("witness-miss-one-short", "src/nivatlab/structure.py",
+           "examined += len(level)  #", "examined += len(level) - 1  #",
+           ("tests/test_structure.py::TestWitnessEnumeration",),
+           "a level that is added unscanned after every lone lowest point failed counts one set fewer"),
+    Mutant("witness-precheck-on-windows", "src/nivatlab/structure.py",
+           "exact = config.exactness is Exactness.EXACT", "exact = True",
+           ("tests/test_structure.py::TestWitnessOracle",),
+           "a window sample counts U(g0) first, which can fit nowhere where the first set fits, so the "
+           "error changes"),
 ]
 
 # Mutants that no test can kill, with the reason each changes no result.

@@ -42,6 +42,7 @@ from conftest import (
     enumerate_convex_subsets,
     naive_complexity,
     naive_diagonal_language,
+    naive_exact_count,
     random_doubly_periodic,
     random_finite_defect,
     sheared_doubly_periodic,
@@ -513,12 +514,7 @@ def _naive_count(cfg, cells) -> int:
     """`naive_complexity` over a box holding every pattern; a window's sweep for windows."""
     if isinstance(cfg, WindowSample):
         return len(_brute_language(cfg, cells))
-    if isinstance(cfg, DoublyPeriodic):
-        return naive_complexity(cfg, cells, basis_det(cfg))
-    if isinstance(cfg, DiagonalFamily):
-        return naive_complexity(cfg, cells, 60)
-    # Defects lie in [-4, 4]^2: cells moved by (-14, -14) sweep the translates [-14, 15)^2.
-    return naive_complexity(cfg, [(x - 14, y - 14) for x, y in cells], 29)
+    return naive_exact_count(cfg, cells)
 
 
 class TestTable:

@@ -59,6 +59,7 @@ from conftest import (
     basis_reduce,
     brute_is_period,
     convex_subsets_of_box,
+    naive_exact_count,
     random_doubly_periodic,
     random_finite_defect,
     sheared_doubly_periodic,
@@ -787,43 +788,10 @@ THREE_DEFECTS = FiniteDefect(AB, "a", {(0, 0): "b", (3, 1): "b", (-2, 4): "b"})
 
 
 class TestWitnessEnumeration:
-    # Line(1, 3) and Line(3, 1) take distinct values on the radius-1 box, so
-    # every examined set has a single lowest point and is counted.
-    @pytest.mark.parametrize("body, line", [
-        (DiagonalFamily(), DIAGONAL),
-        (THREE_DEFECTS, Line(1, 3, 0)),
-        (FiniteDefect(AB, "a", {(0, 0): "b"}), Line(3, 1, 0)),
-    ])
-    def test_examines_every_convex_subset_once(self, body, line, monkeypatch):
-        calls = []
-        real = structure._Counter.count
-
-        def recording(self, points):
-            calls.append(points)
-            return real(self, points)
-
-        def refused(*args, **kwargs):
-            raise AssertionError("a ConvexLatticeSet was built for a rejected candidate")
-
-        monkeypatch.setattr(structure._Counter, "count", recording)
-        monkeypatch.setattr(structure, "ConvexLatticeSet", refused)
-        rep = expansive_witness(body, line, 1)
-        convex = [c for c in convex_subsets_of_box(1) if len(c) >= 2]
-        assert not rep.found and rep.sets_examined == len(convex) == 204
-        # Each test counts the examined set, then the set minus its lowest point.
-        examined = calls[0::2]
-        assert len(examined) == len(set(examined))
-        single_low = [c for c in convex
-                      if [line.value(g) for g in c].count(min(line.value(g) for g in c)) == 1]
-        assert set(examined) == set(single_low)
-
-    def test_radius_two_on_three_defects(self):
-        rep = expansive_witness(THREE_DEFECTS, HORIZONTAL, 2)
-        assert not rep.found and rep.witness is None and rep.point is None
-        assert rep.sets_examined == 33341
-
     # The levels of convex subsets are cached per (radius, size) for the
-    # process; each test below starts from an emptied cache.
+    # process; each test below starts from an emptied cache.  The level check
+    # runs first: a level grown wrong fails there before a search grows the
+    # next one, which for a growth that repeats points never ends.
     @staticmethod
     def _levels_by_size(radius):
         by_size: dict[int, list] = {}
@@ -843,13 +811,77 @@ class TestWitnessEnumeration:
     def test_levels_are_the_convex_subsets_by_size(self, radius):
         structure._box_level.cache_clear()
         expected = self._levels_by_size(radius)
-        assert self._levels(radius) == expected
-        assert all(level == sorted(level) for level in self._levels(radius))
+        for size, level in enumerate(expected, 1):
+            cells, hulls = structure._box_level(radius, size)
+            assert cells == level
+            assert hulls == [convex_hull(c).vertices for c in cells]
+        assert not structure._box_level(radius, len(expected) + 1)[0]
         hits = structure._box_level.cache_info().hits
         assert self._levels(radius) == expected  # read again, not regrown
         assert structure._box_level.cache_info().hits == hits + len(expected) + 1
-        for cells, hulls in (structure._box_level(radius, n) for n in range(1, len(expected) + 1)):
-            assert hulls == [tuple(sorted(convex_hull(c).vertices)) for c in cells]
+
+    # Line(1, 3) and Line(3, 1) take distinct values on the radius-1 box, so
+    # every examined set has a single lowest point and is counted.
+    @pytest.mark.parametrize("body, line", [
+        (DiagonalFamily(), DIAGONAL),
+        (THREE_DEFECTS, Line(1, 3, 0)),
+        (FiniteDefect(AB, "a", {(0, 0): "b"}), Line(3, 1, 0)),
+    ])
+    def test_examines_every_convex_subset_once(self, body, line, monkeypatch):
+        tests, counted, inside = [], [], []
+        real_generated, real_count = structure._generated, structure._Counter.count
+
+        def recording_generated(counter, points, g):
+            inside.append(g)
+            try:
+                passed = real_generated(counter, points, g)
+            finally:
+                inside.pop()
+            tests.append((points, g, passed))
+            return passed
+
+        def recording_count(self, points):
+            if not inside:
+                counted.append(points)
+            return real_count(self, points)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a ConvexLatticeSet was built for a rejected candidate")
+
+        monkeypatch.setattr(structure, "_generated", recording_generated)
+        monkeypatch.setattr(structure._Counter, "count", recording_count)
+        monkeypatch.setattr(structure, "ConvexLatticeSet", refused)
+        rep = expansive_witness(body, line, 1)
+        convex = [c for c in convex_subsets_of_box(1) if len(c) >= 2]
+        assert not rep.found and rep.sets_examined == len(convex) == 204
+        box = [(x, y) for x in range(-1, 2) for y in range(-1, 2)]
+        top = max(line.value(g) for g in box)
+        # Each point below the top line is tested once, in U(g0): itself and
+        # the box points above its line.  A point on the top line is never
+        # the lone lowest point of a set, so it is never tested.
+        tested = [g for _, g, _ in tests]
+        assert len(tested) == len(set(tested))
+        assert set(tested) == {g for g in box if line.value(g) < top}
+        for points, g, _ in tests:
+            assert points == {g} | {h for h in box if line.value(h) > line.value(g)}
+        passed = {g for _, g, ok in tests if ok}
+
+        def lowest(c):
+            return min(c, key=line.value)
+
+        # Each counted set is counted with, then without, its lowest point,
+        # once; the counted sets are the lone-minimum sets whose g0 passed.
+        examined = counted[0::2]
+        assert counted[1::2] == [s - {lowest(s)} for s in examined]
+        assert len(examined) == len(set(examined))
+        single_low = [c for c in convex
+                      if [line.value(g) for g in c].count(min(line.value(g) for g in c)) == 1]
+        assert set(examined) == {c for c in single_low if lowest(c) in passed}
+
+    def test_radius_two_on_three_defects(self):
+        rep = expansive_witness(THREE_DEFECTS, HORIZONTAL, 2)
+        assert not rep.found and rep.witness is None and rep.point is None
+        assert rep.sets_examined == 33341
 
     def test_a_search_that_stops_early_leaves_the_levels_whole(self):
         structure._box_level.cache_clear()
@@ -895,3 +927,98 @@ class TestWitnessEnumeration:
         assert not any(t.is_alive() for t in threads)
         assert reports == expected
         assert self._levels(1) == self._levels_by_size(1)  # every level whole
+
+
+# -- the witness search against brute force -------------------------------------------------
+
+_WITNESS_BOXES = {radius: convex_subsets_of_box(radius) for radius in (0, 1)}
+
+
+def _reference_witness(cfg, line, radius, count):
+    """`expansive_witness` by brute force, as its five report fields.
+
+    Every convex subset of the box with two or more points, by size and then
+    in sorted order; a set with a lone lowest point g0 is a witness when the
+    set and the set minus g0 count equal.  No pruning, no library geometry.
+    """
+    sets = sorted((tuple(sorted(c)) for c in _WITNESS_BOXES[radius] if len(c) >= 2), key=lambda c: (len(c), c))
+    for examined, cells in enumerate(sets, 1):
+        values = [line.value(g) for g in cells]
+        low = min(values)
+        if values.count(low) == 1:
+            g0 = cells[values.index(low)]
+            if count(cells) == count(tuple(g for g in cells if g != g0)):
+                return True, cells, g0, examined, radius
+    return False, None, None, len(sets), radius
+
+
+class TestWitnessOracle:
+    LINES = [Line(1, 0, 0), Line(0, 1, 0), Line(1, 1, 0), Line(1, -1, 0),
+             Line(2, 1, 0), Line(1, 3, 0), Line(3, 1, 0)]
+
+    @staticmethod
+    def _bodies():
+        rng = random.Random(4242)
+        yield DiagonalFamily()
+        yield DoublyPeriodic.from_rows(AB, ["ab", "ba"])
+        for _ in range(5):
+            yield random_doubly_periodic(rng)
+        for _ in range(5):
+            yield random_finite_defect(rng, AB)
+
+    def test_reports_match_the_unpruned_scan(self):
+        found = missed = 0
+        for cfg in self._bodies():
+            memo: dict = {}
+
+            def count(cells):
+                if cells not in memo:
+                    memo[cells] = naive_exact_count(cfg, cells) if cells else 1
+                return memo[cells]
+
+            for line in self.LINES:
+                for radius in (0, 1):
+                    rep = expansive_witness(cfg, line, radius)
+                    got = (rep.found, rep.witness.cells if rep.witness else None, rep.point,
+                           rep.sets_examined, rep.radius)
+                    assert got == _reference_witness(cfg, line, radius, count), (cfg, line, radius)
+                    found += rep.found
+                    missed += radius == 1 and not rep.found
+        assert found and missed  # both outcomes are compared
+
+    def test_generated_points_stay_generated_in_supersets(self):
+        # The lemma the search prunes by: P(T) = P(T - g) implies
+        # P(T') = P(T' - g) for every T' that holds T, on an exact body.
+        rng = random.Random(2024)
+        box = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+        premises = 0
+        for _ in range(120):
+            cfg = random_doubly_periodic(rng) if rng.random() < 0.5 else random_finite_defect(rng, AB)
+            small = rng.sample(box, rng.randint(2, 6))
+            big = small + rng.sample([g for g in box if g not in small], rng.randint(1, 10))
+            g = rng.choice(small)
+            if is_generated(cfg, small, g):
+                premises += 1
+                assert is_generated(cfg, big, g), (cfg, small, big, g)
+        assert premises >= 20
+
+    # A 2x2 window fits every pair of the 3x3 box but not the box; a 2x1 or
+    # 1x2 window fits no pair across its short side.  The first set with a
+    # lone lowest point is counted first and refuses, as without pruning.
+    @pytest.mark.parametrize("rows, line, error, text", [
+        *((["ab", "ba"], line, InexactDataError,
+           "this operation needs exact complexity; the representation only certifies lower bounds")
+          for line in (HORIZONTAL, VERTICAL, DIAGONAL, Line(1, 3, 0))),
+        (["ab"], HORIZONTAL, UnknownLetterError, "the 2x1 window cannot fit the shape anywhere"),
+        (["ab"], Line(1, -1, 0), UnknownLetterError, "the 2x1 window cannot fit the shape anywhere"),
+        (["ab"], VERTICAL, InexactDataError,
+         "this operation needs exact complexity; the representation only certifies lower bounds"),
+        (["a", "b"], VERTICAL, UnknownLetterError, "the 1x2 window cannot fit the shape anywhere"),
+        (["a", "b"], HORIZONTAL, InexactDataError,
+         "this operation needs exact complexity; the representation only certifies lower bounds"),
+    ])
+    def test_window_errors_come_from_the_first_set(self, rows, line, error, text):
+        w = WindowSample(AB, (-1, -1), rows)
+        with pytest.raises(error) as info:
+            expansive_witness(w, line, 1)
+        assert str(info.value) == text
