@@ -8,6 +8,7 @@ language of a shape (`exactness` EXACT) or only part of it (LOWER_BOUND).
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
@@ -253,7 +254,10 @@ class DoublyPeriodic(Configuration):
         self.alphabet = alphabet
         self.basis = (b1, b2)
         a, b, d = _hnf(b1, b2)
-        torus = [""] * (a * d)  # the letter at (x, y), 0 <= x < a and 0 <= y < d, at y * a + x
+        # The letter at (x, y), 0 <= x < a and 0 <= y < d, at y * a + x.  A table
+        # with fewer cells than the a * d = |det| cosets cannot cover them, so
+        # its cells go to a dict rather than |det| slots (a huge basis).
+        torus = [""] * (a * d) if a * d <= len(table) else defaultdict(str)
         letters = alphabet.letters
         for g, letter in table.items():
             x, y = int(g[0]), int(g[1])
@@ -264,7 +268,7 @@ class DoublyPeriodic(Configuration):
                 if torus[i]:
                     raise ConfigurationError(f"table assigns two letters to the coset of {(x, y)}")
                 torus[i] = letter
-        covered = a * d - torus.count("")
+        covered = len(torus) if isinstance(torus, dict) else a * d - torus.count("")
         if covered != abs(det):
             raise ConfigurationError(f"table covers {covered} cosets, fundamental domain has {abs(det)}")
         if set(torus) != set(letters):

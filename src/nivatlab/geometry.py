@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GeometryError
 
@@ -317,11 +317,6 @@ def line_section(s: Iterable[Point], line: Line) -> frozenset[Point]:
     return frozenset(g for g in s if line.contains(g))
 
 
-def diameter_along(s: Iterable[Point], line: Line) -> int:
-    """Number of distinct lines parallel to `line` meeting the point set."""
-    return len({line.value(g) for g in s})
-
-
 # -- axes of symmetry -------------------------------------------------------
 
 
@@ -386,25 +381,3 @@ def axis_intersection(a: AxisOfSymmetry, b: AxisOfSymmetry) -> tuple[Fraction, F
     x = Fraction(la.c * lb.dx - lb.c * la.dx, det)
     y = Fraction(la.c * lb.dy - lb.c * la.dy, det)
     return (x, y)
-
-
-# -- strips -----------------------------------------------------------------
-
-
-def strip_points(line: Line, t: Fraction | int, anchor: Point = (0, 0)) -> Callable[[Point], bool]:
-    """Membership predicate of the strip of width t around the line through anchor.
-
-    Distance is Euclidean; the comparison is done on squared exact rationals.
-    """
-    t = Fraction(t)
-    if t <= 0:
-        raise GeometryError("strip width must be positive")
-    norm_sq = line.dx * line.dx + line.dy * line.dy
-    c = line.c
-    t_sq_scaled = t * t * norm_sq
-
-    def member(g: Point) -> bool:
-        v = line.value(psub(g, anchor)) - c
-        return v * v <= t_sq_scaled
-
-    return member

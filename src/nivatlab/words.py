@@ -20,18 +20,17 @@ from .geometry import ConvexLatticeSet, Line, Point, padd, pscale, psub
 
 @dataclass(frozen=True)
 class Word:
-    """A finite window of a sequence, indexed from start_index."""
+    """A finite window of a sequence."""
 
     letters: tuple[Hashable, ...]
-    start_index: int = 0
 
     def __post_init__(self) -> None:
         if not self.letters:
             raise ValueError("a word must be nonempty")
 
     @classmethod
-    def from_text(cls, text: str, start_index: int = 0) -> "Word":
-        return cls(tuple(text), start_index)
+    def from_text(cls, text: str) -> "Word":
+        return cls(tuple(text))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -200,7 +199,7 @@ def strip_word(
     if not ts:
         raise ValueError("t range must be nonempty")
     letters = tuple(extract_pattern(config, pts, padd(base, pscale(t, v))) for t in ts)
-    return Word(letters, start_index=ts[0])
+    return Word(letters)
 
 
 # -- null-area periodicity -----------------------------------------------------

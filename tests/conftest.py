@@ -258,6 +258,9 @@ PERIODIC_TABLES = [
      "every alphabet letter must occur in the fundamental domain"),
     (((2, 0), (0, 2)), [((0, 0), "a"), ((1, 0), "a")], "table covers 2 cosets, fundamental domain has 4"),
     (((2, 0), (4, 0)), [((0, 0), "z"), ((1, 0), "a")], "basis vectors must be linearly independent"),
+    # A huge basis: the check must not allocate a slot per coset.
+    (((100000000, 0), (0, 100000000)), [((0, 0), "a"), ((1, 0), "b")],
+     "table covers 2 cosets, fundamental domain has 10000000000000000"),
 ]
 
 

@@ -9,7 +9,9 @@ to a fresh copy of `src/` and `tests/` in a temporary directory, and
 red on purpose, is deselected.  Hypothesis runs under the `mutants` profile
 of `tests/conftest.py`, which does not shrink: the first failing example
 already kills the mutant.  A failing run kills the mutant.  Before any
-mutant, the same modules run once on the unchanged copy, which must pass.
+mutant, the same modules run once on the unchanged copy, which must pass;
+a mutant's run that takes three times that baseline's seconds is stopped,
+reported as `timed out`, and counts as killed.
 
 Every mutant must be killed, except those in EQUIVALENT, which change no
 result the tests can reach and must survive; the reason is given for each.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -82,10 +85,15 @@ MUTANTS = [
            "the enumeration domain is the torus [0, a) x [0, d) of the given basis, where some points differ "
            "by a period, and counts report its size"),
     Mutant("coverage-one-slot-short", "src/nivatlab/configurations.py",
-           'covered = a * d - torus.count("")', 'covered = a * d - torus[:-1].count("")',
+           'else a * d - torus.count("")', 'else a * d - torus[:-1].count("")',
            ("tests/test_configurations.py",),
            "a table that leaves the last torus slot empty passes the coverage check and draws the wrong "
            "diagnostic"),
+    Mutant("torus-guard-strict", "src/nivatlab/configurations.py",
+           "if a * d <= len(table) else", "if a * d < len(table) else",
+           ("tests/test_configurations.py",),
+           "a table that lists each coset once goes to the dict kept for tables too small to cover, and is "
+           "refused"),
     Mutant("letter-rotation-flipped", "src/nivatlab/configurations.py",
            "return self._rows[r][(g[0] - q * b) % a]", "return self._rows[r][(g[0] + q * b) % a]",
            ("tests/test_configurations.py",),
@@ -158,18 +166,30 @@ def _copy() -> Path:
     return root
 
 
-def _pytest(root: Path, tests: tuple[str, ...]) -> tuple[bool, float]:
-    """Whether pytest -x passes on the tests in the copy, and its seconds."""
+def _pytest(root: Path, tests: tuple[str, ...], limit: float | None = None) -> tuple[str, float]:
+    """How pytest -x ends on the tests in the copy, "passed", "failed" or
+    "timed out" after `limit` seconds, and its seconds.
+
+    pytest runs in its own session, so a run that times out is killed with
+    every process it started.
+    """
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
     start = perf_counter()
-    run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                          "--hypothesis-profile=mutants", "--deselect", CRITERION_3, *tests],
-                         cwd=root, env=env, capture_output=True, text=True)
-    return run.returncode == 0, perf_counter() - start
+    run = subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                            "--hypothesis-profile=mutants", "--deselect", CRITERION_3, *tests],
+                           cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                           start_new_session=True)
+    try:
+        outcome = "passed" if run.wait(timeout=limit) == 0 else "failed"
+    except subprocess.TimeoutExpired:
+        os.killpg(run.pid, signal.SIGKILL)
+        run.wait()
+        outcome = "timed out"
+    return outcome, perf_counter() - start
 
 
-def run_mutant(mutant: Mutant) -> tuple[bool, float]:
-    """(killed, seconds) of one mutant, applied to a fresh copy."""
+def run_mutant(mutant: Mutant, limit: float) -> tuple[str, float]:
+    """How the tests end on one mutant, applied to a fresh copy, and their seconds."""
     root = _copy()
     try:
         path = root / mutant.path
@@ -177,8 +197,7 @@ def run_mutant(mutant: Mutant) -> tuple[bool, float]:
         if text.count(mutant.old) != 1:
             raise SystemExit(f"{mutant.name}: the old text occurs {text.count(mutant.old)} times in {mutant.path}")
         path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-        passed, seconds = _pytest(root, mutant.tests)
-        return not passed, seconds
+        return _pytest(root, mutant.tests, limit)
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
@@ -192,20 +211,24 @@ def main(argv: list[str]) -> int:
     modules = tuple(sorted({t for m in chosen for t in m.tests}))
     root = _copy()
     try:
-        passed, seconds = _pytest(root, modules)
+        outcome, seconds = _pytest(root, modules)
     finally:
         shutil.rmtree(root, ignore_errors=True)
-    print(f"baseline {'passed' if passed else 'FAILED'} in {seconds:.1f} s: {' '.join(modules)}")
-    if not passed:
+    print(f"baseline {outcome} in {seconds:.1f} s: {' '.join(modules)}")
+    if outcome != "passed":
         return 2
+    # Each mutant runs some of the baseline's modules, so a run three times
+    # as long as the baseline is taken not to terminate, and counts as killed.
+    limit = 3 * seconds
     unexpected = 0
     for mutant in chosen:
-        killed, seconds = run_mutant(mutant)
+        outcome, seconds = run_mutant(mutant, limit)
+        killed = outcome != "passed"
         expected = mutant.name not in EQUIVALENT
-        verdict = "killed" if killed else "survived"
+        verdict = {"passed": "survived", "failed": "killed"}.get(outcome, outcome)
         note = "" if killed == expected else "  UNEXPECTED"
         unexpected += killed != expected
-        print(f"{mutant.name:32s} {verdict:8s} {seconds:6.1f} s{note}")
+        print(f"{mutant.name:32s} {verdict:9s} {seconds:6.1f} s{note}")
         if killed != expected:
             print(f"    {EQUIVALENT.get(mutant.name, mutant.why)}")
     return 1 if unexpected else 0

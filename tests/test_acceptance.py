@@ -7,11 +7,12 @@ lines and timings.
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 from nivatlab.complexity import complexity, complexity_table
-from nivatlab.configurations import DiagonalFamily
+from nivatlab.configurations import DiagonalFamily, WindowSample
 from nivatlab.errors import GeometryError, HypothesisNotMet
 from nivatlab.geometry import block, convex_hull, is_quasi_regular
 from nivatlab.structure import (
@@ -24,7 +25,7 @@ from nivatlab.structure import (
     verify_strip_lemma,
 )
 from nivatlab.verifier import Verdict, diagonal_expected, nivat_check
-from nivatlab.words import MHStatus, Word, fine_wilf, mh_check
+from nivatlab.words import MHStatus, NullAreaStatus, Word, fine_wilf, mh_check, null_area_period
 
 from conftest import (
     HORIZONTAL,
@@ -263,3 +264,39 @@ def test_criterion_11_global_soundness():
             violations += 1
     report(11, "200 random configurations through the verifier, zero VIOLATION",
            t0, 60, violations == 0, f"violations={violations}")
+
+
+def test_criterion_12_null_area_corollary():
+    # A segment S with P(S) <= |S| + |A| - 2 forces a period parallel to S
+    # with at most that many steps: the null-area corollary of the
+    # alphabetical periodicity bound for words.
+    t0 = time.time()
+    rng = random.Random(5)
+    ab = Alphabet(("a", "b"))
+    bodies = [DIAG]
+    for i in range(180):
+        bodies.append(random_doubly_periodic(rng) if i % 2 else random_finite_defect(rng, ab))
+    box = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
+    statuses = Counter()
+    ok = True
+    for cfg in bodies:
+        for v in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)):
+            for k in range(2, 7):
+                rep = null_area_period(cfg, convex_hull([(t * v[0], t * v[1]) for t in range(k)]))
+                statuses[rep.status] += 1
+                if rep.status is NullAreaStatus.PERIOD_FOUND:
+                    # The period is t steps along the segment, 1 <= t <= bound,
+                    # and moves no letter of a box around the origin.
+                    h = rep.period
+                    ok = ok and rep.carrier in (v, (-v[0], -v[1])) and rep.factor_count <= rep.bound
+                    ok = ok and any(h == (t * rep.carrier[0], t * rep.carrier[1]) for t in range(1, rep.bound + 1))
+                    ok = ok and all(cfg.letter_at(g) == cfg.letter_at((g[0] + h[0], g[1] + h[1])) for g in box)
+                elif rep.status is NullAreaStatus.HYPOTHESIS_FAILS:
+                    ok = ok and rep.factor_count > rep.bound
+                else:
+                    ok = False
+    window = WindowSample(ab, (0, 0), ["abab", "baba"])
+    ok = ok and null_area_period(window, convex_hull([(0, 0), (1, 0)])).status is NullAreaStatus.NOT_CERTIFIABLE
+    ok = ok and statuses[NullAreaStatus.PERIOD_FOUND] > 0 and statuses[NullAreaStatus.HYPOTHESIS_FAILS] > 0
+    report(12, f"null-area corollary on {len(bodies)} bodies x 30 segments, zero VIOLATION", t0, 5, ok,
+           ", ".join(f"{s.value}={n}" for s, n in sorted(statuses.items(), key=lambda e: e[0].value)))

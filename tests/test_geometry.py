@@ -14,11 +14,9 @@ from nivatlab.geometry import (
     axis_intersection,
     block,
     convex_hull,
-    diameter_along,
     is_quasi_regular,
     is_vertex,
     line_section,
-    strip_points,
     supporting_line,
 )
 
@@ -258,7 +256,6 @@ class TestLines:
         for pts in (s, s.points, list(s.cells)):
             assert supporting_line(pts, line) == supporting_line(s, line)
             assert line_section(pts, Line(2, -1, 3)) == line_section(s, Line(2, -1, 3))
-            assert diameter_along(pts, line) == diameter_along(s, line)
 
     @given(
         st.integers(-5, 5), st.integers(-5, 5), st.integers(-10, 10)
@@ -320,32 +317,3 @@ class TestAntiparallelSections:
                     continue
                 section = sum(1 for g in s.points if carrier.value(g) == c)
                 assert section >= shorter - 1
-
-
-class TestStrips:
-    def test_horizontal_width_one(self):
-        member = strip_points(Line(1, 0, 0), 1)
-        rows = {y for x in range(-3, 4) for y in range(-3, 4) if member((x, y))}
-        assert rows == {-1, 0, 1}
-
-    def test_diagonal_half_width(self):
-        member = strip_points(Line(1, 1, 0), Fraction(1, 2))
-        inside = {
-            (x, y) for x in range(-3, 4) for y in range(-3, 4) if member((x, y))
-        }
-        assert inside == {(t, t) for t in range(-3, 4)}
-
-    def test_narrow_horizontal(self):
-        member = strip_points(Line(1, 0, 0), Fraction(1, 10))
-        assert member((5, 0)) and not member((5, 1))
-
-    def test_nonpositive_width_rejected(self):
-        with pytest.raises(GeometryError):
-            strip_points(Line(1, 0, 0), 0)
-
-
-class TestDiameter:
-    def test_examples(self):
-        assert diameter_along(block(3, 4), Line(1, 0, 0)) == 4
-        assert diameter_along(block(3, 4), Line(0, 1, 0)) == 3
-        assert diameter_along(block(3, 3), Line(1, 1, 0)) == 5
