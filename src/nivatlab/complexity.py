@@ -16,12 +16,13 @@ back, read in slices rather than cell by cell:
   runs along each row.  Each body row the translates reach is read once and
   cut by one `itemgetter` of slices per distinct run (offset, length), so a
   run's pieces over every translate come out in C; one `zip` joins the runs'
-  piece lists into keys.  A doubly periodic body counts over the torus of
-  its period lattice (`DoublyPeriodic.translate_box`), its enumeration
-  domain, and reports that torus's size as `translates_examined`.
+  piece lists into keys.  Both bodies' enumeration domains are a
+  `TranslateBox`, read as its two ranges: a doubly periodic body counts over
+  the torus of its period lattice and reports that torus's size as
+  `translates_examined`.
 - Band words (`DiagonalFamily`): a letter depends only on x - y, so a key is
   one factor of the band word per maximal run of the cells' x - y values.
-  The translates' x - y shifts form a `range` (the sweep's offsets, or a
+  The translates' x - y shifts form a `range` (the sweep's x offsets, or a
   directional language's shifts, stepped by vx - vy), so each run's factors
   are cut straight off one band word (`_band_keys`).
 - Defects (`FiniteDefect`): a translate of the domain meets a defect or is the
@@ -198,17 +199,20 @@ def _defect_keys(
 def _domain_keys(
     config: Configuration, cells: tuple[Point, ...]
 ) -> tuple[set[str], tuple[int, ...], int]:
-    """The keys of the cells over their domain (its `translate_box` for row-slice
-    bodies), their index, and the domain's size."""
-    if isinstance(config, (DoublyPeriodic, WindowSample)):
-        size = config.domain_size(cells)  # a window that cannot fit the cells raises here
-        return (*_row_keys(config.row, cells, *config.translate_box(cells)), size)
+    """The keys of the cells over their enumeration domain, their index, and
+    the domain's size.  A box body's domain, from one `enumeration_domain`
+    call, is read as its ranges; a window that cannot fit the cells raises
+    there.  A defect body's domain is read off its defects."""
     if isinstance(config, FiniteDefect):
         return _defect_keys(config, cells)
     domain = config.enumeration_domain(cells)
-    if isinstance(config, DiagonalFamily):
-        return (*_band_keys(config, cells, domain.offsets), len(domain))
-    return (*_letter_keys(config, cells, domain), len(domain))
+    if isinstance(config, (DoublyPeriodic, WindowSample)):
+        keys = _row_keys(config.row, cells, domain.xs, domain.ys)
+    elif isinstance(config, DiagonalFamily):
+        keys = _band_keys(config, cells, domain.xs)
+    else:
+        keys = _letter_keys(config, cells, domain)
+    return (*keys, len(domain))
 
 
 def _require_exact(exactness: Exactness) -> None:
@@ -246,7 +250,7 @@ class _Counter:
             return cached
         if self.keys is None:
             if self.config.exactness is not Exactness.EXACT:
-                self.config.domain_size(points)  # raises when the subset fits nowhere
+                self.config.enumeration_domain(points)  # raises when the subset fits nowhere
                 _require_exact(self.config.exactness)
             self.keys, index, _ = _domain_keys(self.config, self._root)
             self._position = dict(zip(self._root, index))
@@ -328,7 +332,7 @@ def _grown_column(
 
     Each body row from the lowest translate of block(n, 1) to the top of the
     highest of block(n, k_max) is read once and cut into its width-n pieces,
-    one per x of the translate box, into one flat list, row after row.
+    one per x of the domain, into one flat list, row after row.
     Block(n, 1)'s keys are the pieces of its rows of translates.  At a
     translate, block(n, k)'s key is block(n, k - 1)'s plus the piece of the
     row k - 1 above it: one `map(add, ...)` of the keys and the pieces from
@@ -342,8 +346,9 @@ def _grown_column(
     translates.  Each block reports its own translates as translates
     examined: a * d on a torus, as `complexity` does.
     """
-    xs, ys = config.translate_box(((0, 0), (n - 1, 0)))
-    top = config.translate_box(((0, 0), (n - 1, k_max - 1)))[1][-1] + k_max
+    row = config.enumeration_domain(((0, 0), (n - 1, 0)))
+    xs, ys = row.xs, row.ys
+    top = config.enumeration_domain(((0, 0), (n - 1, k_max - 1))).ys[-1] + k_max
     cut = _cutter(len(xs), 0, n)
     pieces = list(chain.from_iterable(cut(config.row(y, xs[0], xs[-1] + n)) for y in range(ys[0], top)))
     keys, distinct = pieces[:len(xs) * len(ys)], False
@@ -365,9 +370,9 @@ def _factor_counts(config: DiagonalFamily, longest: int) -> list[tuple[int, int]
     """
     out = []
     for length in range(1, longest + 1):
-        size = config.block_domain_size(length, 1)
-        word = config.band(-(size // 2), size // 2 + length)
-        out.append((len({word[i:i + length] for i in range(size)}), size))
+        sweep = config.enumeration_domain(((0, 0), (length - 1, 0))).xs
+        word = config.band(sweep[0], sweep[-1] + length)
+        out.append((len({word[i:i + length] for i in range(len(sweep))}), len(sweep)))
     return out
 
 
@@ -416,7 +421,7 @@ def complexity_table(
         raise ValueError("table dimensions must be positive")
     heights = {k: tuple((x, y) for x in range(n_max) for y in range(k)) for k in range(1, k_max + 1)}
     if isinstance(config, WindowSample):
-        config.domain_size(heights[k_max])  # raises when the window cannot fit the tallest block
+        config.enumeration_domain(heights[k_max])  # raises when the window cannot fit the tallest block
     if isinstance(config, (DoublyPeriodic, WindowSample)):
         columns = (_grown_column(config, n, k_max) for n in range(1, n_max + 1))
     elif isinstance(config, DiagonalFamily):

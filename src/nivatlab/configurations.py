@@ -12,7 +12,7 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import product
 from math import gcd, isqrt
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
@@ -175,12 +175,16 @@ class Configuration:
         raise NotImplementedError
 
     def enumeration_domain(self, shape: Iterable[Point]) -> Sequence[Point]:
-        """Translates whose shape-patterns realize the language, as `exactness` says."""
-        raise NotImplementedError
+        """Translates whose shape-patterns realize the language, as `exactness` says.
 
-    def domain_size(self, shape: Iterable[Point]) -> int:
-        """len(enumeration_domain(shape)), and the same errors."""
-        return len(self.enumeration_domain(shape))
+        Contract: a `Sequence` of translates in domain order, the order in
+        which `m_classes` meets them, and its length is the
+        `translates_examined` of every count over it.  A doubly periodic
+        body, a window and the diagonal family return a `TranslateBox`, whose
+        `xs` and `ys` the kernel reads.  A window raises UnknownLetterError
+        when the shape fits nowhere inside it.
+        """
+        raise NotImplementedError
 
     def is_period(self, h: Point) -> bool:
         """Whether h is a global period; only meaningful when periods_certified()."""
@@ -224,6 +228,34 @@ def extract_pattern(config: Configuration, shape: ConvexLatticeSet | Iterable[Po
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
+
+
+class TranslateBox(Sequence):
+    """The read-only sequence of translates (x, y) for x in `xs` and y in `ys`, two ranges.
+
+    It is x-major, and has the length, order and indexing of the tuple of
+    `product(xs, ys)`; a slice gives a tuple.  It costs O(1) to build.
+    """
+
+    __slots__ = ("xs", "ys")
+
+    def __init__(self, xs: range, ys: range) -> None:
+        self.xs, self.ys = xs, ys
+
+    def __len__(self) -> int:
+        return len(self.xs) * len(self.ys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        x, y = divmod(range(len(self))[i], len(self.ys))
+        return (self.xs[x], self.ys[y])
+
+    def __iter__(self) -> Iterator[Point]:
+        return product(self.xs, self.ys)
+
+    def __repr__(self) -> str:
+        return f"TranslateBox({self.xs!r}, {self.ys!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +312,7 @@ class DoublyPeriodic(Configuration):
         self._hnf = _period_lattice((b1, b2), (a, b, d), rows)  # (a', b', d') of the period lattice
         a, _, d = self._hnf
         self._rows = tuple(row[:a] for row in rows[:d])  # torus row y, x < a'
-        self._domain = tuple(product(range(a), range(d)))  # the torus [0, a') x [0, d'), x-major
+        self._domain = TranslateBox(range(a), range(d))  # the torus [0, a') x [0, d')
         self._orbit_bases: dict[Point, tuple[int, int, int]] = {}  # v -> _orbit_basis(v)
 
     @classmethod
@@ -297,8 +329,13 @@ class DoublyPeriodic(Configuration):
         q, r = divmod(g[1], d)
         return self._rows[r][(g[0] - q * b) % a]
 
-    def enumeration_domain(self, shape: Iterable[Point]) -> tuple[Point, ...]:
-        """The torus [0, a) x [0, d) of the period lattice, x-major (see translate_box)."""
+    def enumeration_domain(self, shape: Iterable[Point]) -> TranslateBox:
+        """The torus [0, a) x [0, d), where (a, 0), (b, d) is the HNF of the period lattice.
+
+        It holds one point of each class modulo the period lattice, whose
+        vectors are all periods, so the patterns at its points are every
+        pattern of the body, and no two of its points differ by a period.
+        """
         return self._domain
 
     def row(self, y: int, lo: int, hi: int) -> str:
@@ -313,17 +350,6 @@ class DoublyPeriodic(Configuration):
         word = self._rows[r]
         s, n = (lo - q * b) % a, hi - lo
         return (word * _ceil_div(s + n, a))[s:s + n]
-
-    def translate_box(self, shape: Iterable[Point]) -> tuple[range, range]:
-        """The torus [0, a) x [0, d), where (a, 0), (b, d) is the HNF of the period lattice.
-
-        Contract: the torus is the enumeration domain.  It holds one point of
-        each class modulo the period lattice, whose vectors are all periods,
-        so the patterns at its points are every pattern of the body, and no
-        two of its points differ by a period.
-        """
-        a, _, d = self._hnf
-        return range(a), range(d)
 
     def is_period(self, h: Point) -> bool:
         """Whether h is a nonzero vector of the period lattice."""
@@ -480,33 +506,6 @@ def _sigma(c: int) -> int:
     return c * (c + 1) // 2 - 15
 
 
-class Sweep(Sequence):
-    """The read-only sequence of translates (d, 0) for d in `offsets`, a range.
-
-    It has the length, order, indexing and slicing of the list of those
-    translates, and costs O(1) to build; `list(sweep)` gives the list.
-    """
-
-    __slots__ = ("offsets",)
-
-    def __init__(self, offsets: range) -> None:
-        self.offsets = offsets
-
-    def __len__(self) -> int:
-        return len(self.offsets)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Sweep(self.offsets[i])
-        return (self.offsets[i], 0)
-
-    def __iter__(self) -> Iterator[Point]:
-        return zip(self.offsets, repeat(0))
-
-    def __repr__(self) -> str:
-        return f"Sweep({self.offsets!r})"
-
-
 class DiagonalFamily(Configuration):
     """The two-letter family: black exactly where x - y is 0 or +-(6+7+...+c), c >= 6.
 
@@ -583,16 +582,12 @@ class DiagonalFamily(Configuration):
         """
         return _sigma(max(6, width) + 2 * abs(k) + 2) + width + 1
 
-    def enumeration_domain(self, shape: Iterable[Point]) -> Sweep:
+    def enumeration_domain(self, shape: Iterable[Point]) -> TranslateBox:
         """The sweep (d, 0), -m - lo <= d <= m - lo, where lo is the least x - y of
         the shape: the window minimum lo + d runs across [-m, m]."""
         lo, hi = self._delta_span(shape)
         m = self._reach(hi - lo)
-        return Sweep(range(-m - lo, m - lo + 1))
-
-    def block_domain_size(self, n: int, k: int) -> int:
-        """The sweep of block(n, k), whose x - y values run from -(k - 1) to n - 1."""
-        return 2 * self._reach(n + k - 2) + 1
+        return TranslateBox(range(-m - lo, m - lo + 1), range(1))
 
     def directional_translates(self, shape, base, v) -> Sequence[int]:
         k = v[0] - v[1]
@@ -662,32 +657,29 @@ class WindowSample(Configuration):
             and self.origin[1] <= g[1] < self.origin[1] + self.height
         )
 
-    def translate_box(self, shape: Iterable[Point]) -> tuple[range, range]:
-        """The x and y ranges of the translates that keep the shape inside the window."""
+    def _box(self, shape: Iterable[Point]) -> TranslateBox:
+        """The translates that keep the shape inside the window, possibly none."""
         pts = as_points(shape)
         xs = [g[0] for g in pts]
         ys = [g[1] for g in pts]
         x_lo, x_hi = self.origin[0] - min(xs), self.origin[0] + self.width - 1 - max(xs)
         y_lo, y_hi = self.origin[1] - min(ys), self.origin[1] + self.height - 1 - max(ys)
-        return range(x_lo, x_hi + 1), range(y_lo, y_hi + 1)
+        return TranslateBox(range(x_lo, x_hi + 1), range(y_lo, y_hi + 1))
 
-    def enumeration_domain(self, shape: Iterable[Point]) -> tuple[Point, ...]:
-        self.domain_size(shape)  # raises when the shape fits nowhere
-        return tuple(product(*self.translate_box(shape)))
-
-    def domain_size(self, shape: Iterable[Point]) -> int:
-        """The number of in-window translates, read off the translate box."""
-        xs, ys = self.translate_box(shape)
-        if not (xs and ys):
+    def enumeration_domain(self, shape: Iterable[Point]) -> TranslateBox:
+        """The in-window translates; UnknownLetterError when there are none."""
+        box = self._box(shape)
+        if not box:
             raise UnknownLetterError(
                 f"the {self.width}x{self.height} window cannot fit the shape anywhere"
             )
-        return len(xs) * len(ys)
+        return box
 
     def directional_translates(self, shape, base, v) -> range:
         """The steps t that keep shape + base + t*v inside the window."""
         lows, highs = [], []
-        for r, b, s in zip(self.translate_box(shape), base, v):
+        box = self._box(shape)
+        for r, b, s in zip((box.xs, box.ys), base, v):
             if not r or not (s or b in r):
                 return range(0)
             if s:

@@ -62,7 +62,7 @@ MUTANTS = [
            ("tests/test_complexity.py",),
            "a defect count misses the all-background pattern of the translates that meet no defect"),
     Mutant("factor-sweep-one-short", "src/nivatlab/complexity.py",
-           "for i in range(size)}", "for i in range(size - 1)}",
+           "for i in range(len(sweep))}", "for i in range(len(sweep) - 1)}",
            ("tests/test_complexity.py", "tests/test_acceptance.py"),
            "a diagonal table reads one length-L factor fewer of its sweep"),
     Mutant("lattice-survivor-dropped", "src/nivatlab/configurations.py",
@@ -80,10 +80,20 @@ MUTANTS = [
            ("tests/test_complexity.py",),
            "a torus table reports |det| of the given basis as translates instead of the a' * d' it reads"),
     Mutant("domain-over-basis-torus", "src/nivatlab/configurations.py",
-           "tuple(product(range(a), range(d)))", "tuple(product(*map(range, _hnf(b1, b2)[::2])))",
+           "TranslateBox(range(a), range(d))", "TranslateBox(*map(range, _hnf(b1, b2)[::2]))",
            ("tests/test_configurations.py",),
            "the enumeration domain is the torus [0, a) x [0, d) of the given basis, where some points differ "
            "by a period, and counts report its size"),
+    Mutant("box-y-major", "src/nivatlab/configurations.py",
+           "return product(self.xs, self.ys)", "return product(self.ys, self.xs)",
+           ("tests/test_configurations.py",),
+           "a translate box iterates y-major, so its order disagrees with its indexing and m_classes meets "
+           "the translates in another order"),
+    Mutant("box-index-wrong-axis", "src/nivatlab/configurations.py",
+           "divmod(range(len(self))[i], len(self.ys))", "divmod(range(len(self))[i], len(self.xs))",
+           ("tests/test_configurations.py",),
+           "a translate box splits an index by the length of the wrong range, so a box that is not square "
+           "gives the wrong translate or raises IndexError"),
     Mutant("coverage-one-slot-short", "src/nivatlab/configurations.py",
            'else a * d - torus.count("")', 'else a * d - torus[:-1].count("")',
            ("tests/test_configurations.py",),

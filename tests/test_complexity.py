@@ -363,7 +363,8 @@ class TestPeriodQuotient:
     def test_sheared_torus_and_rows(self):
         """The basis (30, 0), (7, 20) rotates each row by 7 per 20 rows; rows with gaps split."""
         cfg = sheared_doubly_periodic(random.Random(3), 30, 20, 7)
-        assert cfg.translate_box(()) == (range(30), range(20))
+        torus = cfg.enumeration_domain(())
+        assert (torus.xs, torus.ys) == (range(30), range(20))
         for y in (-41, -20, -1, 0, 13, 20, 27, 45):
             assert cfg.row(y, -35, 40) == "".join(cfg.letter_at((x, y)) for x in range(-35, 40))
             assert cfg.row(y + 20, 7, 37) == cfg.row(y, 0, 30)

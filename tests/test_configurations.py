@@ -1,10 +1,8 @@
 import copy
 import pickle
 import random
-from collections.abc import Sequence
 from fractions import Fraction
-from itertools import combinations
-from math import prod
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +24,7 @@ from nivatlab.configurations import (
     Exactness,
     FiniteDefect,
     Pattern,
+    TranslateBox,
     WindowSample,
     config_from_dict,
     extract_pattern,
@@ -134,7 +133,7 @@ class TestPeriodicTableDiagnostics:
         once = DoublyPeriodic(ab, basis, dict(entries[:-1]))
         assert basis_det(cfg) == len(entries) - 1
         # The domain is the torus of the period lattice, whose index is read by brute force.
-        assert cfg.enumeration_domain(()) == once.enumeration_domain(())
+        assert list(cfg.enumeration_domain(())) == list(once.enumeration_domain(()))
         assert len(cfg.enumeration_domain(())) == brute_torus_size(cfg)
         box = [(x, y) for x in range(-5, 6) for y in range(-5, 6)]
         assert [cfg.letter_at(g) for g in box] == [once.letter_at(g) for g in box]
@@ -146,7 +145,8 @@ class TestPeriodicTableDiagnostics:
                 "table": [[list(g), a] for g, a in entries]}
         if message is None:
             cfg = config_from_dict(spec)
-            assert cfg.enumeration_domain(()) == DoublyPeriodic(cfg.alphabet, basis, dict(entries)).enumeration_domain(())
+            built = DoublyPeriodic(cfg.alphabet, basis, dict(entries))
+            assert list(cfg.enumeration_domain(())) == list(built.enumeration_domain(()))
             assert all(cfg.letter_at(g) == a for g, a in entries)
         else:
             with pytest.raises(ConfigurationError) as exc:
@@ -355,6 +355,17 @@ EXACTNESS_BODIES = {
     "window": WindowSample(Alphabet(("a", "b")), (-2, 1), ["abbab", "babba", "abaab", "bbaba"]),
 }
 
+# The box bodies, each with shapes to take its domain of: the torus of the
+# checkerboard is 2 x 1, of the sheared body 30 x 20, and the diagonal
+# family's sweep is one row.
+BOX_BODIES = {
+    "checkerboard": (DoublyPeriodic.from_rows(Alphabet(("a", "b")), ["ab", "ba"]), [block(3, 3).points]),
+    "sheared": (sheared_doubly_periodic(random.Random(3), 30, 20, 7), [block(2, 2).points, HEXAGON.points]),
+    "window": (EXACTNESS_BODIES["window"], [block(2, 2).points, [(0, 0), (3, 1)]]),
+    "diagonal": (DiagonalFamily(), [block(1, 1).points, block(3, 4).translate((5, -2)).points,
+                                    [(0, 0), (3, 1)], HEXAGON.translate((-7, 30)).points]),
+}
+
 
 class TestEnumerationDomains:
     """Each domain's translates in order, and the exactness every report takes from its body.
@@ -394,28 +405,39 @@ class TestEnumerationDomains:
             # The sweep is symmetric about minus the least x - y of the shape.
             assert first + dom[-1][0] == -2 * min(x - y for x, y in cells)
 
-    def test_diagonal_domain_is_a_sweep_view(self, diagonal):
-        """The sweep is a read-only sequence with the length, order, indexing and
-        slicing of the list of its translates."""
-        for cells in [block(1, 1).points, block(3, 4).translate((5, -2)).points, [(0, 0), (3, 1)],
-                      HEXAGON.translate((-7, 30)).points]:
-            dom = diagonal.enumeration_domain(cells)
-            lo, m = min(x - y for x, y in cells), len(dom) // 2
-            old = [(d, 0) for d in range(-m - lo, m - lo + 1)]
-            assert isinstance(dom, Sequence) and not isinstance(dom, list)
-            assert len(dom) == len(old) and list(dom) == old and list(reversed(dom)) == old[::-1]
-            for i in (0, 1, m, len(old) - 1, -1, -2, -m, -len(old)):
+    @pytest.mark.parametrize("kind", sorted(BOX_BODIES))
+    def test_box_domain_is_a_product_view(self, kind):
+        """A box body's domain is a read-only sequence with the length, order,
+        indexing, slicing and search of the list of `product(xs, ys)`."""
+        cfg, shapes = BOX_BODIES[kind]
+        for cells in shapes:
+            dom = cfg.enumeration_domain(cells)
+            assert isinstance(dom, TranslateBox) and isinstance(dom.xs, range) and isinstance(dom.ys, range)
+            old = list(product(dom.xs, dom.ys))
+            n = len(old)
+            if kind == "diagonal":  # the sweep (d, 0): the window minimum lo + d runs across [-m, m]
+                lo, m = min(x - y for x, y in cells), n // 2
+                assert old == [(d, 0) for d in range(-m - lo, m - lo + 1)]
+            assert len(dom) == n and list(dom) == old and list(reversed(dom)) == old[::-1]
+            for i in (0, 1, n // 2, n - 1, -1, -2, -(n // 2), -n):
                 assert dom[i] == old[i]
             for s in (slice(None), slice(3, 9), slice(-5, None), slice(None, -7), slice(None, None, -2),
-                      slice(10, 2, -3), slice(len(old) + 5, None)):
-                assert isinstance(dom[s], Sequence) and list(dom[s]) == old[s]
-            for i in (len(old), -len(old) - 1):
+                      slice(10, 2, -3), slice(n + 5, None)):
+                assert dom[s] == tuple(old[s])
+            for i in (n, -n - 1):
                 with pytest.raises(IndexError):
                     dom[i]
-            assert old[7] in dom and (old[0][0] - 1, 0) not in dom and (old[3][0], 1) not in dom
-            assert dom.index(old[5]) == 5 and dom.count(old[0]) == 1
+            assert old[n // 2] in dom and old[-1] in dom
+            assert (dom.xs[0] - 1, dom.ys[0]) not in dom and (dom.xs[-1], dom.ys[-1] + 1) not in dom
+            assert dom.index(old[-1]) == n - 1 and dom.count(old[0]) == 1
             with pytest.raises(TypeError):
                 dom[0] = (0, 0)
+
+    def test_one_domain_method(self):
+        """`enumeration_domain` is the only domain method of every body."""
+        for cfg in EXACTNESS_BODIES.values():
+            for name in ("translate_box", "domain_size", "block_domain_size"):
+                assert not hasattr(cfg, name), (type(cfg).__name__, name)
 
     def test_window_domain_is_lower_bound(self, ab):
         w = WindowSample(ab, (0, 0), ["ab" * 3] * 6)
@@ -449,18 +471,19 @@ class TestEnumerationDomains:
     def test_diagonal_domain_sizes_in_closed_form(self, diagonal):
         # 2m + 1 translates with m = sigma(max(6, w) + 2) + w + 1, where w is
         # the shape's x - y width and sigma(c) = 6 + 7 + ... + c: 45 for one
-        # cell, 723 for block(13, 13) (w = 24).
+        # cell, 723 for block(13, 13) (w = 24).  A table reports the same sizes.
+        table = complexity_table(diagonal, 13, 13)
         for (n, k), size in [((1, 1), 45), ((3, 4), 55), ((13, 13), 723)]:
-            assert diagonal.domain_size(block(n, k).points) == size
             assert len(diagonal.enumeration_domain(block(n, k).points)) == size
-            assert diagonal.block_domain_size(n, k) == size
+            assert table[n, k].translates_examined == size
 
     @settings(max_examples=120, deadline=None)
     @given(st.sampled_from(CONTRACT_KINDS), st.integers(0, 10**6), st.data())
     def test_domain_size_is_the_domain_length(self, kind, seed, data):
-        """`domain_size` is `len(enumeration_domain)` on blocks, hexagons,
-        point sets whose x - y values have gaps and the empty shape, with the
-        same errors; a count examines exactly the domain's translates."""
+        """`len(enumeration_domain)` is the number of translates the domain
+        yields on blocks, hexagons, point sets whose x - y values have gaps and
+        the empty shape, with the same errors; a count examines exactly the
+        domain's translates."""
         cfg, _ = _contract_body(kind, random.Random(seed))
         at = data.draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
         a, b, c = data.draw(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)))
@@ -478,17 +501,19 @@ class TestEnumerationDomains:
                     return call(cells)
                 except Exception as err:
                     return type(err), str(err)
-            assert outcome(cfg.domain_size) == outcome(lambda g: len(cfg.enumeration_domain(g)))
+            assert (outcome(lambda g: len(cfg.enumeration_domain(g)))
+                    == outcome(lambda g: len(list(cfg.enumeration_domain(g)))))
             return
-        if isinstance(cfg, WindowSample) and not all(cfg.translate_box(cells)):
+        span = [max(v) - min(v) + 1 for v in zip(*cells)]
+        if isinstance(cfg, WindowSample) and (span[0] > cfg.width or span[1] > cfg.height):
             message = f"the {cfg.width}x{cfg.height} window cannot fit the shape anywhere"
-            for call in (cfg.domain_size, cfg.enumeration_domain, lambda g: complexity(cfg, g)):
+            for call in (cfg.enumeration_domain, lambda g: complexity(cfg, g)):
                 with pytest.raises(UnknownLetterError) as err:
                     call(cells)
                 assert str(err.value) == message
             return
         size = len(cfg.enumeration_domain(cells))
-        assert cfg.domain_size(cells) == size
+        assert len(list(cfg.enumeration_domain(cells))) == size
         assert complexity(cfg, cells).translates_examined == size
 
 
@@ -629,13 +654,14 @@ class TestPeriods:
         bodies.append(DoublyPeriodic(Alphabet(("a", "b")), ((30, 0), (7, 20)),
                                      {(x, y): "ab"[(x * y + x) % 3 == 0]
                                       for x in range(30) for y in range(20)}))
-        finer = [cfg for cfg in bodies if basis_det(cfg) > prod(map(len, cfg.translate_box(())))]
+        finer = [cfg for cfg in bodies if basis_det(cfg) > len(cfg.enumeration_domain(()))]
         assert len(finer) >= 8  # bodies whose period lattice is finer than their basis lattice
         for cfg in bodies:
             domain = basis_domain(cfg.basis)
-            xs, ys = cfg.translate_box(block(2, 2))
+            torus = cfg.enumeration_domain(block(2, 2))
+            xs, ys = torus.xs, torus.ys
             assert xs.start == ys.start == 0 and xs.step == ys.step == 1
-            assert cfg.enumeration_domain(block(2, 2)) == tuple((x, y) for x in xs for y in ys)
+            assert list(torus) == [(x, y) for x in xs for y in ys]
             assert list(cfg._rows) == [cfg.row(y, 0, len(xs)) for y in ys]  # the body keeps this torus only
             # The periods modulo the basis lattice, one per class of the domain.
             periods = [h for h in domain if brute_is_period(cfg, h)]
@@ -667,7 +693,7 @@ class TestPeriods:
             d = next(y for y in range(1, det + 1) if any(brute_is_period(cfg, (x, y)) for x in range(a)))
             finer += a * d < det
             domain = cfg.enumeration_domain(HEXAGON.points)
-            assert domain == tuple(sorted((x, y) for x in range(a) for y in range(d))), cfg.basis
+            assert list(domain) == sorted((x, y) for x in range(a) for y in range(d)), cfg.basis
             assert not any(brute_is_period(cfg, psub(u2, u)) for u, u2 in combinations(domain, 2)), cfg.basis
             for g in cosets:
                 assert sum(brute_is_period(cfg, psub(g, u)) for u in domain) == 1, (cfg.basis, g)
@@ -730,6 +756,6 @@ class TestPeriods:
         box of translates is its whole domain, and a defect body has no box."""
         window = WindowSample(ab, (-2, 1), ["ab" * 4] * 8)
         for cells in [((0, 0),), ((0, 0), (2, 1)), tuple(sorted(block(3, 2).points))]:
-            xs, ys = window.translate_box(cells)
-            assert [(x, y) for x in xs for y in ys] == list(window.enumeration_domain(cells))
-        assert not hasattr(one_defect, "translate_box")
+            domain = window.enumeration_domain(cells)
+            assert [(x, y) for x in domain.xs for y in domain.ys] == list(domain)
+            assert isinstance(one_defect.enumeration_domain(cells), list)
