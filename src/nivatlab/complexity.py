@@ -35,20 +35,16 @@ T-pattern at u is the restriction of the S-pattern at u.  So on an exact
 body, S's keys determine T's language, and `_Counter` counts T as the
 number of distinct projections of S's keys onto T's positions in a key; when
 those positions form one run, each projection is one slice of a key.  The
-structure searches count their subsets that way, and defect tables their
-blocks.
+structure searches count their subsets that way.
 
 Block tables go by body kind.  Row-slice bodies grow each column
 (`_grown_column`): block(n, k)'s key at a translate is block(n, k - 1)'s
 plus one width-n piece of the next row, and a column stops growing once its
 keys are all distinct.  On the diagonal family block(n, k)'s patterns are
 the band word's factors of length n + k - 1, so one count per length serves
-every block of that length (`_factor_counts`).  Defect bodies project: the
-keys of block(n_max, k_max) are read once, every block is counted from its
-positions in them, and each column grows one set of met translates row by
-row for the translate counts (`_projected_column`).  No per-block domain is
-built for these four kinds; any other body counts each block over its own
-domain.
+every block of that length (`_factor_counts`).  Any other body, a defect
+body among them, counts each block over its own domain, as `complexity`
+does.
 
 Languages wrap each key as a `Pattern` whose letter string is the key
 respelled in cell order, over one offsets tuple that every pattern of the
@@ -224,7 +220,8 @@ def _require_exact(exactness: Exactness) -> None:
 
 
 class _Counter:
-    """Complexity cache over subsets of one root point set; refuses inexact counts.
+    """The structure searches' complexity cache over subsets of one root
+    point set; refuses inexact counts.
 
     A subset's count is the number of distinct projections of the root's
     keys, read on the first count, onto the subset's positions in a key: all
@@ -376,60 +373,33 @@ def _factor_counts(config: DiagonalFamily, longest: int) -> list[tuple[int, int]
     return out
 
 
-def _projected_column(
-    config: FiniteDefect, keys: set[str], n: int, k_max: int
-) -> Iterator[tuple[int, int]]:
-    """(count, translates) of block(n, k) on a defect body, for k = 1, ..., k_max.
-
-    `keys` are the keys of the table's tallest and widest block, whose cells
-    are x-major, so cell (x, y) sits at position x * k_max + y of a key.
-    Block(n, k)'s count is the number of distinct projections of those keys
-    onto its positions: one slice per key when k = k_max.  Its translates
-    are the ones that put a cell on a defect, plus the far one: one set of
-    them grows by the cells (x, k - 1) of each new row.
-    """
-    met: set[Point] = set()
-    for k in range(1, k_max + 1):
-        met.update((dx - x, dy - k + 1) for dx, dy in config.defects for x in range(n))
-        if k == k_max:
-            cut = itemgetter(slice(0, n * k_max))
-        else:
-            cut = itemgetter(*[x * k_max + y for x in range(n) for y in range(k)])
-        yield len(set(map(cut, keys))), len(met) + 1
-
-
 def complexity_table(
     config: Configuration, n_max: int, k_max: int
 ) -> dict[tuple[int, int], ComplexityReport]:
     """Complexity of every n-by-k block with 1 <= n <= n_max, 1 <= k <= k_max.
 
     Block(n, k) is the prefix of n * k cells of one x-major tuple per height
-    k, and no domain is built per block.  Row-slice bodies (doubly periodic
-    and window samples) grow each column's keys row by row
-    (`_grown_column`): every block is counted over all of its own
-    translates, the torus of the period lattice on a doubly periodic body
-    and the in-window ones on a window.  On the diagonal family a letter
-    depends only on x - y, and block(n, k)'s x - y values are the one run
-    -(k - 1), ..., n - 1, so its patterns are the band word's factors of
-    length n + k - 1 over the same sweep: one count per length serves every
-    block (`_factor_counts`).
-    Defect bodies read the keys of block(n_max, k_max) once and count every
-    block as their distinct projections (`_projected_column`).  Any other
-    body counts each block over its own domain, as `complexity` does.
+    k.  Row-slice bodies (doubly periodic and window samples) grow each
+    column's keys row by row (`_grown_column`): every block is counted over
+    all of its own translates, the torus of the period lattice on a doubly
+    periodic body and the in-window ones on a window.  On the diagonal
+    family a letter depends only on x - y, and block(n, k)'s x - y values
+    are the one run -(k - 1), ..., n - 1, so its patterns are the band
+    word's factors of length n + k - 1 over the same sweep: one count per
+    length serves every block (`_factor_counts`).  Any other body counts
+    each block over its own domain, as `complexity` does: a defect body
+    reads each block's keys off its defects (`_defect_keys`).  A window too
+    small for block(n_max, k_max) raises UnknownLetterError from its
+    columns' domains.
     """
     if n_max < 1 or k_max < 1:
         raise ValueError("table dimensions must be positive")
     heights = {k: tuple((x, y) for x in range(n_max) for y in range(k)) for k in range(1, k_max + 1)}
-    if isinstance(config, WindowSample):
-        config.enumeration_domain(heights[k_max])  # raises when the window cannot fit the tallest block
     if isinstance(config, (DoublyPeriodic, WindowSample)):
         columns = (_grown_column(config, n, k_max) for n in range(1, n_max + 1))
     elif isinstance(config, DiagonalFamily):
         by_length = _factor_counts(config, n_max + k_max - 1)
         columns = (by_length[n - 1:n - 1 + k_max] for n in range(1, n_max + 1))
-    elif isinstance(config, FiniteDefect):
-        keys = _domain_keys(config, heights[k_max])[0]
-        columns = (_projected_column(config, keys, n, k_max) for n in range(1, n_max + 1))
     else:
         columns = ([(len(keys), size) for keys, _, size in
                     (_domain_keys(config, heights[k][:n * k]) for k in heights)]

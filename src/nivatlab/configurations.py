@@ -182,7 +182,10 @@ class Configuration:
         `translates_examined` of every count over it.  A doubly periodic
         body, a window and the diagonal family return a `TranslateBox`, whose
         `xs` and `ys` the kernel reads.  A window raises UnknownLetterError
-        when the shape fits nowhere inside it.
+        when the shape fits nowhere inside it.  The empty shape gets a
+        nonempty domain (the whole torus, the sweep, the far translate alone,
+        the whole window), though `complexity` answers it with 0 translates
+        and builds no domain.
         """
         raise NotImplementedError
 
@@ -418,7 +421,7 @@ class FiniteDefect(Configuration):
         """The translates that put a cell of the shape on a defect, sorted, and
         one far translate that puts none there."""
         pts = as_points(shape)
-        far = (max(d[0] for d in self.defects) - min(g[0] for g in pts) + 1, 0)
+        far = (max(d[0] for d in self.defects) - min((g[0] for g in pts), default=0) + 1, 0)
         return sorted({(dx - sx, dy - sy) for dx, dy in self.defects for sx, sy in pts}) + [far]
 
     def is_period(self, h: Point) -> bool:
@@ -567,7 +570,7 @@ class DiagonalFamily(Configuration):
     @staticmethod
     def _delta_span(shape: Iterable[Point]) -> tuple[int, int]:
         deltas = [x - y for x, y in shape]
-        return min(deltas), max(deltas)
+        return min(deltas, default=0), max(deltas, default=0)
 
     @staticmethod
     def _reach(width: int, k: int = 0) -> int:
@@ -662,8 +665,8 @@ class WindowSample(Configuration):
         pts = as_points(shape)
         xs = [g[0] for g in pts]
         ys = [g[1] for g in pts]
-        x_lo, x_hi = self.origin[0] - min(xs), self.origin[0] + self.width - 1 - max(xs)
-        y_lo, y_hi = self.origin[1] - min(ys), self.origin[1] + self.height - 1 - max(ys)
+        x_lo, x_hi = self.origin[0] - min(xs, default=0), self.origin[0] + self.width - 1 - max(xs, default=0)
+        y_lo, y_hi = self.origin[1] - min(ys, default=0), self.origin[1] + self.height - 1 - max(ys, default=0)
         return TranslateBox(range(x_lo, x_hi + 1), range(y_lo, y_hi + 1))
 
     def enumeration_domain(self, shape: Iterable[Point]) -> TranslateBox:

@@ -79,6 +79,10 @@ MUTANTS = [
            "if isinstance(config, DoublyPeriodic) else size",
            ("tests/test_complexity.py",),
            "a torus table reports |det| of the given basis as translates instead of the a' * d' it reads"),
+    Mutant("per-block-prefix-short", "src/nivatlab/complexity.py",
+           "heights[k][:n * k]) for k in heights)", "heights[k][:n * k - 1]) for k in heights)",
+           ("tests/test_complexity.py",),
+           "a table counted block by block, as a defect table is, counts each block without its last cell"),
     Mutant("domain-over-basis-torus", "src/nivatlab/configurations.py",
            "TranslateBox(range(a), range(d))", "TranslateBox(*map(range, _hnf(b1, b2)[::2]))",
            ("tests/test_configurations.py",),

@@ -345,6 +345,13 @@ class TestTableCommand:
         assert values[("3", "4")] == 7
         assert values[("2", "2")] == 4
 
+    @pytest.mark.parametrize("size", ["5,2", "2,5", "5,5"])
+    def test_window_too_small_for_the_table(self, configs, capsys, size):
+        """Too wide, too tall or both: one fits-nowhere error line and exit 1."""
+        for flags in ([], ["--json"]):
+            assert run(capsys, *flags, "table", "--config", configs["window"], "--max", size) == (
+                1, "", "error: the 4x4 window cannot fit the shape anywhere\n")
+
 
 class TestWordCommands:
     def test_finewilf(self, configs, capsys):

@@ -563,8 +563,8 @@ class TestTable:
                 assert rep.count == _naive_count(cfg, cells)
 
     def test_any_other_body_counts_block_by_block(self):
-        """A body outside the four built-in kinds gets the table of its
-        per-block `complexity` reports."""
+        """A body outside the row-slice and diagonal kinds, a defect body among
+        them, gets the table of its per-block `complexity` reports."""
 
         class VerticalStripes(Configuration):
             alphabet = Alphabet(("a", "b"))
@@ -581,32 +581,14 @@ class TestTable:
             def directional_translates(self, shape, base, v):
                 return range(2)
 
-        cfg = VerticalStripes()
-        table = complexity_table(cfg, 3, 2)
-        assert list(table) == [(n, k) for n in range(1, 4) for k in range(1, 3)]
-        for (n, k), rep in table.items():
-            assert rep == complexity(cfg, tuple((x, y) for x in range(n) for y in range(k)))
-            assert (rep.count, rep.translates_examined) == (2, 2)
-
-    def test_defect_table_reads_one_root(self, monkeypatch):
-        """A defect table reads the keys of block(n_max, k_max) once and counts
-        every block as their projections; no block is counted on its own."""
-        cfg = _body("defect", 5)
-        roots = []
-        read = complexity_module._domain_keys
-
-        def recorded(config, cells):
-            roots.append(cells)
-            return read(config, cells)
-
-        def refused(*args):
-            raise AssertionError("a defect table called complexity")
-
-        monkeypatch.setattr(complexity_module, "_domain_keys", recorded)
-        monkeypatch.setattr(complexity_module, "complexity", refused)
-        table = complexity_table(cfg, 4, 3)
-        assert roots == [tuple((x, y) for x in range(4) for y in range(3))]
-        assert len(table) == 12 and all(rep.exact for rep in table.values())
+        defects = FiniteDefect(AB, "a", {(0, 0): "b", (2, 1): "b", (-1, 3): "b", (4, 4): "b", (1, -2): "b"})
+        for cfg in (VerticalStripes(), defects):
+            table = complexity_table(cfg, 3, 2)
+            assert list(table) == [(n, k) for n in range(1, 4) for k in range(1, 3)]
+            for (n, k), rep in table.items():
+                assert rep == complexity(cfg, tuple((x, y) for x in range(n) for y in range(k)))
+                if cfg is not defects:
+                    assert (rep.count, rep.translates_examined) == (2, 2)
 
     def test_diagonal_table_counts_one_factor_set_per_length(self, monkeypatch):
         """A diagonal table reads the band word once per length n + k - 1; no
