@@ -286,9 +286,7 @@ class DoublyPeriodic(Configuration):
         det = b1[0] * b2[1] - b1[1] * b2[0]
         if det == 0:
             raise ConfigurationError("basis vectors must be linearly independent")
-        self.alphabet = alphabet
-        self.basis = (b1, b2)
-        a, b, d = _hnf(b1, b2)
+        a, b, d = hnf = _hnf(b1, b2)
         # The letter at (x, y), 0 <= x < a and 0 <= y < d, at y * a + x.  A table
         # with fewer cells than the a * d = |det| cosets cannot cover them, so
         # its cells go to a dict rather than |det| slots (a huge basis).
@@ -308,11 +306,21 @@ class DoublyPeriodic(Configuration):
             raise ConfigurationError(f"table covers {covered} cosets, fundamental domain has {abs(det)}")
         if set(torus) != set(letters):
             raise ConfigurationError("every alphabet letter must occur in the fundamental domain")
-        rows = ["".join(torus[y * a:(y + 1) * a]) for y in range(d)]
-        # Set here rather than added on first use: an attribute added to the
-        # instance later materialises its __dict__ and slows every attribute
-        # read in letter_at() and row().
-        self._hnf = _period_lattice((b1, b2), (a, b, d), rows)  # (a', b', d') of the period lattice
+        self._set_torus(alphabet, (b1, b2), hnf, ["".join(torus[y * a:(y + 1) * a]) for y in range(d)])
+
+    def _set_torus(
+        self, alphabet: Alphabet, basis: tuple[Point, Point], hnf: tuple[int, int, int], rows: list[str]
+    ) -> None:
+        """Set every attribute from the checked torus rows of the basis lattice's HNF.
+
+        Both constructors end here, so the attributes are always set in one
+        order, all of them at construction: an attribute added to the
+        instance later materialises its __dict__ and slows every attribute
+        read in letter_at() and row().
+        """
+        self.alphabet = alphabet
+        self.basis = basis
+        self._hnf = _period_lattice(basis, hnf, rows)  # (a', b', d') of the period lattice
         a, _, d = self._hnf
         self._rows = tuple(row[:a] for row in rows[:d])  # torus row y, x < a'
         self._domain = TranslateBox(range(a), range(d))  # the torus [0, a') x [0, d')
@@ -320,12 +328,26 @@ class DoublyPeriodic(Configuration):
 
     @classmethod
     def from_rows(cls, alphabet: Alphabet, rows: Sequence[str]) -> "DoublyPeriodic":
-        """Axis-periodic configuration from a character grid; first row is the top."""
+        """Axis-periodic configuration from a character grid; first row is the top.
+
+        The rows, bottom first, are the torus rows of the basis (n, 0), (0, k),
+        so they are checked and kept as they are, with no table between.
+        """
         if not rows or len(set(map(len, rows))) != 1:
             raise ConfigurationError("rows must be nonempty and rectangular")
-        n, k = len(rows[0]), len(rows)
-        table = {(x, k - 1 - y): rows[y][x] for y in range(k) for x in range(n)}
-        return cls(alphabet, ((n, 0), (0, k)), table)
+        if not rows[0]:  # the basis (0, 0), (0, k)
+            raise ConfigurationError("basis vectors must be linearly independent")
+        letters = alphabet.letters
+        used = set().union(*rows)
+        if not used <= set(letters):
+            letter = next(c for row in rows for c in row if c not in letters)
+            raise ConfigurationError(f"letter {letter!r} not in alphabet")
+        if len(used) != len(letters):
+            raise ConfigurationError("every alphabet letter must occur in the fundamental domain")
+        basis = ((len(rows[0]), 0), (0, len(rows)))
+        body = cls.__new__(cls)
+        body._set_torus(alphabet, basis, _hnf(*basis), ["".join(row) for row in reversed(rows)])
+        return body
 
     def letter_at(self, g: Point) -> str:
         a, b, d = self._hnf

@@ -5,12 +5,22 @@ no floating point enters any predicate.  An oriented line with primitive
 direction (dx, dy) and integer offset c is the set {(x, y): dx*y - dy*x = c};
 its closed half plane is the set of lattice points on or to the left of the
 direction of travel, i.e. {g: dx*g.y - dy*g.x >= c}.
+
+No constructor rescans points it already has.  `ConvexLatticeSet(points)`
+sorts its points once and runs Andrew's monotone chain over them; Pick's
+theorem then checks convexity from the vertices alone.  `convex_hull` fills
+each column between its lowest and highest lattice point, read off the edges
+by an integer ceil and floor, so it costs its width times its edges plus its
+points, not its bounding box.  `block` knows its corners and `translate`
+shifts the cells and vertices it has; neither sorts nor runs the chain.
+Every constructor ends in one step that sets all the slots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -118,34 +128,35 @@ class ConvexLatticeSet:
 
     __slots__ = ("points", "cells", "vertices", "edges", "_twice_area")
 
-    def __init__(self, points: Iterable[Point], _validated: bool = False) -> None:
+    def __init__(self, points: Iterable[Point]) -> None:
         pts = frozenset((int(x), int(y)) for x, y in points)
         if not pts:
             raise GeometryError("a convex lattice set must be nonempty")
         cells = tuple(sorted(pts))
         verts = _hull_vertices(cells)
-        if not _validated and _hull_lattice_count(verts) != len(pts):
-            missing = sorted(_hull_points(verts) - pts)[:4]
+        if _hull_lattice_count(verts) != len(pts):
+            missing = [g for g in _hull_points(verts) if g not in pts][:4]
             raise GeometryError(
                 f"point set is not convex: hull contains extra lattice points {missing}"
             )
-        self.points: frozenset[Point] = pts
-        self.cells: tuple[Point, ...] = cells
-        self.vertices: tuple[Point, ...] = tuple(verts)
-        self._twice_area = _twice_area(verts)
-        self.edges: tuple[Edge, ...] = self._compute_edges()
+        self._fill(pts, cells, verts)
 
-    def _compute_edges(self) -> tuple[Edge, ...]:
-        if self._twice_area == 0:
-            return ()
-        out = []
-        verts = self.vertices
-        for i, a in enumerate(verts):
-            b = verts[(i + 1) % len(verts)]
-            d = psub(b, a)
-            g = gcd(abs(d[0]), abs(d[1]))
-            out.append(Edge(a, b, g + 1, (d[0] // g, d[1] // g)))
-        return tuple(out)
+    def _fill(
+        self, points: frozenset[Point], cells: tuple[Point, ...], vertices: Sequence[Point]
+    ) -> "ConvexLatticeSet":
+        """Set every slot from the sorted cells and the hull vertices.
+
+        Every constructor ends here, so the slots are always set in the same
+        order.
+        """
+        twice_area = _twice_area(vertices)
+        edges = _edges(vertices) if twice_area else ()
+        self.points: frozenset[Point] = points
+        self.cells: tuple[Point, ...] = cells
+        self.vertices: tuple[Point, ...] = tuple(vertices)
+        self._twice_area = twice_area
+        self.edges: tuple[Edge, ...] = edges
+        return self
 
     # -- basic queries ------------------------------------------------------
 
@@ -174,7 +185,15 @@ class ConvexLatticeSet:
         return self._twice_area
 
     def translate(self, u: Point) -> "ConvexLatticeSet":
-        return ConvexLatticeSet((padd(g, u) for g in self.points), _validated=True)
+        """The set moved by u; a translation keeps the cell order and moves the vertices."""
+        ux, uy = u
+        cells = tuple([(x + ux, y + uy) for x, y in self.cells])
+        return _new()._fill(frozenset(cells), cells, [padd(v, u) for v in self.vertices])
+
+
+def _new() -> ConvexLatticeSet:
+    """An instance with no slot set yet, for a constructor that fills it from what it knows."""
+    return ConvexLatticeSet.__new__(ConvexLatticeSet)
 
 
 def convex_hull(points: Iterable[Point]) -> ConvexLatticeSet:
@@ -183,32 +202,47 @@ def convex_hull(points: Iterable[Point]) -> ConvexLatticeSet:
     if not pts:
         raise GeometryError("convex_hull of an empty point set")
     verts = _hull_vertices(sorted(set(pts)))
-    return ConvexLatticeSet(_hull_points(verts), _validated=True)
+    cells = _hull_points(verts)
+    return _new()._fill(frozenset(cells), cells, verts)
 
 
 def block(n: int, k: int) -> ConvexLatticeSet:
     """The n-by-k block {0..n-1} x {0..k-1} based at the origin."""
     if n < 1 or k < 1:
         raise GeometryError("block dimensions must be positive")
-    return ConvexLatticeSet(
-        ((x, y) for x in range(n) for y in range(k)), _validated=True
-    )
+    cells = tuple(product(range(n), range(k)))
+    corners = dict.fromkeys([(0, 0), (n - 1, 0), (n - 1, k - 1), (0, k - 1)])  # a thin block repeats some
+    return _new()._fill(frozenset(cells), cells, list(corners))
 
 
 def _hull_vertices(pts: Sequence[Point]) -> list[Point]:
+    """The strict hull vertices of distinct x-major sorted points, counterclockwise
+    from the least (Andrew's monotone chain).
+    """
     if len(pts) == 1:
         return list(pts)
-    lower: list[Point] = []
+    return _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
+
+
+def _chain(pts: Iterable[Point]) -> list[Point]:
+    """The points that turn strictly left, walking pts in order (one half of the chain)."""
+    out: list[Point] = []
     for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+        while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+            out.pop()
+        out.append(p)
+    return out
+
+
+def _edges(verts: Sequence[Point]) -> tuple[Edge, ...]:
+    """The edges of a positive-area hull, from each vertex to the next."""
+    out = []
+    for i, a in enumerate(verts):
+        b = verts[(i + 1) % len(verts)]
+        d = psub(b, a)
+        g = gcd(abs(d[0]), abs(d[1]))
+        out.append(Edge(a, b, g + 1, (d[0] // g, d[1] // g)))
+    return tuple(out)
 
 
 def _twice_area(verts: Sequence[Point]) -> int:
@@ -239,26 +273,34 @@ def _is_convex(points: Iterable[Point]) -> bool:
     return _hull_lattice_count(_hull_vertices(pts)) == len(pts)
 
 
-def _hull_points(verts: Sequence[Point]) -> frozenset[Point]:
-    """Every lattice point of the hull of the vertices."""
+def _hull_points(verts: Sequence[Point]) -> tuple[Point, ...]:
+    """Every lattice point of the hull of the vertices, sorted.
+
+    Column x holds the y with every edge's cross product nonnegative: one
+    range, from the greatest integer ceil of the lower edges' bounds to the
+    least integer floor of the upper edges' bounds.
+    """
     if len(verts) == 1:
-        return frozenset(verts)
+        return tuple(verts)
     if len(verts) == 2:
         a, b = verts
         d = psub(b, a)
         g = gcd(abs(d[0]), abs(d[1]))
         step = (d[0] // g, d[1] // g)
-        return frozenset(padd(a, pscale(t, step)) for t in range(g + 1))
+        return tuple(padd(a, pscale(t, step)) for t in range(g + 1))
+    # (x0, y0, dx, dy) of each edge: on its left dx * y >= dy * (x - x0) + dx * y0.
+    # One running right (dx > 0) bounds y from below, one running left from
+    # above, and a vertical one bounds x only.
+    edges = [(a[0], a[1], b[0] - a[0], b[1] - a[1]) for a, b in zip(verts, verts[1:] + verts[:1])]
+    rising = [e for e in edges if e[2] > 0]
+    falling = [e for e in edges if e[2] < 0]
     xs = [v[0] for v in verts]
-    ys = [v[1] for v in verts]
     out = []
-    n = len(verts)
     for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            p = (x, y)
-            if all(_cross(verts[i], verts[(i + 1) % n], p) >= 0 for i in range(n)):
-                out.append(p)
-    return frozenset(out)
+        lo = max([-((dy * (x0 - x) - dx * y0) // dx) for x0, y0, dx, dy in rising])
+        hi = min([(dy * (x - x0) + dx * y0) // dx for x0, y0, dx, dy in falling])
+        out.extend([(x, y) for y in range(lo, hi + 1)])
+    return tuple(out)
 
 
 # -- vertex oracle ----------------------------------------------------------
@@ -364,8 +406,8 @@ def axes_of_symmetry(s: ConvexLatticeSet) -> list[AxisOfSymmetry]:
         axes.append(
             AxisOfSymmetry(
                 (a, b),
-                ConvexLatticeSet(side_a, _validated=True),
-                ConvexLatticeSet(side_b, _validated=True),
+                ConvexLatticeSet(side_a),
+                ConvexLatticeSet(side_b),
             )
         )
     return axes

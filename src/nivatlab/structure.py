@@ -228,7 +228,7 @@ def _minimal_generating_set(
     )
     certs = _vertex_certificates(counter, minimal, step, message)
     return GeneratingSetResult(
-        ConvexLatticeSet(minimal, _validated=True),
+        ConvexLatticeSet(minimal),
         kind,
         certs,
         BoundInstance(counter.count(minimal), len(minimal), bound(len(minimal))),
@@ -292,7 +292,7 @@ def _directional_generating_set(
         if chosen is not None:
             break
     assert chosen is not None  # the full stage S_I always qualifies
-    result_set = ConvexLatticeSet(chosen, _validated=True)
+    result_set = ConvexLatticeSet(chosen)
     sup_s = supporting_line(result_set, line)
     section = line_section(chosen, sup_s)
     certs = _vertex_certificates(
@@ -961,6 +961,6 @@ def expansive_witness(config: Configuration, line: Line, radius: int) -> Witness
             s = frozenset(cells)
             if counter.count(s) == counter.count(s - {g0}):
                 return WitnessReport(
-                    True, ConvexLatticeSet(s, _validated=True), g0, examined, radius
+                    True, ConvexLatticeSet(s), g0, examined, radius
                 )
     return WitnessReport(False, None, None, examined, radius)

@@ -320,6 +320,21 @@ def _in_triangle(q, a, b, c) -> bool:
     return _turn(a, b, c) != 0 and (min(turns) >= 0 or max(turns) <= 0)
 
 
+def in_hull_of(q, points) -> bool:
+    """Whether q lies in a segment or a triangle of the points, so in their hull (Caratheodory).
+
+    Only the least and greatest point of each row are tried: every other
+    point lies on the segment between those two, so they have the same hull.
+    """
+    rows: dict = {}
+    for x, y in points:
+        lo, hi = rows.get(y, (x, x))
+        rows[y] = (min(lo, x), max(hi, x))
+    ends = sorted({(x, y) for y, pair in rows.items() for x in pair})
+    return (q in ends or any(_on_segment(q, a, b) for a, b in itertools.combinations(ends, 2))
+            or any(_in_triangle(q, *t) for t in itertools.combinations(ends, 3)))
+
+
 def convex_subsets_of_box(radius: int) -> list[frozenset]:
     """Every nonempty convex subset of the box [-radius, radius]^2, from all of its subsets.
 

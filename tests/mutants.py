@@ -1,4 +1,4 @@
-"""Mutation check of the counting kernel's fast paths.
+"""Mutation check of the counting kernel's and the geometry's fast paths.
 
     python3 tests/mutants.py            # every mutant
     python3 tests/mutants.py NAME ...   # the named ones
@@ -121,6 +121,20 @@ MUTANTS = [
            ("tests/test_structure.py::TestOrbitSharing::test_periodic_labels_are_exactly_the_orbits",),
            "orbit labels split P + Zv into the finer classes of L + Zv on a body whose basis is coarser "
            "than its period lattice"),
+    Mutant("translate-keeps-vertices", "src/nivatlab/geometry.py",
+           "[padd(v, u) for v in self.vertices]", "self.vertices",
+           ("tests/test_geometry.py",),
+           "a translated set keeps the vertices, and so the edges, of the set it was moved from"),
+    Mutant("column-fill-one-short", "src/nivatlab/geometry.py",
+           "range(lo, hi + 1)", "range(lo, hi)",
+           ("tests/test_geometry.py",),
+           "a hull column is filled without its highest point"),
+    Mutant("convexity-pick-loose", "src/nivatlab/geometry.py",
+           "return _hull_lattice_count(_hull_vertices(pts)) == len(pts)",
+           "return _hull_lattice_count(_hull_vertices(pts)) <= len(pts) + 1",
+           ("tests/test_geometry.py",),
+           "a set whose hull holds one lattice point more than the set passes as convex, so is_vertex "
+           "takes some non-vertices for vertices"),
     Mutant("level-set-strict", "src/nivatlab/structure.py",
            "if line.value(g) >= c)", "if line.value(g) > c)",
            ("tests/test_structure.py::TestLevelSets",),

@@ -478,6 +478,16 @@ class TestShapesAndErrors:
         code, out, _ = run(capsys, "quasiregular", "--shape", "points:0,0;2,0;0,2")
         assert code == 0 and "False" in out
 
+    def test_thin_hull_in_a_fresh_process(self):
+        """A 1,003-point hull whose bounding box holds a million points prints at once."""
+        code, out, err = run_separately("--json", "hull", "--shape", "points:0,0;1000,1001;1001,1000")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert len(payload["points"]) == 1003
+        assert payload["vertices"] == [[0, 0], [1001, 1000], [1000, 1001]]
+        assert payload["twice_area"] == 2001
+        assert [e["count"] for e in payload["edges"]] == [2, 2, 2]
+
     def test_malformed_config_diagnostic(self, configs, capsys):
         code, _, err = run(capsys, "nivat", "--config", configs["bad"], "--shape", "rect:2,2")
         assert code == 1 and "line" in err

@@ -83,7 +83,7 @@ class TestComplexity:
                 small = big
                 if len(big) > 1:
                     g = rng.choice(sorted(big.vertices))
-                    small = ConvexLatticeSet(big.points - {g}, _validated=True)
+                    small = ConvexLatticeSet(big.points - {g})
                 assert complexity(cfg, small).count <= complexity(cfg, big).count
 
     def test_translation_invariance(self, diagonal, checkerboard, one_defect):

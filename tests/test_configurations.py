@@ -116,6 +116,54 @@ class TestValidation:
         assert str(exc.value) == "letter 'z' not in alphabet"
 
 
+def _from_table(alphabet, rows):
+    """The body of a character grid through the table constructor, first row at the top."""
+    n, k = len(rows[0]), len(rows)
+    table = {(x, k - 1 - y): rows[y][x] for y in range(k) for x in range(n)}
+    return DoublyPeriodic(alphabet, ((n, 0), (0, k)), table)
+
+
+class TestFromRows:
+    """`from_rows` keeps its rows as torus rows; the table constructor is the reference."""
+
+    def test_random_grids_match_the_table_constructor(self):
+        rng = random.Random(23)
+        shapes = [block(1, 1), block(2, 3), block(4, 2), convex_hull([(0, 0), (2, 1), (1, 3)])]
+        for _ in range(150):
+            alphabet = Alphabet(tuple("abcd"[:rng.randint(2, 4)]))
+            w, h = rng.randint(1, 4), rng.randint(1, 4)
+            tile = ["".join(rng.choice(alphabet.letters) for _ in range(w)) for _ in range(h)]
+            i, j = rng.randint(1, 3), rng.randint(1, 3)
+            rows = [row * i for row in tile] * j
+            if set("".join(rows)) != set(alphabet.letters):
+                continue
+            body, reference = DoublyPeriodic.from_rows(alphabet, rows), _from_table(alphabet, rows)
+            assert list(vars(body)) == list(vars(reference))  # attributes set in one order
+            assert (body.alphabet, body.basis, body._hnf, body._rows) == (
+                reference.alphabet, reference.basis, reference._hnf, reference._rows)
+            assert body.periods_within(6) == reference.periods_within(6)
+            assert [complexity(body, s).count for s in shapes] == [complexity(reference, s).count for s in shapes]
+
+    @pytest.mark.parametrize("rows, message", [
+        (["ab", "b"], "rows must be nonempty and rectangular"),
+        (["az", "b"], "rows must be nonempty and rectangular"),
+        ([""], "basis vectors must be linearly independent"),
+        (["", ""], "basis vectors must be linearly independent"),
+        (["ab", "zx"], "letter 'z' not in alphabet"),
+        (["abx", "zab"], "letter 'x' not in alphabet"),
+        (["aaz", "aaa"], "letter 'z' not in alphabet"),
+        (["aa", "aa"], "every alphabet letter must occur in the fundamental domain"),
+    ])
+    def test_diagnostics_in_order(self, ab, rows, message):
+        with pytest.raises(ConfigurationError) as exc:
+            DoublyPeriodic.from_rows(ab, rows)
+        assert str(exc.value) == message
+        if len(set(map(len, rows))) == 1:
+            with pytest.raises(ConfigurationError) as exc:
+                _from_table(ab, rows)
+            assert str(exc.value) == message
+
+
 class TestPeriodicTableDiagnostics:
     """Each table of PERIODIC_TABLES loads, or draws its one diagnostic, both
     from the constructor and from its JSON spec."""

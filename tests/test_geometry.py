@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -20,7 +22,7 @@ from nivatlab.geometry import (
     supporting_line,
 )
 
-from conftest import convex_subsets_of_box
+from conftest import _on_segment, _turn, convex_subsets_of_box, in_hull_of
 
 points_strategy = st.lists(
     st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=8
@@ -28,15 +30,41 @@ points_strategy = st.lists(
 
 
 def _shapes_from_every_constructor(pts, n, k, u):
-    """block, convex_hull, translate, validated and unvalidated ConvexLatticeSet,
-    and both halves of every axis of symmetry."""
+    """block, convex_hull, translate, ConvexLatticeSet from the hull's points
+    in two orders, and both halves of every axis of symmetry."""
     hull = convex_hull(pts)
     shapes = [block(n, k), hull, hull.translate(u), block(n, k).translate(u),
-              ConvexLatticeSet(list(hull.points)), ConvexLatticeSet(reversed(list(hull)), _validated=True)]
+              ConvexLatticeSet(list(hull.points)), ConvexLatticeSet(reversed(list(hull)))]
     for s in (block(n, k), hull):
         if s.has_positive_area() and is_quasi_regular(s).quasi_regular:
             shapes += [half for axis in axes_of_symmetry(s) for half in (axis.half_a, axis.half_b)]
     return shapes
+
+
+def _check_against_oracle(s):
+    """The shape's points, vertices and edges against segments and triangles of its points.
+
+    Its points are the bounding-box points in their own hull; its vertices
+    are the points outside the hull of the others, the least first, with
+    every other point left of or on the edge to the next; each edge's count
+    is the points on it, and Pick's theorem ties them to the area.
+    """
+    pts = s.points
+    xs, ys = [g[0] for g in pts], [g[1] for g in pts]
+    box = itertools.product(range(min(xs), max(xs) + 1), range(min(ys), max(ys) + 1))
+    assert pts == {q for q in box if q in pts or in_hull_of(q, pts)}
+    corners = {g for g in pts if not in_hull_of(g, pts - {g})}
+    assert set(s.vertices) == corners and len(s.vertices) == len(corners)
+    assert s.vertices[0] == min(pts)
+    if len(corners) < 3:
+        assert s.vertices == tuple(sorted(corners)) and s.edges == () and s.twice_area() == 0
+        return
+    cycle = list(zip(s.vertices, s.vertices[1:] + s.vertices[:1]))
+    assert all(_turn(a, b, q) >= 0 for a, b in cycle for q in pts)
+    assert [(e.start, e.end) for e in s.edges] == cycle
+    assert [e.lattice_count for e in s.edges] == [sum(_on_segment(q, a, b) for q in pts) for a, b in cycle]
+    boundary = sum(e.lattice_count - 1 for e in s.edges)
+    assert 2 * (len(pts) - 1) - boundary == s.twice_area() > 0  # Pick: 2A = 2I + B - 2
 
 
 class TestSortedCells:
@@ -51,6 +79,24 @@ class TestSortedCells:
             assert list(s) == sorted(s.points)
             assert repr(s) == f"ConvexLatticeSet({sorted(s.points)})"
             assert as_points(s) == tuple(sorted(s.points))
+
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=6),
+           st.integers(1, 5), st.integers(1, 5), st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+    @settings(max_examples=60, deadline=None)
+    def test_every_constructor_against_the_oracle(self, pts, n, k, u):
+        for s in _shapes_from_every_constructor(pts, n, k, u):
+            _check_against_oracle(s)
+
+    def test_translated_large_block(self):
+        rng = random.Random(31)
+        for _ in range(3):
+            ux, uy = rng.randint(-500, 500), rng.randint(-500, 500)
+            s = block(60, 60).translate((ux, uy))
+            assert s.cells == tuple(itertools.product(range(ux, ux + 60), range(uy, uy + 60)))
+            assert s.points == set(s.cells)
+            assert s.vertices == ((ux, uy), (ux + 59, uy), (ux + 59, uy + 59), (ux, uy + 59))
+            assert [e.lattice_count for e in s.edges] == [60] * 4
+            assert s.twice_area() == 2 * 59 * 59
 
     @given(st.lists(st.tuples(st.integers(-4, 4) | st.floats(-4, 4, allow_nan=False) | st.booleans(),
                               st.integers(-4, 4) | st.floats(-4, 4, allow_nan=False)), max_size=10))
@@ -92,6 +138,17 @@ class TestConvexHull:
         again = convex_hull(first.points)
         assert first.points == again.points
         assert first.vertices == again.vertices
+
+    @pytest.mark.parametrize("m", [1000, 10000])
+    def test_thin_triangle_fills_columns(self, m):
+        """A hull costs its width times its edges plus its points, not its bounding box:
+        this one has m + 3 points in an m-by-m box."""
+        s = convex_hull([(0, 0), (m, m + 1), (m + 1, m)])
+        assert s.points == {(t, t) for t in range(m + 1)} | {(m, m + 1), (m + 1, m)}
+        assert len(s) == m + 3
+        assert s.vertices == ((0, 0), (m + 1, m), (m, m + 1))
+        boundary = sum(e.lattice_count - 1 for e in s.edges)
+        assert len(s) == (s.twice_area() + boundary) // 2 + 1  # Pick's theorem
 
     def test_non_convex_input_rejected(self):
         with pytest.raises(GeometryError):
