@@ -14,8 +14,10 @@ back, read in slices rather than cell by cell:
 
 - Row slices (`DoublyPeriodic`, `WindowSample`): the cells split into maximal
   runs along each row.  Each body row the translates reach is read once and
-  cut by one `itemgetter` of slices per distinct run (offset, length), so a
-  run's pieces over every translate come out in C; one `zip` joins the runs'
+  cut once per distinct run length, by one `itemgetter` of slices (one-cell
+  runs by one `tuple` of the row's characters), so a run's pieces over every
+  translate come out in C.  Runs of one length at several offsets share that
+  cut, each reading it from its own offset on; one `zip` joins the runs'
   piece lists into keys.  Both bodies' enumeration domains are a
   `TranslateBox`, read as its two ranges: a doubly periodic body counts over
   the torus of its period lattice and reports that torus's size as
@@ -107,9 +109,12 @@ def _runs(values: list[int]) -> list[tuple[int, int]]:
 def _cutter(count: int, offset: int, n: int) -> Callable[[str], tuple[str, ...]]:
     """A getter of the `count` pieces of a string, n long, that start at offset, offset + 1, ...
 
-    One `itemgetter` of slices cuts them all in C; one slice alone gives a bare
-    string, so it is wrapped in a tuple.
+    One-letter pieces are the string's characters, so one slice and one
+    `tuple` cut them.  Longer pieces are cut by one `itemgetter` of slices,
+    all in C; one slice alone gives a bare string, so it is wrapped in a tuple.
     """
+    if n == 1:
+        return lambda word: tuple(word[offset:offset + count])
     getter = itemgetter(*[slice(i, i + n) for i in range(offset, offset + count)])
     return getter if count > 1 else lambda word: (getter(word),)
 
@@ -118,8 +123,11 @@ def _row_keys(row: Callable[[int, int, int], str], cells: tuple[Point, ...], uxs
     """The keys over the box uxs x uys of translates (two ranges), read as row slices.
 
     A key holds the letters of the cells in (y, x) order.  Each body row that
-    a run meets over uys is read once, and cut once per distinct run (offset,
-    length); rows between far-apart cells are not read.
+    a run meets over uys is read once, and cut once per distinct run length
+    n: into the width-n pieces at len(uxs) positions plus the largest offset
+    of a run of length n.  A run at offset o reads that cut from o on, and a
+    length whose only offset is 0 reads its cut as it is, so a block slices
+    no cut.  Rows between far-apart cells are not read.
     """
     in_rows = sorted(cells, key=lambda g: (g[1], g[0]))
     x_lo = min(x for x, _ in cells)
@@ -130,9 +138,17 @@ def _row_keys(row: Callable[[int, int, int], str], cells: tuple[Point, ...], uxs
     reach = {y: range(y + uys[0], y + uys[-1] + 1) for y, _, _ in runs}  # body rows that row y meets
     ys = sorted(set().union(*reach.values()))
     words = list(map(row, ys, repeat(lo), repeat(hi)))
-    pieces = {(o, n): dict(zip(ys, map(_cutter(len(uxs), o, n), words))) for o, n in {r[1:] for r in runs}}
+    span: dict[int, int] = {}  # run length -> its largest offset
+    for _, o, n in runs:
+        span[n] = max(span.get(n, 0), o)
+    cuts = {n: dict(zip(ys, map(_cutter(len(uxs) + top, 0, n), words))) for n, top in span.items()}
     # Per run, the pieces of every translate, row of translates after row.
-    columns = [chain.from_iterable(map(pieces[o, n].__getitem__, reach[y])) for y, o, n in runs]
+    columns = []
+    for y, o, n in runs:
+        pieces = map(cuts[n].__getitem__, reach[y])
+        if span[n]:  # the cut holds more positions than translates: read it from o on
+            pieces = map(itemgetter(slice(o, o + len(uxs))), pieces)
+        columns.append(chain.from_iterable(pieces))
     position = {g: i for i, g in enumerate(in_rows)}
     return set(_joined(columns)), tuple(position[g] for g in cells)
 

@@ -138,12 +138,29 @@ class GeneratingSetResult:
     subsets_examined: int = 0
 
 
-def _generating_bound(alphabet_size: int) -> Callable[[int], Fraction]:
-    return lambda size: Fraction(size + alphabet_size - 2)
+@dataclass(frozen=True)
+class _Bound:
+    """A search's bound (size + shift) / scale on the count of a set of `size`
+    points.  Searches test it in integers; the `Fraction` is built only for a
+    report or a message."""
+
+    shift: int
+    scale: int
+    label: str
+
+    def holds(self, count: int, size: int) -> bool:
+        return self.scale * count <= size + self.shift
+
+    def value(self, size: int) -> Fraction:
+        return Fraction(size + self.shift, self.scale)
 
 
-def _mlc_bound(alphabet_size: int) -> Callable[[int], Fraction]:
-    return lambda size: Fraction(size, 2) + alphabet_size - 1
+def _generating_bound(alphabet_size: int) -> _Bound:
+    return _Bound(alphabet_size - 2, 1, "|U|+|A|-2")
+
+
+def _mlc_bound(alphabet_size: int) -> _Bound:
+    return _Bound(2 * alphabet_size - 2, 2, "|U|/2+|A|-1")
 
 
 def _minimal_qualifying(
@@ -200,21 +217,18 @@ def _vertex_certificates(
     return certs
 
 
-def _require_bound(
-    counter: _Counter, points: frozenset[Point], bound: Callable[[int], Fraction], label: str
-) -> None:
+def _require_bound(counter: _Counter, points: frozenset[Point], bound: _Bound) -> None:
     """Raise HypothesisNotMet when the count of `points` exceeds the bound."""
     count = counter.count(points)
-    if count > bound(len(points)):
-        raise HypothesisNotMet(f"P = {count} exceeds {label} = {bound(len(points))}")
+    if not bound.holds(count, len(points)):
+        raise HypothesisNotMet(f"P = {count} exceeds {bound.label} = {bound.value(len(points))}")
 
 
 def _minimal_generating_set(
     config: Configuration,
     shape: ConvexLatticeSet,
     kind: GeneratingKind,
-    bound_of: Callable[[int], Callable[[int], Fraction]],
-    label: str,
+    bound_of: Callable[[int], _Bound],
     step: str,
     message: str,
 ) -> GeneratingSetResult:
@@ -222,16 +236,14 @@ def _minimal_generating_set(
     start = frozenset(shape.points)
     counter = _Counter(config, shape)
     bound = bound_of(len(config.alphabet))
-    _require_bound(counter, start, bound, label)
-    minimal, examined = _minimal_qualifying(
-        start, lambda s: counter.count(s) <= bound(len(s))
-    )
+    _require_bound(counter, start, bound)
+    minimal, examined = _minimal_qualifying(start, lambda s: bound.holds(counter.count(s), len(s)))
     certs = _vertex_certificates(counter, minimal, step, message)
     return GeneratingSetResult(
         ConvexLatticeSet(minimal),
         kind,
         certs,
-        BoundInstance(counter.count(minimal), len(minimal), bound(len(minimal))),
+        BoundInstance(counter.count(minimal), len(minimal), bound.value(len(minimal))),
         subsets_examined=examined,
     )
 
@@ -242,7 +254,7 @@ def find_generating_set(config: Configuration, shape: ConvexLatticeSet) -> Gener
     All its vertices are generated; that is asserted, not assumed.
     """
     return _minimal_generating_set(
-        config, shape, GeneratingKind.GENERATING, _generating_bound, "|U|+|A|-2",
+        config, shape, GeneratingKind.GENERATING, _generating_bound,
         "generating-set-minimality", "vertex {} of a minimal set is not generated",
     )
 
@@ -267,13 +279,13 @@ def _directional_generating_set(
 ) -> GeneratingSetResult:
     """`find_directional_generating_set` on `start`, counting with a counter whose root holds it."""
     bound = _generating_bound(len(counter.config.alphabet))
-    _require_bound(counter, start, bound, "|U|+|A|-2")
+    _require_bound(counter, start, bound)
     # Peeling S_i's supporting section leaves the points of S_i above its least
     # line value, so the stages are the upper level sets of the line's functional.
     stages = [frozenset(g for g in start if line.value(g) >= c)
               for c in sorted({line.value(g) for g in start})]
     trace = tuple((len(s), counter.count(s)) for s in stages)
-    big_i = max(i for i, s in enumerate(stages) if counter.count(s) <= bound(len(s)))
+    big_i = max(i for i, (size, count) in enumerate(trace) if bound.holds(count, size))
     s_i = stages[big_i]
     s_next = (stages[big_i + 1:] or [frozenset()])[0]
     v = line.minimal_vector()
@@ -286,7 +298,7 @@ def _directional_generating_set(
             if not _is_convex(cand):
                 continue
             examined += 1
-            if counter.count(frozenset(cand)) <= bound(len(cand)):
+            if bound.holds(counter.count(frozenset(cand)), len(cand)):
                 chosen = frozenset(cand)
                 break
         if chosen is not None:
@@ -322,7 +334,7 @@ def _directional_generating_set(
         result_set,
         GeneratingKind.DIRECTIONAL,
         certs,
-        BoundInstance(counter.count(chosen), len(chosen), bound(len(chosen))),
+        BoundInstance(counter.count(chosen), len(chosen), bound.value(len(chosen))),
         line=line,
         remark_i=remark_i,
         half_plane_line=half_plane_line,
@@ -338,7 +350,7 @@ def find_mlc_set(config: Configuration, shape: ConvexLatticeSet) -> GeneratingSe
     subset of the result meets the bound; the result is a generating set.
     """
     return _minimal_generating_set(
-        config, shape, GeneratingKind.MLC, _mlc_bound, "|U|/2+|A|-1",
+        config, shape, GeneratingKind.MLC, _mlc_bound,
         "mlc-minimality", "vertex {} of an mlc set is not generated",
     )
 
@@ -640,7 +652,7 @@ def construct_balanced_set(
         )
     counter = _Counter(config, shape)
     a = len(config.alphabet)
-    _require_bound(counter, frozenset(shape.points), _mlc_bound(a), "|U|/2+|A|-1")
+    _require_bound(counter, frozenset(shape.points), _mlc_bound(a))
 
     axes = axes_of_symmetry(shape)
     meets = (axis_intersection(p, q) for i, p in enumerate(axes) for q in axes[i + 1:])
@@ -668,7 +680,7 @@ def construct_balanced_set(
     )
     anti = Line(-line.dx, -line.dy, -hi)  # H(anti) = {value <= hi}
     cut = frozenset(g for g in shape.points if line.value(g) <= hi)
-    if Fraction(len(cut)) < Fraction(len(shape), 2) + 1:
+    if 2 * len(cut) < len(shape) + 2:  # |T| < |S|/2 + 1
         raise ConstructionError(
             "half-count", f"cut keeps {len(cut)} points, needs more than half of {len(shape)}"
         )

@@ -1,4 +1,4 @@
-"""Mutation check of the counting kernel's and the geometry's fast paths.
+"""Mutation check of the counting kernel's and the geometry's fast paths, and the verifier.
 
     python3 tests/mutants.py            # every mutant
     python3 tests/mutants.py NAME ...   # the named ones
@@ -73,6 +73,15 @@ MUTANTS = [
            "tuple(row[:a] for row", "tuple(row for row",
            ("tests/test_configurations.py",),
            "the body keeps the torus rows of its basis lattice, a / a' times longer than it counts over"),
+    Mutant("one-cell-run-read-late", "src/nivatlab/complexity.py",
+           "tuple(word[offset:offset + count])", "tuple(word[offset + 1:offset + 1 + count])",
+           ("tests/test_exhaustive.py",),
+           "a one-cell run reads each translate's letter one character late, its right neighbour's"),
+    Mutant("run-read-at-offset-0", "src/nivatlab/complexity.py",
+           "itemgetter(slice(o, o + len(uxs)))", "itemgetter(slice(0, len(uxs)))",
+           ("tests/test_exhaustive.py",),
+           "a run reads its length's cut from offset 0, not from its own offset, so it reads the pieces "
+           "of the run of that length furthest left"),
     Mutant("table-translates-from-basis", "src/nivatlab/complexity.py",
            "yield count, size",
            "yield count, abs(config.basis[0][0] * config.basis[1][1] - config.basis[0][1] * config.basis[1][0]) "
@@ -135,6 +144,16 @@ MUTANTS = [
            ("tests/test_geometry.py",),
            "a set whose hull holds one lattice point more than the set passes as convex, so is_vertex "
            "takes some non-vertices for vertices"),
+    Mutant("verifier-bound-plus-one", "src/nivatlab/verifier.py",
+           "bound = Fraction(len(shape), 2) + len(config.alphabet) - 1",
+           "bound = Fraction(len(shape), 2) + len(config.alphabet)",
+           ("tests/test_exhaustive.py",),
+           "the verifier's bound |S|/2 + |A| drops its - 1, so counts one above the paper's bound meet "
+           "the hypothesis"),
+    Mutant("verifier-hypothesis-strict", "src/nivatlab/verifier.py",
+           "quasi and rep.count <= bound", "quasi and rep.count < bound",
+           ("tests/test_exhaustive.py",),
+           "a count equal to the bound fails the hypothesis, so its verdict is VACUOUS, not CONSISTENT"),
     Mutant("level-set-strict", "src/nivatlab/structure.py",
            "if line.value(g) >= c)", "if line.value(g) > c)",
            ("tests/test_structure.py::TestLevelSets",),
@@ -151,6 +170,11 @@ MUTANTS = [
            "sorted(groups)[1:]", "sorted(groups)",
            ("tests/test_structure.py::TestLevelSets",),
            "the directional point sets take the supporting section's first and last points too"),
+    Mutant("half-count-strict", "src/nivatlab/structure.py",
+           "if 2 * len(cut) < len(shape) + 2:", "if 2 * len(cut) <= len(shape) + 2:",
+           ("tests/test_structure.py::TestBalancedSet",),
+           "the balanced-set cut must keep more than |S|/2 + 1 points, so a cut of exactly |S|/2 + 1 "
+           "is refused at the half-count step"),
     Mutant("box-level-pick-loose", "src/nivatlab/structure.py",
            "if gain == 2:", "if gain >= 2:",
            ("tests/test_structure.py::TestWitnessEnumeration",),

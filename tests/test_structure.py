@@ -308,6 +308,13 @@ class TestBalancedSet:
         # independent thickness re-check matches the recorded witness
         assert all(size >= cert.p for _, size in cert.condition_i)
 
+    def test_cut_of_half_plus_one_passes_the_half_count(self, diagonal):
+        # The cut keeps |T| = 3 of |S| = 4 points, exactly |S|/2 + 1: the
+        # half-count step, which needs |T| >= |S|/2 + 1, lets it through.
+        shape = convex_hull([(0, 0), (0, 1), (1, 1), (1, 2)])
+        cert = construct_balanced_set(diagonal, shape, HORIZONTAL)
+        assert 2 * len(cert.half_plane_cut) == len(shape) + 2
+
     def test_non_quasi_regular_rejected(self, checkerboard):
         tri = convex_hull([(0, 0), (2, 0), (0, 2)])
         with pytest.raises(GeometryError):
