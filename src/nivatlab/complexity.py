@@ -39,14 +39,16 @@ number of distinct projections of S's keys onto T's positions in a key; when
 those positions form one run, each projection is one slice of a key.  The
 structure searches count their subsets that way.
 
-Block tables go by body kind.  Row-slice bodies grow each column
-(`_grown_column`): block(n, k)'s key at a translate is block(n, k - 1)'s
-plus one width-n piece of the next row, and a column stops growing once its
-keys are all distinct.  On the diagonal family block(n, k)'s patterns are
-the band word's factors of length n + k - 1, so one count per length serves
-every block of that length (`_factor_counts`).  Any other body, a defect
-body among them, counts each block over its own domain, as `complexity`
-does.
+Block tables go by body kind.  Row-slice bodies read each column off
+strips (`_strip_column`): each body row is cut once into width-n pieces,
+each x's pieces join, bottom row first, into one strip, and block(n, k)'s
+key at a translate is one slice of its strip.  A block stops reading once
+it has shown all |A|^(n * k) patterns over the alphabet, and a column stops
+once its keys are all distinct.  On the diagonal family block(n, k)'s
+patterns are the band word's factors of length n + k - 1, so one count per
+length serves every block of that length (`_factor_counts`).  Any other
+body, a defect body among them, counts each block over its own domain, as
+`complexity` does.
 
 Languages wrap each key as a `Pattern` whose letter string is the key
 respelled in cell order, over one offsets tuple that every pattern of the
@@ -60,8 +62,8 @@ groups the respelled keys by their restrictions before it wraps any of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby, islice, repeat
-from operator import add, itemgetter
+from itertools import chain, groupby, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .configurations import (
@@ -338,40 +340,63 @@ def _language_grids(config: Configuration, shape: ConvexLatticeSet) -> tuple[Com
     return ComplexityReport(cells, len(keys), config.exactness, size), _grids(_offsets(cells), words)
 
 
-def _grown_column(
+def _strip_column(
     config: DoublyPeriodic | WindowSample, n: int, k_max: int
 ) -> Iterator[tuple[int, int]]:
     """(count, translates) of block(n, k) on a row-slice body, for k = 1, ..., k_max.
 
     Each body row from the lowest translate of block(n, 1) to the top of the
     highest of block(n, k_max) is read once and cut into its width-n pieces,
-    one per x of the domain, into one flat list, row after row.
-    Block(n, 1)'s keys are the pieces of its rows of translates.  At a
-    translate, block(n, k)'s key is block(n, k - 1)'s plus the piece of the
-    row k - 1 above it: one `map(add, ...)` of the keys and the pieces from
-    row k - 1 on.  On a torus the rows go on past d through `row`, so every
-    block keeps all d rows of translates (a * d keys, one per point of the
-    torus of the period lattice); in a window the map stops a row of
-    translates sooner each step, where block(n, k) leaves the window.  Once
-    a block's keys are all distinct, so are every taller block's (its
-    translates are the same or fewer, and its patterns restrict to distinct
-    ones), and the column stops growing: each taller block counts its own
-    translates.  Each block reports its own translates as translates
-    examined: a * d on a torus, as `complexity` does.
+    one per x of the domain.  Each x's pieces, bottom row first, join into
+    one strip, so block(n, k)'s key at the translate j rows up from the
+    lowest is the strip's slice [n * j, n * (j + k)).  On a torus the rows
+    go on past d through `row`, so every block keeps all d rows of
+    translates (a * d keys, one per point of the torus of the period
+    lattice); in a window block(n, k) has k - 1 rows of translates fewer
+    than block(n, 1), where it leaves the window.  Each block reports its
+    own translates as translates examined: a * d on a torus, as
+    `complexity` does.
+
+    A block is counted strip by strip (`_slices_seen`), and its count stops
+    once it reaches |A|^(n * k), every pattern over the alphabet: no further
+    translate can show a new one.  Once a block's keys are all
+    distinct, so are every taller block's (its translates are the same or
+    fewer, and its patterns restrict to distinct ones), so each taller block
+    counts its own translates without a read.
     """
     row = config.enumeration_domain(((0, 0), (n - 1, 0)))
     xs, ys = row.xs, row.ys
     top = config.enumeration_domain(((0, 0), (n - 1, k_max - 1))).ys[-1] + k_max
     cut = _cutter(len(xs), 0, n)
-    pieces = list(chain.from_iterable(cut(config.row(y, xs[0], xs[-1] + n)) for y in range(ys[0], top)))
-    keys, distinct = pieces[:len(xs) * len(ys)], False
+    strips = list(map("".join, zip(*[cut(config.row(y, xs[0], xs[-1] + n)) for y in range(ys[0], top)])))
+    letters, distinct = len(config.alphabet), False
     for k in range(1, k_max + 1):
-        if k > 1 and not distinct:
-            keys = list(map(add, keys, islice(pieces, (k - 1) * len(xs), None)))
-        size = min(len(keys), len(pieces) - (k - 1) * len(xs))
-        count = size if distinct else len(set(keys))
-        distinct = count == size
-        yield count, size
+        h = min(len(ys), top - ys[0] - k + 1)  # rows of translates
+        size = len(xs) * h
+        if not distinct:
+            count = _slices_seen(strips, n, k, h, letters ** (n * k))
+            distinct = count == size
+        yield size if distinct else count, size
+
+
+def _slices_seen(strips: list[str], n: int, k: int, h: int, full: int) -> int:
+    """The number of distinct slices [n * j, n * (j + k)), 0 <= j < h, of the strips.
+
+    The strips are read one after another, one `itemgetter` of h slices
+    each, until the slices seen number `full`, the most there can be.  When
+    the strips hold fewer slices than `full`, no stop can fire, and one
+    `chain` reads them all.
+    """
+    slices = map(slice, range(0, n * h, n), range(n * k, n * (h + k), n))
+    getter = itemgetter(*slices) if h > 1 else lambda strip: (strip[:n * k],)
+    if full > h * len(strips):  # more patterns than translates: no stop can fire
+        return len(set(chain.from_iterable(map(getter, strips))))
+    seen: set[str] = set()
+    for strip in strips:
+        seen.update(getter(strip))
+        if len(seen) == full:
+            break
+    return len(seen)
 
 
 def _factor_counts(config: DiagonalFamily, longest: int) -> list[tuple[int, int]]:
@@ -395,10 +420,13 @@ def complexity_table(
     """Complexity of every n-by-k block with 1 <= n <= n_max, 1 <= k <= k_max.
 
     Block(n, k) is the prefix of n * k cells of one x-major tuple per height
-    k.  Row-slice bodies (doubly periodic and window samples) grow each
-    column's keys row by row (`_grown_column`): every block is counted over
-    all of its own translates, the torus of the period lattice on a doubly
-    periodic body and the in-window ones on a window.  On the diagonal
+    k.  Row-slice bodies (doubly periodic and window samples) cut each
+    column's body rows once into per-x strips and count each block as
+    distinct slices of them (`_strip_column`), until the block has shown
+    every pattern over the alphabet or the column's keys are all distinct.
+    Every block reports all of its own translates, the torus of the period
+    lattice on a doubly periodic body and the in-window ones on a window,
+    whether or not a stop spared reading some.  On the diagonal
     family a letter depends only on x - y, and block(n, k)'s x - y values
     are the one run -(k - 1), ..., n - 1, so its patterns are the band
     word's factors of length n + k - 1 over the same sweep: one count per
@@ -412,7 +440,7 @@ def complexity_table(
         raise ValueError("table dimensions must be positive")
     heights = {k: tuple((x, y) for x in range(n_max) for y in range(k)) for k in range(1, k_max + 1)}
     if isinstance(config, (DoublyPeriodic, WindowSample)):
-        columns = (_grown_column(config, n, k_max) for n in range(1, n_max + 1))
+        columns = (_strip_column(config, n, k_max) for n in range(1, n_max + 1))
     elif isinstance(config, DiagonalFamily):
         by_length = _factor_counts(config, n_max + k_max - 1)
         columns = (by_length[n - 1:n - 1 + k_max] for n in range(1, n_max + 1))

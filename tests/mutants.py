@@ -48,7 +48,7 @@ MUTANTS = [
     Mutant("grown-column-early-stop", "src/nivatlab/complexity.py",
            "distinct = count == size", "distinct = count >= size - 1",
            ("tests/test_complexity.py",),
-           "a column stops growing with one repeated key left, so taller blocks count every translate"),
+           "a column stops reading with one repeated key left, so taller blocks count every translate"),
     Mutant("band-step-ignored", "src/nivatlab/complexity.py",
            "range(shifts.start + o, shifts.stop + o, shifts.step)", "range(shifts.start + o, shifts.stop + o)",
            ("tests/test_complexity.py::TestPeriodQuotient::test_stepped_band_reads_match_brute",),
@@ -83,11 +83,19 @@ MUTANTS = [
            "a run reads its length's cut from offset 0, not from its own offset, so it reads the pieces "
            "of the run of that length furthest left"),
     Mutant("table-translates-from-basis", "src/nivatlab/complexity.py",
-           "yield count, size",
-           "yield count, abs(config.basis[0][0] * config.basis[1][1] - config.basis[0][1] * config.basis[1][0]) "
-           "if isinstance(config, DoublyPeriodic) else size",
+           "yield size if distinct else count, size",
+           "yield size if distinct else count, abs(config.basis[0][0] * config.basis[1][1] "
+           "- config.basis[0][1] * config.basis[1][0]) if isinstance(config, DoublyPeriodic) else size",
            ("tests/test_complexity.py",),
            "a torus table reports |det| of the given basis as translates instead of the a' * d' it reads"),
+    Mutant("table-stop-one-short", "src/nivatlab/complexity.py",
+           "if len(seen) == full:", "if len(seen) == full - 1:",
+           ("tests/test_complexity.py::TestTable::test_blocks_stop_reading_once_every_pattern_shows",),
+           "a table block stops reading strips one pattern short of every pattern over the alphabet"),
+    Mutant("strip-slice-short", "src/nivatlab/complexity.py",
+           "range(n * k, n * (h + k), n)", "range(n * k - 1, n * (h + k) - 1, n)",
+           ("tests/test_complexity.py",),
+           "each key of a table block drops its last letter, the top row's last cell"),
     Mutant("per-block-prefix-short", "src/nivatlab/complexity.py",
            "heights[k][:n * k]) for k in heights)", "heights[k][:n * k - 1]) for k in heights)",
            ("tests/test_complexity.py",),
@@ -154,6 +162,14 @@ MUTANTS = [
            "quasi and rep.count <= bound", "quasi and rep.count < bound",
            ("tests/test_exhaustive.py",),
            "a count equal to the bound fails the hypothesis, so its verdict is VACUOUS, not CONSISTENT"),
+    Mutant("verifier-quasi-gate-dropped", "src/nivatlab/verifier.py",
+           "quasi and rep.count <= bound", "rep.count <= bound",
+           ("tests/test_exhaustive.py",),
+           "a shape that is not quasi-regular meets the hypothesis whenever its count is at most the bound"),
+    Mutant("hull-turn-keeps-collinear", "src/nivatlab/geometry.py",
+           "_cross(out[-2], out[-1], p) <= 0", "_cross(out[-2], out[-1], p) < 0",
+           ("tests/test_exhaustive.py",),
+           "the monotone chain keeps points on a hull edge as vertices, so an edge splits in two"),
     Mutant("level-set-strict", "src/nivatlab/structure.py",
            "if line.value(g) >= c)", "if line.value(g) > c)",
            ("tests/test_structure.py::TestLevelSets",),

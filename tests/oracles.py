@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from math import gcd
 
 from nivatlab.configurations import DiagonalFamily, DoublyPeriodic
 from nivatlab.errors import GeometryError
@@ -39,6 +40,28 @@ def enumerate_convex_subsets(n: int, k: int, canonical: bool = False) -> list[fr
                     continue
                 out[pts] = None
     return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def naive_quasi_regular(points) -> bool:
+    """Whether a finite convex lattice set of positive area is quasi-regular:
+    each hull edge has an antiparallel edge with as many lattice points.
+
+    The edges are found without a hull.  For each primitive direction v
+    between two of the points, the points where cross(v, g) is least lie on
+    the set's edge of direction v, when there are two or more of them; the
+    points where it is greatest lie on the edge of direction -v.
+    """
+    pts = list(points)
+    directions = set()
+    for (px, py), (qx, qy) in itertools.permutations(pts, 2):
+        g = gcd(qx - px, qy - py)
+        directions.add(((qx - px) // g, (qy - py) // g))
+    for dx, dy in directions:
+        values = [dx * y - dy * x for x, y in pts]
+        low, high = values.count(min(values)), values.count(max(values))
+        if low >= 2 and low != high:
+            return False
+    return True
 
 
 def basis_det(cfg: DoublyPeriodic) -> int:

@@ -640,18 +640,79 @@ class TestTable:
         assert {rep.translates_examined for rep in table.values()} == {a * d}
 
     def test_columns_stop_growing_once_distinct(self, monkeypatch):
-        """A column whose first block has distinct keys at every translate grows no key."""
+        """No block of a column is read after one whose keys are all distinct:
+        each taller block counts its own translates."""
+        reads = []
+        slices_seen = complexity_module._slices_seen
 
-        def refused(*args):
-            raise AssertionError("a column grew keys after they were all distinct")
+        def recorded(strips, n, k, h, full):
+            count = slices_seen(strips, n, k, h, full)
+            reads.append((n, k, count == h * len(strips)))
+            return count
 
-        monkeypatch.setattr(complexity_module, "add", refused)
+        monkeypatch.setattr(complexity_module, "_slices_seen", recorded)
         torus = DoublyPeriodic.from_rows(AB, ["ab"])
         window = WindowSample(Alphabet(tuple("abcd")), (2, -1), ["ab", "cd"])
         for cfg, n_max, k_max, translates in [(torus, 3, 4, lambda n, k: 2),
                                               (window, 2, 2, lambda n, k: (3 - n) * (3 - k))]:
+            reads.clear()
             for (n, k), rep in complexity_table(cfg, n_max, k_max).items():
                 assert rep.count == rep.translates_examined == translates(n, k)
+            assert reads == [(n, 1, True) for n in range(1, n_max + 1)]
+        # A random 8 x 8 torus: every column reads its blocks from the bottom
+        # up to its first all-distinct block, and no further.
+        rng = random.Random(3)
+        cfg = DoublyPeriodic.from_rows(AB, ["".join(rng.choice("ab") for _ in range(8)) for _ in range(8)])
+        reads.clear()
+        table = complexity_table(cfg, 4, 6)
+        stops = []
+        for n in range(1, 5):
+            column = [(k, distinct) for m, k, distinct in reads if m == n]
+            assert [k for k, _ in column] == list(range(1, len(column) + 1))
+            assert not any(distinct for _, distinct in column[:-1])
+            assert column[-1][1] or len(column) == 6
+            stops.append(len(column))
+        assert 1 < min(stops) and max(stops) == 6 and len(set(stops)) > 2
+        for (n, k), rep in table.items():
+            assert rep.count == naive_exact_count(cfg, _block_cells(n, k))
+
+    def test_blocks_stop_reading_once_every_pattern_shows(self, monkeypatch):
+        """A block stops reading strips once it has shown |A|^(n * k) patterns,
+        and its count is exact; a block that never shows them reads every strip."""
+
+        class Strips(list):
+            read = 0
+
+            def __iter__(self):
+                for strip in super().__iter__():
+                    self.read += 1
+                    yield strip
+
+        reads = {}
+        slices_seen = complexity_module._slices_seen
+
+        def recorded(strips, n, k, h, full):
+            strips = Strips(strips)
+            count = slices_seen(strips, n, k, h, full)
+            reads[n, k] = (strips.read, len(strips), count == full)
+            return count
+
+        monkeypatch.setattr(complexity_module, "_slices_seen", recorded)
+        # Rows top first.  The binary torus's first strip, x = 0 from the
+        # bottom up, shows both letters.  The three-letter torus's shows a and
+        # b, one pattern short of all, and its second strip shows c.
+        binary = DoublyPeriodic.from_rows(AB, ["abba", "bbab", "aaba", "babb"])
+        three = DoublyPeriodic.from_rows(Alphabet(("a", "b", "c")), ["abab", "bcba", "aaab", "bbaa"])
+        for cfg, first in [(binary, (1, 4, True)), (three, (2, 4, True))]:
+            assert cfg._hnf == (4, 0, 4)
+            reads.clear()
+            table = complexity_table(cfg, 3, 3)
+            assert reads[1, 1] == first
+            for (n, k), rep in table.items():
+                assert rep.count == naive_exact_count(cfg, _block_cells(n, k))
+            for read, strips, complete in reads.values():
+                assert read == strips or complete
+        assert reads[1, 2] == (4, 4, False)
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(["periodic", "sheared", "column", "window"]), st.integers(0, 10**6),

@@ -1,7 +1,9 @@
 """The bounded-exhaustive sweep of `exhaustive.py` at scope 5: every binary
 torus of index at most 5, with every canonical convex subset of block(3, 3)
-counted against the brute-force oracle and every quasi-regular subset of
-block(4, 4) checked by the verifier against a recomputation.
+and every entry of its 3 x 3 block table counted against the brute-force
+oracle, and every quasi-regular subset of block(4, 4) and every other
+positive-area subset of block(3, 3) checked by the verifier against a
+recomputation.
 
 These shapes hold one-cell runs and runs of one length at several offsets on
 tori whose rows are at most 5 long, so the row-slice kernel's cuts are read
@@ -12,7 +14,17 @@ from __future__ import annotations
 
 import pytest
 
-from exhaustive import count_mismatches, count_shapes, report_mismatches, tori, verifier_shapes
+from exhaustive import (
+    count_mismatches,
+    count_shapes,
+    irregular_shapes,
+    quasi_regular_mismatches,
+    report_mismatches,
+    table_blocks,
+    table_mismatches,
+    tori,
+    verifier_shapes,
+)
 from nivatlab.configurations import _hnf
 
 SCOPE = 5
@@ -71,3 +83,19 @@ def test_counts_match_the_oracle(bodies):
 
 def test_nivat_reports_match_a_recomputation(bodies, quasi_regular):
     assert [m for body in bodies for m in report_mismatches(body, quasi_regular)] == []
+
+
+def test_quasi_regularity_matches_the_oracle(quasi_regular):
+    assert quasi_regular_mismatches() == []
+    assert len(quasi_regular) == 89
+
+
+def test_tables_match_the_oracle(bodies):
+    blocks = table_blocks()
+    assert [m for body in bodies for m in table_mismatches(body, blocks)] == []
+
+
+def test_shapes_that_are_not_quasi_regular_never_meet_the_hypothesis(bodies):
+    shapes = irregular_shapes()
+    assert len(shapes) == 104
+    assert [m for body in bodies for m in report_mismatches(body, shapes, quasi=False)] == []
