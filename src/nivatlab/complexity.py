@@ -108,16 +108,17 @@ def _runs(values: list[int]) -> list[tuple[int, int]]:
     return [(run[0][1], len(run)) for run in (list(g) for _, g in groups)]
 
 
-def _cutter(count: int, offset: int, n: int) -> Callable[[str], tuple[str, ...]]:
-    """A getter of the `count` pieces of a string, n long, that start at offset, offset + 1, ...
+def _cutter(count: int, n: int) -> Callable[[str], tuple[str, ...]]:
+    """A getter of the first `count` pieces of a string, n long, that start at 0, 1, ...
 
     One-letter pieces are the string's characters, so one slice and one
     `tuple` cut them.  Longer pieces are cut by one `itemgetter` of slices,
     all in C; one slice alone gives a bare string, so it is wrapped in a tuple.
+    A reader that wants the pieces from some offset on slices the cut.
     """
     if n == 1:
-        return lambda word: tuple(word[offset:offset + count])
-    getter = itemgetter(*[slice(i, i + n) for i in range(offset, offset + count)])
+        return lambda word: tuple(word[:count])
+    getter = itemgetter(*[slice(i, i + n) for i in range(count)])
     return getter if count > 1 else lambda word: (getter(word),)
 
 
@@ -143,7 +144,7 @@ def _row_keys(row: Callable[[int, int, int], str], cells: tuple[Point, ...], uxs
     span: dict[int, int] = {}  # run length -> its largest offset
     for _, o, n in runs:
         span[n] = max(span.get(n, 0), o)
-    cuts = {n: dict(zip(ys, map(_cutter(len(uxs) + top, 0, n), words))) for n, top in span.items()}
+    cuts = {n: dict(zip(ys, map(_cutter(len(uxs) + top, n), words))) for n, top in span.items()}
     # Per run, the pieces of every translate, row of translates after row.
     columns = []
     for y, o, n in runs:
@@ -242,9 +243,11 @@ class _Counter:
     point set; refuses inexact counts.
 
     A subset's count is the number of distinct projections of the root's
-    keys, read on the first count, onto the subset's positions in a key: all
-    of each key when the subset is the root, one slice per key when its
-    positions form one run.  It is the subset's complexity on an EXACT body.
+    keys, read on the first count, onto the subset's positions in a key: one
+    slice per key when its positions form one run (the root's own positions
+    among them), one `itemgetter` of positions otherwise.  The empty subset
+    counts 1, the empty pattern, without a key read.  It is the subset's
+    complexity on an EXACT body.
     On a lower-bound body (a window sample) a subset fits at translates where
     the root does not, so the first count raises InexactDataError before any
     key is read, or UnknownLetterError when the subset fits nowhere.
@@ -269,12 +272,9 @@ class _Counter:
                 _require_exact(self.config.exactness)
             self.keys, index, _ = _domain_keys(self.config, self._root)
             self._position = dict(zip(self._root, index))
-            self._width = len(set(index))
         positions = sorted({self._position[g] for g in points})
         first, last = positions[0], positions[-1]
-        if len(positions) == self._width:
-            count = len(self.keys)
-        elif last - first + 1 == len(positions):
+        if last - first + 1 == len(positions):
             count = len(set(map(itemgetter(slice(first, last + 1)), self.keys)))
         else:
             count = len(set(map(itemgetter(*positions), self.keys)))
@@ -367,7 +367,7 @@ def _strip_column(
     row = config.enumeration_domain(((0, 0), (n - 1, 0)))
     xs, ys = row.xs, row.ys
     top = config.enumeration_domain(((0, 0), (n - 1, k_max - 1))).ys[-1] + k_max
-    cut = _cutter(len(xs), 0, n)
+    cut = _cutter(len(xs), n)
     strips = list(map("".join, zip(*[cut(config.row(y, xs[0], xs[-1] + n)) for y in range(ys[0], top)])))
     letters, distinct = len(config.alphabet), False
     for k in range(1, k_max + 1):
@@ -384,13 +384,10 @@ def _slices_seen(strips: list[str], n: int, k: int, h: int, full: int) -> int:
 
     The strips are read one after another, one `itemgetter` of h slices
     each, until the slices seen number `full`, the most there can be.  When
-    the strips hold fewer slices than `full`, no stop can fire, and one
-    `chain` reads them all.
+    the strips hold fewer slices than `full`, the loop reads them all.
     """
     slices = map(slice, range(0, n * h, n), range(n * k, n * (h + k), n))
     getter = itemgetter(*slices) if h > 1 else lambda strip: (strip[:n * k],)
-    if full > h * len(strips):  # more patterns than translates: no stop can fire
-        return len(set(chain.from_iterable(map(getter, strips))))
     seen: set[str] = set()
     for strip in strips:
         seen.update(getter(strip))

@@ -8,7 +8,6 @@ language of a shape (`exactness` EXACT) or only part of it (LOWER_BOUND).
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
@@ -287,26 +286,24 @@ class DoublyPeriodic(Configuration):
         if det == 0:
             raise ConfigurationError("basis vectors must be linearly independent")
         a, b, d = hnf = _hnf(b1, b2)
-        # The letter at (x, y), 0 <= x < a and 0 <= y < d, at y * a + x.  A table
-        # with fewer cells than the a * d = |det| cosets cannot cover them, so
-        # its cells go to a dict rather than |det| slots (a huge basis).
-        torus = [""] * (a * d) if a * d <= len(table) else defaultdict(str)
+        # The letter at (x, y), 0 <= x < a and 0 <= y < d, keyed by y * a + x.
+        # The dict holds only the cosets the table lists, so a huge basis with
+        # a small table allocates nothing per coset before the coverage check.
+        torus: dict[int, str] = {}
         letters = alphabet.letters
         for g, letter in table.items():
             x, y = int(g[0]), int(g[1])
             if letter not in letters:
                 raise ConfigurationError(f"letter {letter!r} not in alphabet")
             i = y % d * a + (x - y // d * b) % a  # (x, y) minus (y // d) * (b, d)
-            if torus[i] != letter:
-                if torus[i]:
-                    raise ConfigurationError(f"table assigns two letters to the coset of {(x, y)}")
-                torus[i] = letter
-        covered = len(torus) if isinstance(torus, dict) else a * d - torus.count("")
-        if covered != abs(det):
-            raise ConfigurationError(f"table covers {covered} cosets, fundamental domain has {abs(det)}")
-        if set(torus) != set(letters):
+            if torus.setdefault(i, letter) != letter:
+                raise ConfigurationError(f"table assigns two letters to the coset of {(x, y)}")
+        if len(torus) != abs(det):
+            raise ConfigurationError(f"table covers {len(torus)} cosets, fundamental domain has {abs(det)}")
+        if set(torus.values()) != set(letters):
             raise ConfigurationError("every alphabet letter must occur in the fundamental domain")
-        self._set_torus(alphabet, (b1, b2), hnf, ["".join(torus[y * a:(y + 1) * a]) for y in range(d)])
+        word = "".join(map(torus.__getitem__, range(a * d)))
+        self._set_torus(alphabet, (b1, b2), hnf, [word[y * a:(y + 1) * a] for y in range(d)])
 
     def _set_torus(
         self, alphabet: Alphabet, basis: tuple[Point, Point], hnf: tuple[int, int, int], rows: list[str]

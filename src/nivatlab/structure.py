@@ -90,6 +90,18 @@ def _generated(counter: _Counter, pts: frozenset[Point], g: Point) -> bool:
     return counter.count(pts) == counter.count(pts - {g})
 
 
+def _section_drop(
+    counter: _Counter, points: frozenset[Point], line: Line
+) -> tuple[frozenset[Point], frozenset[Point], int]:
+    """The section of `points` on their supporting line for `line`, the rest,
+    and the drop P(points) - P(rest), counted by a counter whose root holds
+    `points`.  The paper bounds the drop by |section| - 1; an empty rest
+    counts 1, the empty pattern."""
+    section = line_section(points, supporting_line(points, line))
+    rest = points - section
+    return section, rest, counter.count(points) - counter.count(rest)
+
+
 # -- generating-set search ----------------------------------------------------
 
 
@@ -305,17 +317,14 @@ def _directional_generating_set(
             break
     assert chosen is not None  # the full stage S_I always qualifies
     result_set = ConvexLatticeSet(chosen)
-    sup_s = supporting_line(result_set, line)
-    section = line_section(chosen, sup_s)
+    section, rest, drop = _section_drop(counter, chosen, line)
     certs = _vertex_certificates(
         counter, chosen, "directional-minimality", "supporting-line vertex {} is not generated",
         only=[g for g in result_set.vertices if g in section],
     )
     remark_i = None
     half_plane_line = None
-    rest = chosen - section
     if rest:
-        drop = counter.count(chosen) - counter.count(rest)
         allowed = len(section) - 1
         if drop > allowed:
             raise ConstructionError(
@@ -392,15 +401,12 @@ def remark_i_instance(
     """The (complexity drop, section bound) pair for a set against a direction.
 
     None when the whole set lies on its supporting line; the inequality is
-    only stated for a nonempty remainder.
+    only stated for a nonempty remainder, so nothing is counted then.
     """
     pts = frozenset(result.set.points)
-    counter = _Counter(config, pts)
-    section = line_section(pts, supporting_line(result.set, line))
-    rest = pts - section
-    if not rest:
+    if all(map(supporting_line(pts, line).contains, pts)):
         return None
-    drop = counter.count(pts) - counter.count(rest)
+    section, _, drop = _section_drop(_Counter(config, pts), pts, line)
     return drop, len(section) - 1
 
 
@@ -525,16 +531,11 @@ def m_classes(
         if orbit in orbits:
             continue
         orbits.add(orbit)
-        if base_cells:
-            langs = directional_language(config, base_cells, line, base=u).patterns
-        else:
-            langs = frozenset([Pattern(())])
+        # An empty cell set's directional language is the empty pattern alone.
+        langs = directional_language(config, base_cells, line, base=u).patterns
         if not all(n_of.get(g, 0) > 1 for g in langs):
             continue
-        if isets.initials:
-            alpha = directional_language(config, isets.initials, line, base=u).patterns
-        else:
-            alpha = frozenset([Pattern(())])
+        alpha = directional_language(config, isets.initials, line, base=u).patterns
         key = (langs, alpha)
         if key in seen:
             continue
@@ -543,23 +544,34 @@ def m_classes(
     return tuple(out), diff
 
 
-def _smallest_px(
-    config: Configuration, shape: ConvexLatticeSet, line: Line, p: int, x: MClass, diff: int
-) -> tuple[int, int] | None:
-    """Smallest p_x <= p with diff <= p_x + |A^{l,p_x}| - 2, with its alphabet size.
+def _class_budgets(
+    config: Configuration, shape: ConvexLatticeSet, line: Line, p: int, fail: Callable[[MClass], None]
+) -> tuple[tuple[MClass, ...], int, list[tuple[MClass, int, int]]]:
+    """m_classes(config, shape, line, p), the complexity increment diff, and
+    (class, p_x, |A^{l,p_x}|) for each class whose induced alphabet has more
+    than one pattern, in class order, with p_x the smallest p_x <= p such
+    that diff <= p_x + |A^{l,p_x}| - 2.
 
-    x is a class of m_classes(config, shape, line, p): its induced alphabet is
-    the one at p_x = p, and each smaller p_x reads the class's orbit once.
+    A class's induced alphabet is the one at p_x = p, and each smaller p_x
+    reads the class's orbit once.  The first class that no p_x fits goes to
+    `fail`, which raises: each caller words its own failure.
     """
-    for px in range(1, p + 1):
-        if px == p:
-            size = x.alphabet_size
+    classes, diff = m_classes(config, shape, line, p)
+    rich = [x for x in classes if x.alphabet_size > 1]
+    budgets = []
+    for x in rich:
+        for px in range(1, p + 1):
+            if px == p:
+                size = x.alphabet_size
+            else:
+                iset = directional_point_sets(shape, line, px).initials
+                size = len(directional_language(config, iset, line, base=x.translate))
+            if diff <= px + size - 2:
+                budgets.append((x, px, size))
+                break
         else:
-            iset = directional_point_sets(shape, line, px).initials
-            size = len(directional_language(config, iset, line, base=x.translate)) if iset else 1
-        if diff <= px + size - 2:
-            return px, size
-    return None
+            fail(x)
+    return classes, diff, budgets
 
 
 @dataclass(frozen=True)
@@ -587,22 +599,17 @@ def phi(config: Configuration, shape: ConvexLatticeSet, line: Line, p: int) -> P
         if classes:
             raise HypothesisNotMet("p = 0 but ambiguous-extension classes exist")
         return PhiReport(diff, "complexity_difference", diff, ())
-    classes, diff = m_classes(config, shape, line, p)
-    rich = [x for x in classes if x.alphabet_size > 1]
-    if not rich:
+
+    def fail(x: MClass) -> None:
+        raise HypothesisNotMet(
+            f"shape is not balanced for this line at p = {p}: the class at "
+            f"{x.translate} admits no p_x within the alphabetical bound"
+        )
+
+    classes, diff, budgets = _class_budgets(config, shape, line, p, fail)
+    if not budgets:
         return PhiReport(diff, "complexity_difference", diff, classes)
-    best = None
-    for x in rich:
-        found = _smallest_px(config, shape, line, p, x, diff)
-        if found is None:
-            raise HypothesisNotMet(
-                f"shape is not balanced for this line at p = {p}: the class at "
-                f"{x.translate} admits no p_x within the alphabetical bound"
-            )
-        px, size = found
-        val = px + size - 2
-        best = val if best is None else max(best, val)
-    return PhiReport(best, "max_alphabet_form", diff, classes)
+    return PhiReport(max(px + size - 2 for _, px, size in budgets), "max_alphabet_form", diff, classes)
 
 
 # -- balanced sets --------------------------------------------------------------
@@ -700,8 +707,8 @@ def construct_balanced_set(
 
     gen = _directional_generating_set(counter, cut, line)
     s = gen.set
-    sup = supporting_line(s, line)
-    section = tuple(sorted(line_section(s, sup)))
+    on_line, _, drop = _section_drop(counter, frozenset(s.points), line)
+    section = tuple(sorted(on_line))
     anti_sup = supporting_line(s, line.reverse())
     anti_section = tuple(sorted(line_section(s, anti_sup)))
     if anti_sup != anti:
@@ -714,8 +721,6 @@ def construct_balanced_set(
             "condition-i",
             f"supporting section has {len(section)} points, antiparallel one {len(anti_section)}",
         )
-    rest = frozenset(s.points) - set(section)
-    drop = counter.count(frozenset(s.points)) - counter.count(rest)
     drop_bound = len(section) - 1
     if drop > drop_bound:
         step_failed(
@@ -725,7 +730,7 @@ def construct_balanced_set(
     p = len(section) - 1
     nonexpansive_regime = witness_absent and p >= 1
     cond_i: tuple[tuple[int, int], ...] = ()
-    cond_ii: list[tuple[Point, int, int]] = []
+    cond_ii: tuple[tuple[Point, int, int], ...] = ()
     if p >= 1:
         ok, witness = thickness_ok(s, line, p)
         cond_i = witness
@@ -733,17 +738,11 @@ def construct_balanced_set(
             step_failed(
                 "balance-thickness", f"some parallel section carries fewer than p = {p} points"
             )
-        classes, diff = m_classes(config, s, line, p)
-        for x in classes:
-            if x.alphabet_size <= 1:
-                continue
-            found = _smallest_px(config, s, line, p, x, diff)
-            if found is None:
-                step_failed(
-                    "balance-alphabet-bound",
-                    f"class at {x.translate} admits no p_x <= {p}",
-                )
-            cond_ii.append((x.translate, found[0], found[1]))
+        _, _, budgets = _class_budgets(
+            config, s, line, p,
+            lambda x: step_failed("balance-alphabet-bound", f"class at {x.translate} admits no p_x <= {p}"),
+        )
+        cond_ii = tuple((x.translate, px, size) for x, px, size in budgets)
     return BalancedSetCertificate(
         s,
         line,
@@ -751,7 +750,7 @@ def construct_balanced_set(
         section,
         anti_section,
         cond_i,
-        tuple(cond_ii),
+        cond_ii,
         drop,
         drop_bound,
         tuple(sorted(cut)),

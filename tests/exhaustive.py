@@ -1,5 +1,5 @@
 """Bounded-exhaustive check of the counting kernel and the Nivat verifier on
-every small binary torus.
+every small binary torus and every small defect body.
 
     PYTHONPATH=src python tests/exhaustive.py --scope N
 
@@ -24,14 +24,28 @@ On each body:
   block(3, 3) that is not quasi-regular reports the hypothesis false and
   VACUOUS, whatever the count.
 
+The defect bodies are every `FiniteDefect` with 1 to 3 defects in the 3 x 3
+box [0, 2]^2, over two or three letters, with the background fixed to the
+first letter and every letter present: 129 bodies over two letters and 576
+over three.  On each:
+
+- counts: `complexity` of every canonical convex subset of block(3, 3)
+  equals `naive_exact_count`;
+- the verifier: `nivat_check` of every quasi-regular subset of block(4, 4)
+  reports the brute-force count as exact, the bound |S|/2 + |A| - 1, the
+  hypothesis false and VACUOUS.  A defect body is certified aperiodic, and
+  the theorem says no aperiodic body meets the hypothesis, so a count at or
+  under the bound would be a counterexample and shows as a mismatch.
+
 Which shapes are quasi-regular is decided by the brute-force
 `naive_quasi_regular`, which finds edges without a hull; it agrees with
 `is_quasi_regular` on every positive-area subset of block(4, 4), checked
 first.
 
 Prints, per part, the bodies, shapes, mismatches and seconds, and exits 1 on
-any mismatch.  Stdlib only; `tests/test_exhaustive.py` runs the same sweep
-at scope 5.
+any mismatch.  `--scope` bounds the tori only; the defect bodies are swept
+in full.  Stdlib only; `tests/test_exhaustive.py` runs the same sweep at
+scope 5, with the defect bodies of at most two defects.
 """
 
 from __future__ import annotations
@@ -39,11 +53,11 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from time import perf_counter
 
 from nivatlab.complexity import complexity, complexity_table
-from nivatlab.configurations import Alphabet, DoublyPeriodic
+from nivatlab.configurations import Alphabet, DoublyPeriodic, FiniteDefect
 from nivatlab.geometry import ConvexLatticeSet, is_quasi_regular
 from nivatlab.verifier import Verdict, nivat_check
 from oracles import enumerate_convex_subsets, naive_exact_count, naive_quasi_regular
@@ -66,6 +80,22 @@ def tori(scope: int) -> list[DoublyPeriodic]:
                     body = DoublyPeriodic(alphabet, ((a, 0), (b, d)), table)
                     bodies.setdefault((body._hnf, body._rows), body)
     return list(bodies.values())
+
+
+def defect_bodies(most: int = 3) -> list[FiniteDefect]:
+    """Every defect body with 1 to `most` defects in the 3 x 3 box, over two
+    or three letters, with the background the first letter and every letter
+    present."""
+    box = [(x, y) for y in range(3) for x in range(3)]
+    bodies = []
+    for letters in (LETTERS, (*LETTERS, "c")):
+        alphabet = Alphabet(letters)
+        for size in range(1, most + 1):
+            for cells in combinations(box, size):
+                for marks in product(letters[1:], repeat=size):
+                    if set(marks) == set(letters[1:]):
+                        bodies.append(FiniteDefect(alphabet, letters[0], dict(zip(cells, marks))))
+    return bodies
 
 
 def count_shapes() -> list[frozenset]:
@@ -113,7 +143,7 @@ def table_mismatches(body: DoublyPeriodic, blocks: list[tuple]) -> list[tuple]:
             if table[n, k].count != (expected := naive_exact_count(body, cells))]
 
 
-def count_mismatches(body: DoublyPeriodic, shapes: list[frozenset]) -> list[tuple]:
+def count_mismatches(body: DoublyPeriodic | FiniteDefect, shapes: list[frozenset]) -> list[tuple]:
     """(shape, count, brute-force count) for each shape whose count is wrong."""
     out = []
     for shape in shapes:
@@ -123,15 +153,19 @@ def count_mismatches(body: DoublyPeriodic, shapes: list[frozenset]) -> list[tupl
     return out
 
 
-def report_mismatches(body: DoublyPeriodic, shapes: list[ConvexLatticeSet], quasi: bool = True) -> list[tuple]:
+def report_mismatches(
+    body: DoublyPeriodic | FiniteDefect, shapes: list[ConvexLatticeSet], quasi: bool = True
+) -> list[tuple]:
     """(shape, reported, recomputed) for each shape whose `nivat_check` report
     differs from the recomputation, as (quasi_regular, count, exact, bound,
-    hypothesis_holds, verdict); `quasi` says whether the shapes are quasi-regular."""
+    hypothesis_holds, verdict); `quasi` says whether the shapes are quasi-regular.
+    On a defect body the recomputation expects the hypothesis false, as the
+    theorem says for an aperiodic body."""
     out = []
     for shape in shapes:
         count = naive_exact_count(body, shape.cells)
         bound = Fraction(len(shape), 2) + len(body.alphabet) - 1
-        holds = quasi and count <= bound
+        holds = quasi and count <= bound and isinstance(body, DoublyPeriodic)
         expected = (quasi, count, True, bound, holds, Verdict.CONSISTENT if holds else Verdict.VACUOUS)
         report = nivat_check(body, shape)
         got = (report.quasi_regular, report.complexity.count, report.complexity.exact, report.bound,
@@ -141,9 +175,15 @@ def report_mismatches(body: DoublyPeriodic, shapes: list[ConvexLatticeSet], quas
     return out
 
 
-def _sweep(label: str, bodies: list[DoublyPeriodic], shapes: list, check) -> int:
+def _name(body: DoublyPeriodic | FiniteDefect) -> tuple:
+    if isinstance(body, DoublyPeriodic):
+        return body.basis, body._rows
+    return body.background, sorted(body.defects.items())
+
+
+def _sweep(label: str, bodies: list, shapes: list, check) -> int:
     start = perf_counter()
-    bad = [(body.basis, body._rows, *m) for body in bodies for m in check(body, shapes)]
+    bad = [(_name(body), *m) for body in bodies for m in check(body, shapes)]
     print(f"{label}: {len(bodies)} bodies x {len(shapes)} shapes, {len(bad)} mismatches, "
           f"{perf_counter() - start:.2f} s")
     for mismatch in bad[:5]:
@@ -165,6 +205,9 @@ def main(argv: list[str] | None = None) -> int:
     bad += _sweep("verifier", bodies, verifier_shapes(), report_mismatches)
     bad += _sweep("gate", bodies, irregular_shapes(),
                   lambda body, shapes: report_mismatches(body, shapes, quasi=False))
+    defects = defect_bodies()
+    bad += _sweep("defect counts", defects, count_shapes(), count_mismatches)
+    bad += _sweep("defect verifier", defects, verifier_shapes(), report_mismatches)
     return 1 if bad else 0
 
 

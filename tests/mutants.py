@@ -74,7 +74,7 @@ MUTANTS = [
            ("tests/test_configurations.py",),
            "the body keeps the torus rows of its basis lattice, a / a' times longer than it counts over"),
     Mutant("one-cell-run-read-late", "src/nivatlab/complexity.py",
-           "tuple(word[offset:offset + count])", "tuple(word[offset + 1:offset + 1 + count])",
+           "tuple(word[:count])", "tuple(word[1:1 + count])",
            ("tests/test_exhaustive.py",),
            "a one-cell run reads each translate's letter one character late, its right neighbour's"),
     Mutant("run-read-at-offset-0", "src/nivatlab/complexity.py",
@@ -116,23 +116,18 @@ MUTANTS = [
            "a translate box splits an index by the length of the wrong range, so a box that is not square "
            "gives the wrong translate or raises IndexError"),
     Mutant("coverage-one-slot-short", "src/nivatlab/configurations.py",
-           'else a * d - torus.count("")', 'else a * d - torus[:-1].count("")',
+           "if len(torus) != abs(det):", "if len(torus) < abs(det) - 1:",
            ("tests/test_configurations.py",),
-           "a table that leaves the last torus slot empty passes the coverage check and draws the wrong "
-           "diagnostic"),
-    Mutant("torus-guard-strict", "src/nivatlab/configurations.py",
-           "if a * d <= len(table) else", "if a * d < len(table) else",
-           ("tests/test_configurations.py",),
-           "a table that lists each coset once goes to the dict kept for tables too small to cover, and is "
-           "refused"),
+           "a table that leaves one coset uncovered passes the coverage check and fails with a KeyError "
+           "instead of the diagnostic"),
     Mutant("letter-rotation-flipped", "src/nivatlab/configurations.py",
            "return self._rows[r][(g[0] - q * b) % a]", "return self._rows[r][(g[0] + q * b) % a]",
            ("tests/test_configurations.py",),
            "a sheared body reads row y off torus row y mod d' rotated the wrong way"),
     Mutant("coset-collision-unchecked", "src/nivatlab/configurations.py",
-           "                if torus[i]:\n                    raise", "                if False:\n                    raise",
+           "if torus.setdefault(i, letter) != letter:", "if torus.setdefault(i, letter) is None:",
            ("tests/test_configurations.py",),
-           "a table that gives one coset two letters loads, with the later letter"),
+           "a table that gives one coset two letters loads, with the first letter"),
     Mutant("orbit-basis-from-given-basis", "src/nivatlab/configurations.py",
            "_hnf((a, 0), (b, d), v)", "_hnf(*self.basis, v)",
            ("tests/test_structure.py::TestOrbitSharing::test_periodic_labels_are_exactly_the_orbits",),
@@ -186,6 +181,17 @@ MUTANTS = [
            "sorted(groups)[1:]", "sorted(groups)",
            ("tests/test_structure.py::TestLevelSets",),
            "the directional point sets take the supporting section's first and last points too"),
+    Mutant("section-drop-reversed", "src/nivatlab/structure.py",
+           "line_section(points, supporting_line(points, line))",
+           "line_section(points, supporting_line(points, line.reverse()))",
+           ("tests/test_structure.py", "tests/test_acceptance.py"),
+           "the shared section drop takes the section on the antiparallel supporting line, so the drop, "
+           "remark (i) and the balanced certificate's condition ii read the wrong side"),
+    Mutant("budget-pass-skips-last-class", "src/nivatlab/structure.py",
+           "for x in rich:", "for x in rich[:-1]:",
+           ("tests/test_structure.py",),
+           "the shared class-budget pass leaves out the last class with a nontrivial induced alphabet, so "
+           "phi and condition ii miss its p_x and alphabet size"),
     Mutant("half-count-strict", "src/nivatlab/structure.py",
            "if 2 * len(cut) < len(shape) + 2:", "if 2 * len(cut) <= len(shape) + 2:",
            ("tests/test_structure.py::TestBalancedSet",),

@@ -3,7 +3,9 @@ torus of index at most 5, with every canonical convex subset of block(3, 3)
 and every entry of its 3 x 3 block table counted against the brute-force
 oracle, and every quasi-regular subset of block(4, 4) and every other
 positive-area subset of block(3, 3) checked by the verifier against a
-recomputation.
+recomputation.  The defect bodies with one or two defects in the 3 x 3 box
+(117 of the script's 705) are counted against the oracle on the same count
+shapes, and every verdict on them must be VACUOUS.
 
 These shapes hold one-cell runs and runs of one length at several offsets on
 tori whose rows are at most 5 long, so the row-slice kernel's cuts are read
@@ -17,6 +19,7 @@ import pytest
 from exhaustive import (
     count_mismatches,
     count_shapes,
+    defect_bodies,
     irregular_shapes,
     quasi_regular_mismatches,
     report_mismatches,
@@ -33,6 +36,11 @@ SCOPE = 5
 @pytest.fixture(scope="module")
 def bodies():
     return tori(SCOPE)
+
+
+@pytest.fixture(scope="module")
+def defects():
+    return defect_bodies(2)
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +107,21 @@ def test_shapes_that_are_not_quasi_regular_never_meet_the_hypothesis(bodies):
     shapes = irregular_shapes()
     assert len(shapes) == 104
     assert [m for body in bodies for m in report_mismatches(body, shapes, quasi=False)] == []
+
+
+def test_the_defect_bodies_are_every_small_one(defects):
+    assert len(defect_bodies()) == 705
+    assert len(defects) == 117
+    for body in defects:
+        letters = set(body.alphabet.letters)
+        assert body.background == "a" and {"a", *body.defects.values()} == letters
+        assert all(0 <= x < 3 and 0 <= y < 3 for x, y in body.defects)
+
+
+def test_defect_counts_match_the_oracle(defects):
+    shapes = count_shapes()
+    assert [m for body in defects for m in count_mismatches(body, shapes)] == []
+
+
+def test_defect_bodies_never_meet_the_hypothesis(defects, quasi_regular):
+    assert [m for body in defects for m in report_mismatches(body, quasi_regular)] == []

@@ -177,6 +177,16 @@ class TestFindMlcSet:
                 drop, allowed = instance
                 assert drop <= allowed
 
+    def test_remark_on_a_set_on_its_supporting_line_counts_nothing(self, checkerboard, ab):
+        r = find_generating_set(checkerboard, block(2, 2))
+        assert sorted(r.set.points) == [(1, 0), (1, 1)]
+        # A window would refuse any count, so None here means none was made.
+        window = WindowSample(ab, (0, 0), ["ab", "ba"])
+        for cfg in (checkerboard, window):
+            assert remark_i_instance(cfg, r, VERTICAL) is None
+        with pytest.raises(InexactDataError):
+            remark_i_instance(window, r, HORIZONTAL)
+
     def test_thickness_audit_paths(self, diagonal, checkerboard):
         r = find_mlc_set(diagonal, block(3, 4))
         audit = lemma_thickness_audit(r, DIAGONAL, aperiodic_certified=False)
