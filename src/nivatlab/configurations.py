@@ -199,9 +199,11 @@ class Configuration:
         s*v plus a certified period (or zero) for some integer s, so the
         directional language along v at base u equals the one at base u2:
         sliding by s*v only reindexes the steps, and the period does not
-        change a letter.  The base class labels each translate by itself,
-        which never merges two; bodies whose periods are not certified, or
-        whose directional domains are not exact, must keep it.
+        change a letter.  A body with certified period lattice P labels u by
+        the cross product v x u = v0*u1 - v1*u0 modulo g, the index of
+        P + Zv (`_orbit_label`).  The base class labels each translate by
+        itself, which never merges two; bodies whose periods are not
+        certified, or whose directional domains are not exact, must keep it.
         """
         return u
 
@@ -230,6 +232,33 @@ def extract_pattern(config: Configuration, shape: ConvexLatticeSet | Iterable[Po
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
+
+
+def _orbit_label(u: Point, v: Point, g: int) -> int:
+    """The cross product v x u modulo g, the index of P + Zv for the certified
+    period lattice P; g = 0 (P = 0, or P inside Zv) means no reduction.
+
+    With v primitive, u -> v x u maps Z^2 onto Z with kernel Zv, so it maps
+    Z^2 / (P + Zv) one-to-one onto Z / gZ, where gZ is the image of P: equal
+    labels are exactly the orbits u + Zv + P.
+    """
+    c = v[0] * u[1] - v[1] * u[0]
+    return c % g if g else c
+
+
+def _check_grid(alphabet: Alphabet, rows: Sequence[str], where: str) -> None:
+    """Check a character grid: nonempty and rectangular, every letter in the
+    alphabet (else the first foreign one in row order is named), and every
+    alphabet letter used somewhere in the `where` the grid fills."""
+    if not rows or len(set(map(len, rows))) != 1:
+        raise ConfigurationError("rows must be nonempty and rectangular")
+    text = "".join(rows)
+    present = set(text)
+    if not present.issubset(alphabet.letters):
+        first = next(a for a in text if a not in alphabet.letters)
+        raise ConfigurationError(f"letter {first!r} not in alphabet")
+    if len(present) != len(alphabet):
+        raise ConfigurationError(f"every alphabet letter must occur in the {where}")
 
 
 class TranslateBox(Sequence):
@@ -321,7 +350,6 @@ class DoublyPeriodic(Configuration):
         a, _, d = self._hnf
         self._rows = tuple(row[:a] for row in rows[:d])  # torus row y, x < a'
         self._domain = TranslateBox(range(a), range(d))  # the torus [0, a') x [0, d')
-        self._orbit_bases: dict[Point, tuple[int, int, int]] = {}  # v -> _orbit_basis(v)
 
     @classmethod
     def from_rows(cls, alphabet: Alphabet, rows: Sequence[str]) -> "DoublyPeriodic":
@@ -330,20 +358,13 @@ class DoublyPeriodic(Configuration):
         The rows, bottom first, are the torus rows of the basis (n, 0), (0, k),
         so they are checked and kept as they are, with no table between.
         """
-        if not rows or len(set(map(len, rows))) != 1:
-            raise ConfigurationError("rows must be nonempty and rectangular")
-        if not rows[0]:  # the basis (0, 0), (0, k)
+        rows = ["".join(row) for row in rows]
+        if rows and not any(rows):  # the basis (0, 0), (0, k)
             raise ConfigurationError("basis vectors must be linearly independent")
-        letters = alphabet.letters
-        used = set().union(*rows)
-        if not used <= set(letters):
-            letter = next(c for row in rows for c in row if c not in letters)
-            raise ConfigurationError(f"letter {letter!r} not in alphabet")
-        if len(used) != len(letters):
-            raise ConfigurationError("every alphabet letter must occur in the fundamental domain")
+        _check_grid(alphabet, rows, "fundamental domain")
         basis = ((len(rows[0]), 0), (0, len(rows)))
         body = cls.__new__(cls)
-        body._set_torus(alphabet, basis, _hnf(*basis), ["".join(row) for row in reversed(rows)])
+        body._set_torus(alphabet, basis, _hnf(*basis), rows[::-1])
         return body
 
     def letter_at(self, g: Point) -> str:
@@ -386,27 +407,17 @@ class DoublyPeriodic(Configuration):
             found.extend((x, j * d) for x in range(first, bound + 1, a) if x or j)
         return tuple(sorted(found))
 
-    def _orbit_basis(self, v: Point) -> tuple[int, int, int]:
-        """(a, b, d) with (a, 0) and (b, d) spanning P + Zv, a, d > 0 and 0 <= b < a.
+    def _orbit_index(self, v: Point) -> int:
+        """The index g of P + Zv: v x (a', 0) and v x (b', d') span g Z, the image of P."""
+        a, b, d = self._hnf
+        return gcd(v[1] * a, v[0] * d - v[1] * b)
 
-        This is the Hermite normal form of the period lattice P and v, found once per v.
-        """
-        basis = self._orbit_bases.get(v)
-        if basis is None:
-            a, b, d = self._hnf
-            basis = self._orbit_bases[v] = _hnf((a, 0), (b, d), v)
-        return basis
-
-    def orbit_class(self, u: Point, v: Point) -> Point:
-        """u reduced modulo the lattice P + Zv: the canonical (x mod a, y mod d)."""
-        a, b, d = self._orbit_basis(v)
-        q = u[1] // d
-        return ((u[0] - q * b) % a, u[1] - q * d)
+    def orbit_class(self, u: Point, v: Point) -> int:
+        return _orbit_label(u, v, self._orbit_index(v))
 
     def directional_translates(self, shape, base, v) -> range:
-        """range(s), s >= 1 the least with s*v a period: the index of P in P + Zv."""
-        a, _, d = self._orbit_basis(v)
-        return range(self._hnf[0] * self._hnf[2] // (a * d))
+        """range(s), s >= 1 the least with s*v a period: the index a' d' / g of P in P + Zv."""
+        return range(self._hnf[0] * self._hnf[2] // self._orbit_index(v))
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +462,7 @@ class FiniteDefect(Configuration):
         return True
 
     def orbit_class(self, u: Point, v: Point) -> int:
-        """The cross product of v and u: with v primitive it is equal exactly on u + Zv."""
-        return v[0] * u[1] - v[1] * u[0]
+        return _orbit_label(u, v, 0)  # no period: the orbits are the lines u + Zv
 
     def directional_translates(self, shape, base, v) -> list[int]:
         pts = as_points(shape)
@@ -574,9 +584,7 @@ class DiagonalFamily(Configuration):
         return h != (0, 0) and h[0] == h[1]
 
     def orbit_class(self, u: Point, v: Point) -> int:
-        """x - y modulo |v0 - v1|, the change of x - y per step along v; x - y when v is (1, 1)."""
-        k = abs(v[0] - v[1])
-        return (u[0] - u[1]) % k if k else u[0] - u[1]
+        return _orbit_label(u, v, abs(v[0] - v[1]))  # v x (1, 1) spans the image of P = Z(1, 1)
 
     def offsets_within(self, radius: int) -> list[int]:
         out = [0]
@@ -632,21 +640,12 @@ class WindowSample(Configuration):
     exactness = Exactness.LOWER_BOUND
 
     def __init__(self, alphabet: Alphabet, origin: Point, rows: Sequence[str]) -> None:
-        if not rows or len(set(map(len, rows))) != 1:
-            raise ConfigurationError("rows must be nonempty and rectangular")
+        _check_grid(alphabet, rows, "window")
         self.alphabet = alphabet
         self.origin = (int(origin[0]), int(origin[1]))
         self.width = len(rows[0])
         self.height = len(rows)
         self._rows = tuple(rows)  # first row is the visual top
-        text = "".join(rows)
-        present = set(text)
-        foreign = present.difference(alphabet.letters)
-        if foreign:
-            first = next(a for a in text if a in foreign)  # the first in row order
-            raise ConfigurationError(f"letter {first!r} not in alphabet")
-        if len(present) != len(alphabet):
-            raise ConfigurationError("every alphabet letter must occur in the window")
 
     def letter_at(self, g: Point) -> str:
         xx, yy = g[0] - self.origin[0], self.origin[1] + self.height - 1 - g[1]

@@ -11,11 +11,12 @@ directional language of a shape at base u depends only on u + Zv modulo the
 certified periods: sliding the base by s*v reindexes the steps, and a period
 changes no letter.  `Configuration.orbit_class(u, v)` labels that orbit, so
 `m_classes` builds the base language and the induced alphabet once per label
-and skips a translate whose label it has met.  A doubly periodic body
-certifies its whole period lattice P, so its labels are the classes of
-P + Zv, which can be coarser than those of its basis lattice.  Bodies without
-certified periods label each translate by itself and keep one language per
-translate.
+and skips a translate whose label it has met.  A body with certified period
+lattice P labels u by the cross product v x u modulo g, the index of P + Zv,
+which is one-to-one on the orbits.  A doubly periodic body certifies its
+whole period lattice, so its labels are the classes of P + Zv, which can be
+coarser than those of its basis lattice.  Bodies without certified periods
+label each translate by itself and keep one language per translate.
 
 Each search counts convex subsets of one root shape: the start shape of the
 generating-set, mlc and balanced-set searches, or the radius box of the

@@ -37,6 +37,13 @@ over three.  On each:
   the theorem says no aperiodic body meets the hypothesis, so a count at or
   under the bound would be a counterexample and shows as a mismatch.
 
+Orbit labels: on every torus, along every primitive v with |vx|, |vy| <= 3,
+two translates u, u2 of the box [-2, 2]^2 share an `orbit_class` exactly
+when u2 - u lies in P + Zv, decided by brute force: some u2 - u - t*v is a
+period, tested with `letter_at`.  `len(directional_translates)` is the least
+s >= 1 with s*v a period.  The diagonal family and every defect body get
+the same label check on the box [-1, 1]^2.
+
 Which shapes are quasi-regular is decided by the brute-force
 `naive_quasi_regular`, which finds edges without a hull; it agrees with
 `is_quasi_regular` on every positive-area subset of block(4, 4), checked
@@ -54,15 +61,18 @@ import argparse
 import sys
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 from time import perf_counter
 
 from nivatlab.complexity import complexity, complexity_table
-from nivatlab.configurations import Alphabet, DoublyPeriodic, FiniteDefect
+from nivatlab.configurations import Alphabet, Configuration, DiagonalFamily, DoublyPeriodic, FiniteDefect
 from nivatlab.geometry import ConvexLatticeSet, is_quasi_regular
 from nivatlab.verifier import Verdict, nivat_check
 from oracles import enumerate_convex_subsets, naive_exact_count, naive_quasi_regular
 
 LETTERS = ("a", "b")
+# Every primitive direction with |vx|, |vy| <= 3, both orientations.
+VECTORS = tuple((x, y) for x in range(-3, 4) for y in range(-3, 4) if gcd(x, y) == 1)
 
 
 def tori(scope: int) -> list[DoublyPeriodic]:
@@ -175,16 +185,80 @@ def report_mismatches(
     return out
 
 
-def _name(body: DoublyPeriodic | FiniteDefect) -> tuple:
+def box(r: int) -> list[tuple[int, int]]:
+    """The translates of [-r, r]^2, x-major."""
+    return list(product(range(-r, r + 1), repeat=2))
+
+
+def _period_cells(body: Configuration) -> list[tuple[int, int]]:
+    """Cells whose letters decide whether a vector is a period: the table's
+    box [0, a) x [0, d) on a swept torus (a fundamental domain of its basis),
+    the defects on a defect body (a finite set is moved off itself by every
+    nonzero shift), and the row y = 0, |x| <= 64, on the diagonal family
+    (where a shift changing x - y by at most 56 moves some letter)."""
+    if isinstance(body, DoublyPeriodic):
+        return list(product(range(body.basis[0][0]), range(body.basis[1][1])))
+    if isinstance(body, FiniteDefect):
+        return list(body.defects)
+    return [(x, 0) for x in range(-64, 65)]
+
+
+def orbit_mismatches(body: Configuration, vectors: tuple, translates: list) -> list[tuple]:
+    """(v, u, first, first labelled) for each translate u whose first
+    translate with an equal `orbit_class` along v is not its first translate
+    in the same orbit of P + Zv by brute force, and, on a torus,
+    (v, len(directional_translates), least s) when the steps are not the
+    least s >= 1 with s*v a period.  Both relations are equivalences, so
+    they are equal exactly when every translate has the same first member.
+
+    u2 - u lies in P + Zv when u2 - u - t*v is a period for some t: on a
+    swept torus of basis determinant D, D*v lies in the basis lattice, so
+    0 <= t < D suffices; otherwise t runs as far as a difference of the
+    translates reaches, which covers P = 0 and P = Z(1, 1).
+    """
+    cells, periods = _period_cells(body), {}
+
+    def is_period(h: tuple[int, int]) -> bool:
+        if h not in periods:
+            periods[h] = all(body.letter_at(g) == body.letter_at((g[0] + h[0], g[1] + h[1])) for g in cells)
+        return periods[h]
+
+    torus = isinstance(body, DoublyPeriodic)
+    if torus:
+        steps = range(body.basis[0][0] * body.basis[1][1])
+    else:
+        reach = 2 * max(max(map(abs, u)) for u in translates)
+        steps = range(-2 * reach, 2 * reach + 1)
+    out = []
+    for v in vectors:
+        firsts, labelled = [], {}
+        for u in translates:
+            first = next((r for r in firsts if any(
+                is_period((u[0] - r[0] - t * v[0], u[1] - r[1] - t * v[1])) for t in steps)), None)
+            if first is None:
+                firsts.append(first := u)
+            label = body.orbit_class(u, v)
+            if labelled.setdefault(label, u) != first:
+                out.append((v, u, first, labelled[label]))
+        if torus:
+            least = next(s for s in range(1, len(steps) + 1) if is_period((s * v[0], s * v[1])))
+            if (along := len(body.directional_translates((), (0, 0), v))) != least:
+                out.append((v, along, least))
+    return out
+
+
+def _name(body: Configuration) -> tuple:
     if isinstance(body, DoublyPeriodic):
         return body.basis, body._rows
-    return body.background, sorted(body.defects.items())
+    if isinstance(body, FiniteDefect):
+        return body.background, sorted(body.defects.items())
+    return type(body).__name__,
 
 
-def _sweep(label: str, bodies: list, shapes: list, check) -> int:
+def _sweep(label: str, bodies: list, shapes: list, check, unit: str = "shapes") -> int:
     start = perf_counter()
     bad = [(_name(body), *m) for body in bodies for m in check(body, shapes)]
-    print(f"{label}: {len(bodies)} bodies x {len(shapes)} shapes, {len(bad)} mismatches, "
+    print(f"{label}: {len(bodies)} bodies x {len(shapes)} {unit}, {len(bad)} mismatches, "
           f"{perf_counter() - start:.2f} s")
     for mismatch in bad[:5]:
         print(f"    {mismatch}")
@@ -208,6 +282,9 @@ def main(argv: list[str] | None = None) -> int:
     defects = defect_bodies()
     bad += _sweep("defect counts", defects, count_shapes(), count_mismatches)
     bad += _sweep("defect verifier", defects, verifier_shapes(), report_mismatches)
+    bad += _sweep("orbits", bodies, VECTORS, lambda body, vs: orbit_mismatches(body, vs, box(2)), "directions")
+    bad += _sweep("other orbits", [DiagonalFamily(), *defects], VECTORS,
+                  lambda body, vs: orbit_mismatches(body, vs, box(1)), "directions")
     return 1 if bad else 0
 
 

@@ -1,4 +1,5 @@
-"""Mutation check of the counting kernel's and the geometry's fast paths, and the verifier.
+"""Mutation check of the counting kernel's and the geometry's fast paths, the orbit
+labels, the verifier, the word checks and the CLI's exit code.
 
     python3 tests/mutants.py            # every mutant
     python3 tests/mutants.py NAME ...   # the named ones
@@ -128,11 +129,18 @@ MUTANTS = [
            "if torus.setdefault(i, letter) != letter:", "if torus.setdefault(i, letter) is None:",
            ("tests/test_configurations.py",),
            "a table that gives one coset two letters loads, with the first letter"),
-    Mutant("orbit-basis-from-given-basis", "src/nivatlab/configurations.py",
-           "_hnf((a, 0), (b, d), v)", "_hnf(*self.basis, v)",
+    Mutant("orbit-index-from-given-basis", "src/nivatlab/configurations.py",
+           "return gcd(v[1] * a, v[0] * d - v[1] * b)",
+           "return gcd(*(v[0] * h[1] - v[1] * h[0] for h in self.basis))",
            ("tests/test_structure.py::TestOrbitSharing::test_periodic_labels_are_exactly_the_orbits",),
-           "orbit labels split P + Zv into the finer classes of L + Zv on a body whose basis is coarser "
-           "than its period lattice"),
+           "the orbit index is read off the given basis lattice L, so labels split P + Zv into the finer "
+           "classes of L + Zv, and the steps are a' d' over the index of L + Zv, on a body whose basis is "
+           "coarser than its period lattice"),
+    Mutant("orbit-label-unreduced", "src/nivatlab/configurations.py",
+           "return c % g if g else c", "return c",
+           ("tests/test_structure.py::TestOrbitSharing::test_periodic_labels_are_exactly_the_orbits",),
+           "orbit labels are not reduced modulo the index of P + Zv, so translates one period apart get "
+           "different labels and m_classes reads each orbit more than once"),
     Mutant("translate-keeps-vertices", "src/nivatlab/geometry.py",
            "[padd(v, u) for v in self.vertices]", "self.vertices",
            ("tests/test_geometry.py",),
@@ -165,6 +173,24 @@ MUTANTS = [
            "_cross(out[-2], out[-1], p) <= 0", "_cross(out[-2], out[-1], p) < 0",
            ("tests/test_exhaustive.py",),
            "the monotone chain keeps points on a hull edge as vertices, so an edge splits in two"),
+    Mutant("mh-window-two-bounds", "src/nivatlab/words.py",
+           "3 * n_prime", "2 * n_prime",
+           ("tests/test_words.py", "tests/test_acceptance.py"),
+           "a window of two bounds' length, too short to decide, is searched for a period, so a missing "
+           "period reads as VIOLATION instead of WINDOW_TOO_SHORT"),
+    Mutant("fine-wilf-length-one-short", "src/nivatlab/words.py",
+           "needed = p + q - g", "needed = p + q - g - 1",
+           ("tests/test_words.py", "tests/test_acceptance.py"),
+           "a window one letter shorter than p + q - gcd(p, q) is taken to force the gcd period, which "
+           "it need not, so the check raises SoundnessError on a sound window"),
+    Mutant("window-period-bound-excluded", "src/nivatlab/words.py",
+           "range(1, max_period + 1)", "range(1, max_period)",
+           ("tests/test_words.py", "tests/test_acceptance.py", "tests/test_structure.py"),
+           "the period search stops one short of its bound, so a period equal to the bound is missed"),
+    Mutant("strict-exit-inverted", "src/nivatlab/cli.py",
+           "and not args.strict", "and args.strict",
+           ("tests/test_cli.py",),
+           "an inconclusive run exits 0 under --strict and 2 without it, the reverse of the documented codes"),
     Mutant("level-set-strict", "src/nivatlab/structure.py",
            "if line.value(g) >= c)", "if line.value(g) > c)",
            ("tests/test_structure.py::TestLevelSets",),

@@ -5,7 +5,11 @@ oracle, and every quasi-regular subset of block(4, 4) and every other
 positive-area subset of block(3, 3) checked by the verifier against a
 recomputation.  The defect bodies with one or two defects in the 3 x 3 box
 (117 of the script's 705) are counted against the oracle on the same count
-shapes, and every verdict on them must be VACUOUS.
+shapes, and every verdict on them must be VACUOUS.  On every torus, along
+every primitive direction with coordinates at most 3, orbit labels split the
+box [-2, 2]^2 as brute force splits it modulo P + Zv, and the directional
+steps are the least s with s*v a period; the diagonal family and the 117
+defect bodies get the same label check on [-1, 1]^2.
 
 These shapes hold one-cell runs and runs of one length at several offsets on
 tori whose rows are at most 5 long, so the row-slice kernel's cuts are read
@@ -17,10 +21,13 @@ from __future__ import annotations
 import pytest
 
 from exhaustive import (
+    VECTORS,
+    box,
     count_mismatches,
     count_shapes,
     defect_bodies,
     irregular_shapes,
+    orbit_mismatches,
     quasi_regular_mismatches,
     report_mismatches,
     table_blocks,
@@ -28,7 +35,7 @@ from exhaustive import (
     tori,
     verifier_shapes,
 )
-from nivatlab.configurations import _hnf
+from nivatlab.configurations import DiagonalFamily, _hnf
 
 SCOPE = 5
 
@@ -125,3 +132,10 @@ def test_defect_counts_match_the_oracle(defects):
 
 def test_defect_bodies_never_meet_the_hypothesis(defects, quasi_regular):
     assert [m for body in defects for m in report_mismatches(body, quasi_regular)] == []
+
+
+def test_orbit_labels_match_brute_force(bodies, defects):
+    assert len(VECTORS) == 32
+    assert [m for body in bodies for m in orbit_mismatches(body, VECTORS, box(2))] == []
+    others = [DiagonalFamily(), *defects]
+    assert [m for body in others for m in orbit_mismatches(body, VECTORS, box(1))] == []

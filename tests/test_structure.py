@@ -32,7 +32,9 @@ from nivatlab.structure import (
     BalancedSetCertificate,
     GeneratingKind,
     MClass,
+    MlcAudit,
     PhiReport,
+    StripClassOutcome,
     StripLemmaStatus,
     audit_mlc_inequality,
     construct_balanced_set,
@@ -195,6 +197,11 @@ class TestFindMlcSet:
         assert not audit2.applicable and "null-area" in audit2.reason
         g = find_generating_set(checkerboard, block(2, 2))
         assert not lemma_thickness_audit(g, DIAGONAL, True).applicable
+        # One 'a' per 2x2 torus: block(3, 2) is its own mlc set, of positive area.
+        r3 = find_mlc_set(DoublyPeriodic.from_rows(checkerboard.alphabet, ["ab", "bb"]), block(3, 2))
+        assert r3.set.has_positive_area()
+        assert [lemma_thickness_audit(r3, line, True) for line in (HORIZONTAL, VERTICAL)] == [
+            MlcAudit(True, "checked", 3, True), MlcAudit(True, "checked", 2, False)]
 
 
 class TestDirectionalPointSets:
@@ -430,6 +437,17 @@ class TestAmbiguousExtensionFixture:
         assert rep.status is StripLemmaStatus.PASS and not rep.vacuous
         assert [o.status for o in rep.outcomes] == ["pass"]
         assert rep.outcomes[0].period == 2
+
+    def test_strip_lemma_at_p_zero_and_without_initials(self, ambiguous_rows):
+        # p = 0 with a class present decides nothing; at p = 3 no section is
+        # thick enough, so the class has no strip to read and passes with period 0.
+        rep = verify_strip_lemma(ambiguous_rows, block(2, 2), HORIZONTAL, 0, window=20)
+        assert rep.status is StripLemmaStatus.INCONCLUSIVE and not rep.vacuous and rep.data_exact
+        assert rep.outcomes == (StripClassOutcome((0, 0), 0, None, "inconclusive"),)
+        assert directional_point_sets(block(2, 2), HORIZONTAL, 3).initials == ()
+        rep = verify_strip_lemma(ambiguous_rows, block(2, 2), HORIZONTAL, 3, window=20)
+        assert rep.status is StripLemmaStatus.PASS and not rep.vacuous
+        assert rep.outcomes == (StripClassOutcome((0, 0), 2, 0, "pass"),)
 
     def test_phi_unbalanced_raises_no_claim(self, ambiguous_rows):
         # at p = 1 the ambiguous class has no p_x within the bound
